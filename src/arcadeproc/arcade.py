@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .drivers import GaussMarkovDriver, PathBundle, config_hash
+from .drivers import _VAR_FLOOR, GaussMarkovDriver, PathBundle, config_hash
 from .errors import ConfigError, DegenerateError
 from .partition import (
     CoefficientSet,
@@ -41,9 +41,6 @@ __all__ = [
     "standard_coefficients",
     "markov_factorization_check",
 ]
-
-_VAR_FLOOR = 1e-14
-
 
 # ---------------------------------------------------------------------------
 # Configuration

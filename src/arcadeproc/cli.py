@@ -11,7 +11,9 @@ Every command takes ``--config PATH`` plus optional ``--seed`` / ``--paths``
 overrides and ``--out DIR``.  All randomness flows from the single config
 seed split into named streams (see ``streams.py``); identical config and
 seed reproduce byte-identical outputs.  Exit codes: 0 ok, 2 config error,
-3 infeasible problem, 4 numeric failure.
+3 infeasible problem, 4 numeric failure (including an ``ibmot`` solve that
+stops at ``max_iter`` above its gap tolerance; ``solution.json`` is still
+written).
 """
 
 from __future__ import annotations
@@ -282,10 +284,12 @@ def _cmd_ibmot(doc: dict, args) -> int:
     horizon = float(_require(doc, "T", "config"))
     problem = IbmotProblem(mu, nu, horizon, target_second_moment=nu_moment)
     opt_doc = doc.get("options", {})
+    unknown = sorted(set(opt_doc) - {"gap", "max_iter"})
+    if unknown:
+        raise ConfigError(f"unknown ibmot options {unknown}; known: 'gap', 'max_iter'")
     opts = IbmotOptions(
         gap_tol=float(opt_doc.get("gap", 1e-7)),
         max_iter=int(opt_doc.get("max_iter", 5000)),
-        variant=opt_doc.get("variant", "blended"),
     )
     solution = solve_ibmot(problem, opts)
     payload = solution.as_dict()
@@ -304,6 +308,12 @@ def _cmd_ibmot(doc: dict, args) -> int:
     if not args.quiet:
         print(f"ibmot: gap={solution.duality_gap:.2e} "
               f"K_I={solution.objective_ki:.6f} -> {out / 'solution.json'}")
+    if not solution.converged:
+        limit = opts.gap_tol * (1.0 + abs(solution.objective_quantile))
+        _emit_error("numeric", NumericError(
+            f"not converged after {solution.iterations} iterations: duality gap "
+            f"{solution.duality_gap:.3e} > limit {limit:.3e}"))
+        return EXIT_NUMERIC
     return EXIT_OK
 
 

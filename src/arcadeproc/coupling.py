@@ -666,10 +666,6 @@ def comonotone_kernel(mu: DiscreteMarginal, nu: DiscreteMarginal) -> CouplingKer
     return CouplingKernel(mu, (step,), name="comonotone")
 
 
-def product_kernel(mu: DiscreteMarginal, nu: DiscreteMarginal) -> CouplingKernel:
-    return CouplingKernel(mu, (IndependentStepKernel(nu),), name="product")
-
-
 def builtin_kernels() -> dict[str, CouplingKernel]:
     """Catalog of named, validated couplings."""
     return {

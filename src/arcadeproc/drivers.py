@@ -38,6 +38,8 @@ __all__ = [
     "driver_preset",
 ]
 
+# Variance at or below which a Gaussian quantity is treated as deterministic;
+# arcade, rap and fam import it from here.
 _VAR_FLOOR = 1e-14
 
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .arcade import ap_mean, ap_variance
 from .coupling import GaussianStepKernel, StepKernel
+from .drivers import _VAR_FLOOR
 from .errors import ConfigError, DegenerateError, DomainError, NumericError
 from .rap import RapConfig, build_rap_paths
 
@@ -38,7 +39,6 @@ __all__ = [
     "ito_isometry_check",
 ]
 
-_VAR_FLOOR = 1e-14
 _LOG_UNDERFLOW = -700.0
 
 
@@ -91,10 +91,6 @@ def _step_posterior(step: StepKernel, x_prev, resid, g_next, var_a):
 # Arc bookkeeping
 # ---------------------------------------------------------------------------
 
-def _signal_sums(cfg: RapConfig, grid: np.ndarray) -> np.ndarray:
-    return cfg.signal.grid_matrix()
-
-
 def _h_values(cfg: RapConfig, t: float, arc: int) -> tuple[float, float, float]:
     """(h1, h2, h3) of the driver factorization for the arc owning ``t``."""
     d = cfg.arcade.driver
@@ -116,8 +112,8 @@ def _reduction_applies(cfg: RapConfig) -> bool:
     return True
 
 
-def _prefix_base(cfg: RapConfig, gmat_col: np.ndarray, x: np.ndarray,
-                 m: int, mu_a: float) -> np.ndarray:
+def _prefix_base(gmat_col: np.ndarray, x: np.ndarray, m: int,
+                 mu_a: float) -> np.ndarray:
     return x[:, : m + 1] @ gmat_col[: m + 1] + mu_a
 
 
@@ -183,7 +179,7 @@ def fam_paths(cfg: RapConfig, n_paths: int, seed: int, block: int = 0,
     grid = p.grid
     steps = p.steps_per_arc
     n = p.n_arcs
-    gmat = _signal_sums(cfg, grid)                  # (n+1, K)
+    gmat = cfg.signal.grid_matrix()                 # (n+1, K)
     mu_a = np.asarray(ap_mean(cfg.arcade, grid), dtype=float)
     var_a = np.asarray(ap_variance(cfg.arcade, grid), dtype=float)
     reduced = _reduction_applies(cfg)
@@ -206,7 +202,7 @@ def fam_paths(cfg: RapConfig, n_paths: int, seed: int, block: int = 0,
         if not is_date and va <= _VAR_FLOOR:
             raise DegenerateError(f"zero noise variance at interior node t={t}")
         g_next = float(gmat[arc + 1, k])
-        base = _prefix_base(cfg, gmat[:, k], x, arc, float(mu_a[k]))
+        base = _prefix_base(gmat[:, k], x, arc, float(mu_a[k]))
         resid = i_vals[:, k] - base
         if reduced:
             mean, pvar, uf = _step_posterior(

@@ -9,10 +9,11 @@ is equivalent to maximizing the expected product of the terminal target with
 the innovations endpoint.
 
 The solver is conditional-gradient (Frank-Wolfe) with an exact dense-simplex
-linear oracle, exact golden-section line search, and optional away steps
-over the active vertex set (the default: plain FW zigzags too slowly to
-certify tight duality gaps).  A brute-force search over the polytope's null
-direction provides an independent oracle on small instances.
+linear oracle and golden-section line search; after each oracle step,
+pairwise steps shift weight between the vertices already in the active set
+(plain FW zigzags too slowly to certify tight duality gaps).  A brute-force
+search over the polytope's null direction provides an independent oracle on
+small instances.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .coupling import (
     DiscreteMarginal,
     convex_order_report,
 )
-from .errors import ConfigError, InfeasibleError
+from .errors import ConfigError, InfeasibleError, NumericError
 from .simplex import linprog_simplex, resolve_with_costs
 
 __all__ = [
@@ -49,6 +50,8 @@ __all__ = [
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _Q_CLIP = 1e-16
+_LINE_SEARCH_TOL = 1e-10
+_PAIRWISE_BUDGET = 40      # pairwise correction steps per oracle call
 
 
 # ---------------------------------------------------------------------------
@@ -103,25 +106,16 @@ def gaussian_quantile_partial_moments(a, b, tau: float):
 def _w2sq_rows(prob_rows: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
     """Squared quantile distance of each row law to N(0, tau).
 
-    ``prob_rows``: (rows, atoms) probabilities; ``y``: atom values.  Cells
-    follow the right-continuous quantile convention; empty cells contribute
-    nothing.  One quantile evaluation per cell boundary.
+    ``prob_rows``: (rows, atoms) probabilities; ``y``: increasing atom values.
+    Abel summation of the right-continuous quantile cells gives
+    ``sum_j y_j^2 w_j + tau - 2 sqrt(tau) sum_j (y_{j+1} - y_j) I(c_j)`` with
+    ``c_j`` the cumulative weights and ``I = phi o Phi^{-1}`` (0 at 0 and 1,
+    so empty cells contribute nothing).
     """
-    rows, atoms = prob_rows.shape
-    bounds = np.empty((rows, atoms + 1))
-    bounds[:, 0] = 0.0
-    np.cumsum(prob_rows, axis=1, out=bounds[:, 1:])
-    np.clip(bounds, 0.0, 1.0, out=bounds)
-    inner = (bounds > 0.0) & (bounds < 1.0)
-    z = np.zeros_like(bounds)
-    z[inner] = ndtri(bounds[inner])
-    phi = np.where(inner, np.exp(-0.5 * z * z) / _SQRT_2PI, 0.0)
-    zphi = z * phi
-    widths = bounds[:, 1:] - bounds[:, :-1]
-    first = math.sqrt(tau) * (phi[:, :-1] - phi[:, 1:])
-    second = tau * (widths - (zphi[:, 1:] - zphi[:, :-1]))
-    cells = y[None, :] ** 2 * widths - 2.0 * y[None, :] * first + second
-    return np.sum(cells, axis=1)
+    # Rows must sum to 1: ``tau`` is the integral of Q^2 over all of [0, 1].
+    cum = np.cumsum(prob_rows[:, :-1], axis=1)
+    return (prob_rows @ (y * y) + tau
+            - 2.0 * math.sqrt(tau) * (_phi_of_quantile(cum) @ np.diff(y)))
 
 
 def w2sq_discrete_vs_gaussian(gamma_row, values, tau: float) -> float:
@@ -216,13 +210,6 @@ class IbmotProblem:
 class IbmotOptions:
     gap_tol: float = 1e-7
     max_iter: int = 5000
-    variant: str = "blended"       # "blended" | "away" | "plain"
-    line_search_tol: float = 1e-10
-    inner_steps: int = 40          # active-set correction steps per oracle call
-
-    def __post_init__(self):
-        if self.variant not in ("blended", "away", "plain"):
-            raise ConfigError(f"unknown Frank-Wolfe variant {self.variant!r}")
 
 
 @dataclass(frozen=True)
@@ -391,9 +378,6 @@ class _ActiveSet:
         self.vertices = vertex.ravel()[None, :].copy()
         self.weights = np.asarray([1.0])
 
-    def point(self) -> np.ndarray:
-        return self.weights @ self.vertices
-
     def add(self, vertex: np.ndarray, weight_scale: float, weight: float) -> None:
         flat = vertex.ravel()
         match = np.nonzero(
@@ -422,19 +406,21 @@ def solve_ibmot(problem: IbmotProblem, opts: IbmotOptions | None = None,
 
     Every iterate is a convex combination of polytope vertices, so
     feasibility is preserved exactly.  Each oracle call yields the
-    Frank-Wolfe duality gap ``<grad, pi - v>``, a valid suboptimality
-    certificate for every variant; the run stops once it falls below
-    ``gap_tol * (1 + |objective|)``.
+    Frank-Wolfe duality gap ``<grad, pi - v>``, a suboptimality certificate
+    for the iterate it is computed at; the run stops once it falls below
+    ``gap_tol * (1 + |objective|)`` or after ``max_iter`` oracle steps, and
+    the returned gap always belongs to the returned kernel.
 
-    The default "blended" variant interleaves oracle steps with pairwise
-    correction steps that only shuffle weight between already-discovered
-    vertices (best against worst under the current gradient); "away" takes
-    classical away steps; "plain" is textbook Frank-Wolfe.  Blending matters
-    in practice: the optimum sits on a high-dimensional face whose vertex
-    representation plain steps assemble too slowly for tight gaps.
+    Each oracle step is followed by pairwise steps that only shuffle weight
+    between already-discovered vertices (best against worst under the
+    current gradient).  They matter in practice: the optimum sits on a
+    high-dimensional face whose vertex representation oracle steps alone
+    assemble too slowly for tight gaps.
 
     ``start_costs`` selects the initial vertex (the minimizer of that linear
     functional); the default starts from the phase-1 feasible vertex.
+    Raises ``NumericError`` if the returned kernel fails ``validate_kernel``
+    at 1e-7.
     """
     opts = opts or IbmotOptions()
     oracle = _WarmOracle(problem)
@@ -451,64 +437,37 @@ def solve_ibmot(problem: IbmotProblem, opts: IbmotOptions | None = None,
     def grad_of(flat: np.ndarray) -> np.ndarray:
         return _gradient_from_joint(problem, flat.reshape(shape)).ravel()
 
-    def line_search(base: np.ndarray, direction: np.ndarray, hi: float) -> tuple[float, float]:
-        return _golden_section(lambda th: f_of(base + th * direction),
-                               0.0, hi, opts.line_search_tol)
+    def fw_vertex_and_gap(flat: np.ndarray) -> tuple[np.ndarray, float]:
+        grad = grad_of(flat)
+        vertex = oracle(grad.reshape(shape)).ravel()
+        return vertex, float(grad @ (flat - vertex))
 
     value = f_of(pi)
-    gap = math.inf
+    v_fw, gap = fw_vertex_and_gap(pi)
     iters = 0
-    while iters < opts.max_iter:
-        grad = grad_of(pi)
-        v_fw = oracle(grad.reshape(shape)).ravel()
-        gap = float(grad @ (pi - v_fw))
-        if gap <= opts.gap_tol * (1.0 + abs(value)):
-            break
+    while gap > opts.gap_tol * (1.0 + abs(value)) and iters < opts.max_iter:
         iters += 1
-
-        step_kind = "fw"
-        if opts.variant in ("away", "blended") and active.weights.size > 1:
-            scores = active.scores(grad)
-            worst = int(np.argmax(scores))
-            gap_away = float(scores[worst] - grad @ pi)
-            if gap_away > gap and active.weights[worst] < 1.0 - 1e-15:
-                step_kind = "away"
-
-        if step_kind == "away":
-            v_aw = active.vertices[worst]
-            w_aw = float(active.weights[worst])
-            direction = pi - v_aw
-            theta, cand = line_search(pi, direction, w_aw / (1.0 - w_aw))
-            if cand <= value:
-                pi = pi + theta * direction
-                value = cand
-                active.weights *= 1.0 + theta
-                active.weights[worst] -= theta
-                active.prune()
-            else:
-                step_kind = "fw"
-        if step_kind == "fw":
-            direction = v_fw - pi
-            theta, cand = line_search(pi, direction, 1.0)
-            if cand > value:
-                theta, cand = 0.0, value
-            pi = pi + theta * direction
-            value = cand
-            active.add(v_fw.reshape(shape), 1.0 - theta, theta)
-            active.prune()
-
-        if opts.variant == "blended":
-            pi, value = _pairwise_corrections(
-                f_of, grad_of, active, pi, value,
-                budget=opts.inner_steps, tol=0.1 * gap,
-                ls_tol=opts.line_search_tol,
-            )
+        direction = v_fw - pi
+        theta, cand = _golden_section(lambda th: f_of(pi + th * direction),
+                                      0.0, 1.0, _LINE_SEARCH_TOL)
+        if cand > value:
+            theta, cand = 0.0, value
+        pi = pi + theta * direction
+        value = cand
+        active.add(v_fw.reshape(shape), 1.0 - theta, theta)
+        active.prune()
+        pi, value = _pairwise_corrections(f_of, grad_of, active, pi, value,
+                                          tol=0.1 * gap)
+        v_fw, gap = fw_vertex_and_gap(pi)
 
     gamma = pi.reshape(shape) / problem.mu.weights[:, None]
     row_sums = gamma.sum(axis=1, keepdims=True)
     gamma = gamma / np.where(row_sums > 0.0, row_sums, 1.0)
+    try:
+        validate_kernel(problem, gamma, 1e-7)
+    except ConfigError as exc:
+        raise NumericError(f"solver returned an infeasible kernel: {exc}") from exc
     quant = ibmot_objective_quantile(problem, gamma, validate=False)
-    converged = gap <= opts.gap_tol * (1.0 + abs(value))
     return IbmotSolution(
         problem=problem,
         gamma=gamma,
@@ -517,20 +476,20 @@ def solve_ibmot(problem: IbmotProblem, opts: IbmotOptions | None = None,
         objective_ki_target=quant.k_i_target,
         iterations=iters,
         duality_gap=gap,
-        converged=converged,
+        converged=gap <= opts.gap_tol * (1.0 + abs(value)),
     )
 
 
 def _pairwise_corrections(f_of, grad_of, active: _ActiveSet, pi: np.ndarray,
-                          value: float, budget: int, tol: float,
-                          ls_tol: float) -> tuple[np.ndarray, float]:
+                          value: float, tol: float) -> tuple[np.ndarray, float]:
     """Shift weight from the worst active vertex to the best one.
 
-    Runs until the internal pairwise gap drops below ``tol`` or the budget
-    is exhausted; the iterate stays inside the hull of the active set, so
-    feasibility and the monotone objective are preserved.
+    Runs until the internal pairwise gap drops below ``tol`` or
+    ``_PAIRWISE_BUDGET`` steps are taken; the iterate stays inside the hull
+    of the active set, so feasibility and the monotone objective are
+    preserved.
     """
-    for _ in range(budget):
+    for _ in range(_PAIRWISE_BUDGET):
         if active.weights.size < 2:
             break
         grad = grad_of(pi)
@@ -543,7 +502,7 @@ def _pairwise_corrections(f_of, grad_of, active: _ActiveSet, pi: np.ndarray,
         direction = active.vertices[best] - active.vertices[worst]
         theta_max = float(active.weights[worst])
         theta, cand = _golden_section(lambda th: f_of(pi + th * direction),
-                                      0.0, theta_max, ls_tol)
+                                      0.0, theta_max, _LINE_SEARCH_TOL)
         if cand > value or theta <= 0.0:
             break
         pi = pi + theta * direction

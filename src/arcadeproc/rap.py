@@ -29,7 +29,14 @@ from .arcade import (
     markov_factorization_check,
 )
 from .coupling import CouplingKernel
-from .drivers import GaussMarkovDriver, PathBundle, brownian_driver, config_hash, simulate_driver
+from .drivers import (
+    _VAR_FLOOR,
+    GaussMarkovDriver,
+    PathBundle,
+    brownian_driver,
+    config_hash,
+    simulate_driver,
+)
 from .errors import ConfigError, DegenerateError, DomainError
 from .partition import (
     CoefficientSet,
@@ -50,9 +57,6 @@ __all__ = [
     "carryover_signal_coefficients",
     "fbm_paths",
 ]
-
-_VAR_FLOOR = 1e-14
-
 
 # ---------------------------------------------------------------------------
 # Configuration

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 
-from arcadeproc.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
+from arcadeproc.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NUMERIC, EXIT_OK, main
 
 
 def _run(tmp_path, name, doc, *args):
@@ -164,6 +164,31 @@ class TestIbmot:
         sol = json.loads((out / "solution.json").read_text())
         assert "mc_check" in sol
         assert sol["duality_gap"] <= 1e-8 * (1 + abs(sol["objective_quantile"]))
+
+    def test_non_converged_exits_numeric(self, tmp_path, capsys):
+        doc = {
+            "mu": {"dist": "normal", "mean": 0, "var": 1, "atoms": 15},
+            "nu": {"dist": "normal", "mean": 0, "var": 2, "atoms": 15},
+            "T": 1.0,
+            "seed": 3,
+            "options": {"gap": 1e-7, "max_iter": 2},
+        }
+        rc, out = _run(tmp_path, "ibnc", doc, "ibmot")
+        assert rc == EXIT_NUMERIC
+        sol = json.loads((out / "solution.json").read_text())
+        assert sol["converged"] is False
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "numeric"
+        assert "gap" in err["error"]["message"] and "limit" in err["error"]["message"]
+
+    def test_unknown_option_exits_config(self, tmp_path, capsys):
+        doc = {"mu": [[0.0, 1.0]], "nu": [[-1.0, 0.5], [1.0, 0.5]], "T": 1.0,
+               "seed": 1, "options": {"gap": 1e-7, "variant": "away"}}
+        rc, _ = _run(tmp_path, "ibopt", doc, "ibmot")
+        assert rc == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "config"
+        assert "variant" in err["error"]["message"]
 
     def test_non_convex_order_exits_infeasible(self, tmp_path, capsys):
         doc = {"mu": [[1.0, 1.0]], "nu": [[0.0, 1.0]], "T": 1.0, "seed": 1}

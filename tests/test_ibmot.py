@@ -10,6 +10,7 @@ from arcadeproc import (
     IbmotOptions,
     IbmotProblem,
     InfeasibleError,
+    NumericError,
     brute_force_small,
     gaussian_marginal,
     gaussian_quantile_partial_moments,
@@ -257,9 +258,11 @@ class TestSolver:
         assert sol.converged
 
     def test_two_by_three_matches_bruteforce(self):
+        # converged solves match brute force; truncated solves (max_iter 1-3,
+        # gap_tol 0) never sit further above the optimum than their gap says
         rng = np.random.default_rng(5)
         done = 0
-        while done < 3:
+        while done < 20:
             x = np.sort(rng.uniform(-1.0, 1.0, size=2))
             w = rng.dirichlet(np.ones(2))
             spread = rng.uniform(0.6, 1.5)
@@ -282,7 +285,34 @@ class TestSolver:
             sol = solve_ibmot(problem, IbmotOptions(gap_tol=1e-8, max_iter=500))
             _, val_bf = brute_force_small(problem)
             assert sol.objective_quantile == pytest.approx(val_bf, abs=1e-5)
+            for max_iter in (1, 2, 3):
+                part = solve_ibmot(problem, IbmotOptions(gap_tol=0.0, max_iter=max_iter))
+                assert part.objective_quantile - val_bf <= part.duality_gap + 1e-9
             done += 1
+
+    def test_gap_belongs_to_returned_kernel(self):
+        # a solve stopped by max_iter reports the gap of the kernel it returns
+        mu = gaussian_marginal(0.0, 1.0, 8)
+        nu = gaussian_marginal(0.0, 2.0, 8)
+        problem = IbmotProblem(mu, nu, 1.0)
+        sol = solve_ibmot(problem, IbmotOptions(gap_tol=0.0, max_iter=5))
+        assert sol.iterations == 5 and not sol.converged
+        pi = sol.joint()
+        grad = _gradient_from_joint(problem, pi)
+        gap = float(np.sum(grad * (pi - lp_oracle(grad, problem))))
+        assert sol.duality_gap == pytest.approx(gap, rel=1e-6, abs=1e-12)
+
+    def test_infeasible_result_raises_numeric_error(self, monkeypatch):
+        # an oracle vertex that breaks the martingale constraint must not be
+        # returned as a solution, nor reported as a config error
+        mu = uniform_marginal(-1.0, 1.0, 2)
+        nu = uniform_marginal(-2.0, 2.0, 3)
+        problem = IbmotProblem(mu, nu, 1.0)
+        flat_rows = np.outer(mu.weights, np.full(3, 1.0 / 3.0))
+        monkeypatch.setattr("arcadeproc.ibmot._WarmOracle.__call__",
+                            lambda self, costs: flat_rows)
+        with pytest.raises(NumericError):
+            solve_ibmot(problem)
 
     def test_feasibility_preserved(self):
         mu = gaussian_marginal(0.0, 1.0, 8)
