@@ -13,12 +13,13 @@ seed split into named streams (see ``streams.py``); identical config and
 seed reproduce byte-identical outputs.  Exit codes: 0 ok, 2 config error,
 3 infeasible problem, 4 numeric failure (including an ``ibmot`` solve that
 stops at ``max_iter`` above its gap tolerance; ``solution.json`` is still
-written).
+written).  Any other exception is a program fault and propagates.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -83,23 +84,42 @@ EXIT_NUMERIC = 4
 # Config assembly
 # ---------------------------------------------------------------------------
 
+def _config_stage(fn):
+    """Report malformed config values as ``ConfigError``.
+
+    Only config assembly is wrapped: a ``KeyError``, ``TypeError`` or
+    ``ValueError`` raised later, while computing, is a program fault and
+    propagates unchanged.
+    """
+    @functools.wraps(fn)
+    def wrapped(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
+    return wrapped
+
+
 def _require(doc: dict, key: str, context: str):
     if key not in doc:
         raise ConfigError(f"missing {key!r} in {context}")
     return doc[key]
 
 
+@_config_stage
 def _build_partition(doc: dict) -> Partition:
     sub = _require(doc, "partition", "config")
     return Partition(tuple(_require(sub, "dates", "partition")),
                      int(sub.get("steps_per_arc", 50)))
 
 
+@_config_stage
 def _build_driver(doc: dict):
     sub = doc.get("driver", {"preset": "brownian"})
     return driver_preset(_require(sub, "preset", "driver"), **sub.get("params", {}))
 
 
+@_config_stage
 def _build_coefficients(doc: dict, key: str, p: Partition, driver,
                         default_role: str) -> CoefficientSet:
     sub = doc.get(key)
@@ -128,6 +148,7 @@ def _build_coefficients(doc: dict, key: str, p: Partition, driver,
     raise ConfigError(f"unknown coefficient family {family!r}")
 
 
+@_config_stage
 def _build_marginal(doc, context: str) -> tuple[DiscreteMarginal, float | None]:
     """Marginal plus (for analytic inputs) its exact second moment."""
     if isinstance(doc, list):
@@ -144,6 +165,7 @@ def _build_marginal(doc, context: str) -> tuple[DiscreteMarginal, float | None]:
     return law.discretize(atoms, method), law.second_moment()
 
 
+@_config_stage
 def _rap_config(doc: dict) -> RapConfig:
     p = _build_partition(doc)
     driver = _build_driver(doc)
@@ -152,17 +174,41 @@ def _rap_config(doc: dict) -> RapConfig:
         signal = _build_coefficients(doc, "signal", p, driver, "signal")
     else:
         signal = noise.with_role("signal")
-    kernel = kernel_from_json(_require(doc, "coupling", "config"))
+    kernel = _build_kernel(doc, "config")
     return RapConfig(ArcadeConfig(driver, noise), signal, kernel,
                      standard=bool(doc.get("standard", False)))
 
 
+@_config_stage
 def _resolve_seed(doc: dict, args) -> int:
     if args.seed is not None:
         return int(args.seed)
     if "seed" not in doc:
         raise ConfigError("config must carry a seed (or pass --seed)")
     return int(doc["seed"])
+
+
+@_config_stage
+def _option(doc: dict, key: str, default, cast):
+    """``cast`` of ``doc[key]`` (required when ``default`` is None)."""
+    return cast(_require(doc, key, "config") if default is None else doc.get(key, default))
+
+
+@_config_stage
+def _build_kernel(doc: dict, context: str):
+    return kernel_from_json(_require(doc, "coupling", context))
+
+
+@_config_stage
+def _ibmot_options(doc: dict) -> IbmotOptions:
+    opt_doc = doc.get("options", {})
+    unknown = sorted(set(opt_doc) - {"gap", "max_iter"})
+    if unknown:
+        raise ConfigError(f"unknown ibmot options {unknown}; known: 'gap', 'max_iter'")
+    return IbmotOptions(
+        gap_tol=float(opt_doc.get("gap", 1e-7)),
+        max_iter=int(opt_doc.get("max_iter", 5000)),
+    )
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -184,7 +230,7 @@ def _se_band_checks(values: np.ndarray, target: float, n: int) -> dict:
 def _cmd_simulate(doc: dict, args) -> int:
     kind = doc.get("kind", "ap")
     seed = _resolve_seed(doc, args)
-    n_paths = int(args.paths or doc.get("n_paths", 10))
+    n_paths = args.paths or _option(doc, "n_paths", 10, int)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     p = _build_partition(doc)
@@ -230,7 +276,7 @@ def _cmd_simulate(doc: dict, args) -> int:
 
 def _cmd_fam(doc: dict, args) -> int:
     seed = _resolve_seed(doc, args)
-    n_paths = int(args.paths or doc.get("n_paths", 128))
+    n_paths = args.paths or _option(doc, "n_paths", 128, int)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cfg = _rap_config(doc)
@@ -263,11 +309,11 @@ def _cmd_fam(doc: dict, args) -> int:
 
     iso_doc = doc.get("isometry")
     if iso_doc:
-        report = ito_isometry_check(cfg, int(iso_doc.get("n_paths", 20000)), seed)
+        report = ito_isometry_check(cfg, _option(iso_doc, "n_paths", 20000, int), seed)
         diag["isometry"] = report.as_dict()
         diag["isometry"]["pass"] = bool(report.z_score <= 3.0)
 
-    files = trace.to_csv_files(out, max_paths=int(doc.get("max_path_files", 16)))
+    files = trace.to_csv_files(out, max_paths=_option(doc, "max_path_files", 16, int))
     diag["path_files"] = [Path(f).name for f in files]
     _write_json(out / "diagnostics.json", diag)
     if not args.quiet:
@@ -281,16 +327,9 @@ def _cmd_ibmot(doc: dict, args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     mu, _ = _build_marginal(_require(doc, "mu", "config"), "mu")
     nu, nu_moment = _build_marginal(_require(doc, "nu", "config"), "nu")
-    horizon = float(_require(doc, "T", "config"))
+    horizon = _option(doc, "T", None, float)
     problem = IbmotProblem(mu, nu, horizon, target_second_moment=nu_moment)
-    opt_doc = doc.get("options", {})
-    unknown = sorted(set(opt_doc) - {"gap", "max_iter"})
-    if unknown:
-        raise ConfigError(f"unknown ibmot options {unknown}; known: 'gap', 'max_iter'")
-    opts = IbmotOptions(
-        gap_tol=float(opt_doc.get("gap", 1e-7)),
-        max_iter=int(opt_doc.get("max_iter", 5000)),
-    )
+    opts = _ibmot_options(doc)
     solution = solve_ibmot(problem, opts)
     payload = solution.as_dict()
     payload["seed"] = seed
@@ -298,10 +337,10 @@ def _cmd_ibmot(doc: dict, args) -> int:
 
     mc_doc = doc.get("mc_check")
     if mc_doc:
-        kernel = kernel_from_json(_require(mc_doc, "coupling", "mc_check"))
+        kernel = _build_kernel(mc_doc, "mc_check")
         mc = ibmot_objective_mc(kernel, horizon,
-                                int(mc_doc.get("n_paths", 20000)), seed,
-                                steps=int(mc_doc.get("steps", 500)))
+                                _option(mc_doc, "n_paths", 20000, int), seed,
+                                steps=_option(mc_doc, "steps", 500, int))
         payload["mc_check"] = mc.as_dict()
 
     _write_json(out / "solution.json", payload)
@@ -326,7 +365,7 @@ def _cmd_check(doc: dict, args) -> int:
         p = _build_partition(doc)
         driver = _build_driver(doc)
         cs = _build_coefficients(doc, "coefficients", p, driver, "noise")
-        rep = validate_coefficient_set(cs, float(doc.get("tol", 1e-9)),
+        rep = validate_coefficient_set(cs, _option(doc, "tol", 1e-9, float),
                                        doc.get("continuity_c"))
         report.update(rep.as_dict())
     elif kind == "markov":
@@ -334,20 +373,20 @@ def _cmd_check(doc: dict, args) -> int:
         driver = _build_driver(doc)
         cs = _build_coefficients(doc, "coefficients", p, driver, "noise")
         rep = markov_factorization_check(ArcadeConfig(driver, cs),
-                                         float(doc.get("tol", 1e-8)))
+                                         _option(doc, "tol", 1e-8, float))
         report.update(rep.as_dict())
     elif kind == "nearly_markov":
         cfg = _rap_config(doc)
-        rep = nearly_markov_check(cfg, float(doc.get("tol", 1e-8)))
+        rep = nearly_markov_check(cfg, _option(doc, "tol", 1e-8, float))
         report.update(rep.as_dict())
     elif kind == "kernel":
-        kernel = kernel_from_json(_require(doc, "coupling", "config"))
+        kernel = _build_kernel(doc, "config")
         report["martingale"] = bool(kernel.martingale)
         report["pass"] = bool(kernel.martingale)
     elif kind == "convex_order":
         mu, _ = _build_marginal(_require(doc, "mu", "config"), "mu")
         nu, _ = _build_marginal(_require(doc, "nu", "config"), "nu")
-        ok, worst, witness = convex_order_report(mu, nu, float(doc.get("tol", 1e-9)))
+        ok, worst, witness = convex_order_report(mu, nu, _option(doc, "tol", 1e-9, float))
         report.update({"pass": bool(ok), "worst_violation": worst, "witness": witness})
     else:
         raise ConfigError(f"unknown check kind {kind!r}")
@@ -407,7 +446,7 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         _emit_error("infeasible", exc)
         return EXIT_INFEASIBLE
-    except (ConfigError, DomainError, KeyError, TypeError, ValueError) as exc:
+    except (ConfigError, DomainError) as exc:
         _emit_error("config", exc)
         return EXIT_CONFIG
     except (NumericError, ArcadeError) as exc:

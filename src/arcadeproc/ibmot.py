@@ -9,11 +9,16 @@ is equivalent to maximizing the expected product of the terminal target with
 the innovations endpoint.
 
 The solver is conditional-gradient (Frank-Wolfe) with an exact dense-simplex
-linear oracle and golden-section line search; after each oracle step,
-pairwise steps shift weight between the vertices already in the active set
-(plain FW zigzags too slowly to certify tight duality gaps).  A brute-force
-search over the polytope's null direction provides an independent oracle on
-small instances.
+linear oracle; after each oracle step, pairwise steps shift weight between
+the vertices already in the active set (plain FW zigzags too slowly to
+certify tight duality gaps).  Every step length comes from a safeguarded
+Newton search on the exact directional derivative: in Abel form the
+objective is linear in the weights plus terms ``I(c_j)`` of the cumulative
+row weights, with ``I' = -Phi^{-1}`` and ``I'' = -1/I``, so slope and
+curvature along a segment cost one ``ndtri`` per moving cell boundary.  A
+brute-force search over the polytope's null direction, refined by golden
+section on objective values, provides an independent oracle on small
+instances.
 """
 
 from __future__ import annotations
@@ -371,6 +376,79 @@ def _golden_section(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return t, f(t)
 
 
+def _slope_along(problem: IbmotProblem, pi: np.ndarray, direction: np.ndarray):
+    """Slope and curvature of the objective along ``pi + theta * direction``.
+
+    Returns ``theta -> (f'(theta), f''(theta))``.  With ``c`` the cumulative
+    row weights at ``theta`` and ``e`` their rate of change, the Abel form
+    gives ``f' = sum d . y^2 + 2 sqrt(tau) sum mu_i dy_j Phi^{-1}(c_ij) e_ij``
+    and ``f'' = 2 sqrt(tau) sum mu_i dy_j e_ij^2 / I(c_ij) >= 0``.  Only cell
+    boundaries with ``e != 0`` enter.  ``c`` is clipped like the gradient's
+    quantiles, so both values stay finite where the exact slope diverges (a
+    boundary leaving or reaching 0 or 1); evaluate strictly inside the
+    segment.
+    """
+    mu_w = problem.mu.weights
+    y = problem.nu.values
+    lin = float(np.sum(direction @ (y * y)))
+    cum_d = np.cumsum(direction[:, :-1], axis=1)
+    rows, cols = np.nonzero(cum_d)
+    c0 = np.cumsum(pi[:, :-1], axis=1)[rows, cols] / mu_w[rows]
+    e = cum_d[rows, cols] / mu_w[rows]
+    w = 2.0 * math.sqrt(problem.horizon) * np.diff(y)[cols] * cum_d[rows, cols]
+    we = _SQRT_2PI * w * e
+
+    def slope(theta: float) -> tuple[float, float]:
+        c = c0 + theta * e
+        z = ndtri(np.minimum(np.maximum(c, _Q_CLIP, out=c), 1.0 - _Q_CLIP, out=c))
+        return lin + float(w @ z), float(we @ np.exp(0.5 * z * z))
+
+    return slope
+
+
+def _line_search(problem: IbmotProblem, pi: np.ndarray, direction: np.ndarray,
+                 theta_max: float) -> float:
+    """Exact minimizing step on ``[0, theta_max]`` for a convex objective.
+
+    Safeguarded Newton on the slope.  Each evaluation shrinks a bracket of
+    the slope's root; a Newton step that leaves the bracket, or is not below
+    half the previous step, is replaced by bisection in log scale (the
+    geometric mean of the bracket, its lower end floored at half of
+    ``_LINE_SEARCH_TOL``), because optimal steps range over many orders of
+    magnitude.  The search stops once the bracket or the Newton step is
+    narrower than ``_LINE_SEARCH_TOL``.  The slope is never taken at an
+    endpoint, where it may be infinite; if it is still <= 0 just inside
+    ``theta_max``, the full step is returned.
+    """
+    tol = _LINE_SEARCH_TOL
+    slope = _slope_along(problem, pi, direction)
+    hi = theta_max - min(tol, 0.5 * theta_max)
+    if slope(hi)[0] <= 0.0:
+        return theta_max
+    lo, floor = 0.0, 0.5 * tol
+    theta = math.sqrt(floor * hi)
+    step = hi
+    while hi - lo > tol:
+        g, h = slope(theta)
+        if g > 0.0:
+            hi = theta
+        elif g < 0.0:
+            lo = theta
+        else:
+            return theta
+        newton = g / h if h > 0.0 else math.inf
+        if lo < theta - newton < hi and abs(newton) <= 0.5 * abs(step):
+            step = newton
+            theta -= step
+            if abs(step) <= tol:
+                return theta
+        else:
+            mid = math.sqrt(max(lo, floor) * hi)
+            step = theta - mid
+            theta = mid
+    return 0.5 * (lo + hi)
+
+
 class _ActiveSet:
     """Vertices of the current convex combination, stacked row-wise."""
 
@@ -415,7 +493,10 @@ def solve_ibmot(problem: IbmotProblem, opts: IbmotOptions | None = None,
     between already-discovered vertices (best against worst under the
     current gradient).  They matter in practice: the optimum sits on a
     high-dimensional face whose vertex representation oracle steps alone
-    assemble too slowly for tight gaps.
+    assemble too slowly for tight gaps.  Both step kinds take the exact
+    minimizing step from ``_line_search`` (safeguarded Newton on the
+    closed-form slope and curvature, a few slope evaluations per step); the
+    candidate is then evaluated once and rejected if the objective rose.
 
     ``start_costs`` selects the initial vertex (the minimizer of that linear
     functional); the default starts from the phase-1 feasible vertex.
@@ -442,21 +523,26 @@ def solve_ibmot(problem: IbmotProblem, opts: IbmotOptions | None = None,
         vertex = oracle(grad.reshape(shape)).ravel()
         return vertex, float(grad @ (flat - vertex))
 
+    def search(flat: np.ndarray, direction: np.ndarray,
+               theta_max: float) -> tuple[float, float]:
+        theta = _line_search(problem, flat.reshape(shape),
+                             direction.reshape(shape), theta_max)
+        return theta, f_of(flat + theta * direction)
+
     value = f_of(pi)
     v_fw, gap = fw_vertex_and_gap(pi)
     iters = 0
     while gap > opts.gap_tol * (1.0 + abs(value)) and iters < opts.max_iter:
         iters += 1
         direction = v_fw - pi
-        theta, cand = _golden_section(lambda th: f_of(pi + th * direction),
-                                      0.0, 1.0, _LINE_SEARCH_TOL)
+        theta, cand = search(pi, direction, 1.0)
         if cand > value:
             theta, cand = 0.0, value
         pi = pi + theta * direction
         value = cand
         active.add(v_fw.reshape(shape), 1.0 - theta, theta)
         active.prune()
-        pi, value = _pairwise_corrections(f_of, grad_of, active, pi, value,
+        pi, value = _pairwise_corrections(search, grad_of, active, pi, value,
                                           tol=0.1 * gap)
         v_fw, gap = fw_vertex_and_gap(pi)
 
@@ -480,14 +566,16 @@ def solve_ibmot(problem: IbmotProblem, opts: IbmotOptions | None = None,
     )
 
 
-def _pairwise_corrections(f_of, grad_of, active: _ActiveSet, pi: np.ndarray,
+def _pairwise_corrections(search, grad_of, active: _ActiveSet, pi: np.ndarray,
                           value: float, tol: float) -> tuple[np.ndarray, float]:
     """Shift weight from the worst active vertex to the best one.
 
-    Runs until the internal pairwise gap drops below ``tol`` or
-    ``_PAIRWISE_BUDGET`` steps are taken; the iterate stays inside the hull
-    of the active set, so feasibility and the monotone objective are
-    preserved.
+    ``search(pi, direction, theta_max)`` returns the Newton line-search step
+    on ``[0, theta_max]`` (the worst vertex's weight, so the full step drops
+    it) and the objective there.  Runs until the internal pairwise gap drops
+    below ``tol`` or ``_PAIRWISE_BUDGET`` steps are taken; the iterate stays
+    inside the hull of the active set, so feasibility and the monotone
+    objective are preserved.
     """
     for _ in range(_PAIRWISE_BUDGET):
         if active.weights.size < 2:
@@ -501,8 +589,7 @@ def _pairwise_corrections(f_of, grad_of, active: _ActiveSet, pi: np.ndarray,
             break
         direction = active.vertices[best] - active.vertices[worst]
         theta_max = float(active.weights[worst])
-        theta, cand = _golden_section(lambda th: f_of(pi + th * direction),
-                                      0.0, theta_max, _LINE_SEARCH_TOL)
+        theta, cand = search(pi, direction, theta_max)
         if cand > value or theta <= 0.0:
             break
         pi = pi + theta * direction
@@ -525,7 +612,9 @@ def brute_force_small(problem: IbmotProblem, grid_points: int = 4001
     instances).  Finds a feasible point, walks the null direction of the
     equality system to its positivity bounds, grid-scans the objective, and
     refines by golden section (the grid brackets the convex objective's
-    minimizer, the refinement pins it to 1e-12).
+    minimizer, the refinement pins it to 1e-12).  The refinement uses
+    objective values only, not the solver's slope formula, so the oracle
+    stays independent of the code it certifies.
     """
     a, _ = problem.constraint_matrix()
     x0 = lp_oracle(np.zeros(problem.shape), problem).ravel()

@@ -1,10 +1,15 @@
 """CLI subcommands: outputs, determinism, exit codes, error JSON."""
 
 import json
+import pathlib
 
 import numpy as np
+import pytest
 
 from arcadeproc.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NUMERIC, EXIT_OK, main
+
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def _run(tmp_path, name, doc, *args):
@@ -190,6 +195,25 @@ class TestIbmot:
         assert err["error"]["type"] == "config"
         assert "variant" in err["error"]["message"]
 
+    def test_internal_value_error_is_not_config_error(self, tmp_path, monkeypatch):
+        # a ValueError raised while solving is a program fault, not a user's
+        # config mistake, and must surface as such
+        def broken(*args, **kwargs):
+            raise ValueError("internal failure")
+
+        monkeypatch.setattr("arcadeproc.cli.solve_ibmot", broken)
+        doc = {"mu": [[0.0, 1.0]], "nu": [[-1.0, 0.5], [1.0, 0.5]], "T": 1.0, "seed": 1}
+        with pytest.raises(ValueError, match="internal failure"):
+            _run(tmp_path, "ibbug", doc, "ibmot")
+
+    def test_malformed_value_is_config_error(self, tmp_path, capsys):
+        doc = {"mu": [[0.0, 1.0]], "nu": [[-1.0, 0.5], [1.0, 0.5]], "T": "soon",
+               "seed": 1}
+        rc, _ = _run(tmp_path, "ibval", doc, "ibmot")
+        assert rc == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "config"
+
     def test_non_convex_order_exits_infeasible(self, tmp_path, capsys):
         doc = {"mu": [[1.0, 1.0]], "nu": [[0.0, 1.0]], "T": 1.0, "seed": 1}
         rc, _ = _run(tmp_path, "ibbad", doc, "ibmot")
@@ -244,6 +268,37 @@ class TestCheck:
         cfg.write_text("{not json")
         rc = main(["check", "--config", str(cfg), "--quiet"])
         assert rc == EXIT_CONFIG
+
+
+class TestRerunsByteIdentical:
+    """Two runs with the same config and seed write byte-identical result files."""
+
+    GAUSS8 = {
+        "mu": {"dist": "normal", "mean": 0, "var": 1, "atoms": 8},
+        "nu": {"dist": "normal", "mean": 0, "var": 2, "atoms": 8},
+        "T": 1.0,
+        "seed": 5,
+    }
+
+    @pytest.mark.parametrize("command,config,extra", [
+        ("fam", "fam_ou_standard.json", ["--paths", "4"]),
+        ("check", "check_convex_order.json", []),
+        ("ibmot", None, []),
+    ])
+    def test_rerun_identical(self, tmp_path, command, config, extra):
+        if config is None:
+            cfg = tmp_path / "gauss8.json"
+            cfg.write_text(json.dumps(self.GAUSS8))
+        else:
+            cfg = CONFIGS / config
+        outs = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            rc = main([command, "--config", str(cfg), "--out", str(out), "--quiet", *extra])
+            assert rc == EXIT_OK
+            outs.append({p.relative_to(out): p.read_bytes()
+                         for p in sorted(out.rglob("*")) if p.is_file()})
+        assert outs[0] and outs[0] == outs[1]
 
 
 class TestShippedConfigs:

@@ -23,8 +23,11 @@ from arcadeproc import (
 )
 from arcadeproc.coupling import DiscreteMarginal, brownian_coupling, uniform_mot_kernel
 from arcadeproc.ibmot import (
+    _golden_section,
     _gradient_from_joint,
+    _line_search,
     _objective_from_joint,
+    _slope_along,
     _w2sq_rows,
     discretize_affine_kernel,
     induced_correlation,
@@ -136,6 +139,108 @@ class TestGradient:
 def _w2sq_gradient(p, y, tau):
     from arcadeproc.ibmot import _w2sq_gradient_rows
     return _w2sq_gradient_rows(np.asarray(p)[None, :], np.asarray(y, float), tau)[0]
+
+
+def _segment_problem(name):
+    if name == "gauss8":
+        return IbmotProblem(gaussian_marginal(0.0, 1.0, 8),
+                            gaussian_marginal(0.0, 2.0, 8), 1.0)
+    mu = DiscreteMarginal(np.asarray([-0.5, 0.5]), np.asarray([0.5, 0.5]))
+    nu = DiscreteMarginal(np.asarray([-2.0, 0.0, 2.0]), np.asarray([0.25, 0.5, 0.25]))
+    return IbmotProblem(mu, nu, 1.0)
+
+
+def _distinct_vertices(problem, rng, count):
+    found = []
+    for _ in range(200):
+        v = lp_oracle(rng.normal(size=problem.shape), problem)
+        if all(np.max(np.abs(v - u)) > 1e-9 for u in found):
+            found.append(v)
+        if len(found) == count:
+            break
+    return found
+
+
+def _golden_step(problem, pi, d, theta_max):
+    theta, _ = _golden_section(
+        lambda t: _objective_from_joint(problem, pi + t * d), 0.0, theta_max, 1e-10)
+    return theta
+
+
+@pytest.mark.parametrize("name", ["gauss8", "two_by_three"])
+class TestLineSearch:
+    """Newton line search against finite differences and golden section."""
+
+    def _segments(self, name, seed):
+        # FW segments [0, 1] and pairwise segments [0, weight] from a convex
+        # combination of distinct vertices (interior of its face)
+        problem = _segment_problem(name)
+        rng = np.random.default_rng(seed)
+        verts = _distinct_vertices(problem, rng, 5)
+        weights = rng.dirichlet(np.ones(len(verts)))
+        pi = sum(w * v for w, v in zip(weights, verts))
+        segments = [(v - pi, 1.0) for v in _distinct_vertices(problem, rng, 4)]
+        for a in range(len(verts)):
+            b = (a + 1) % len(verts)
+            segments.append((verts[a] - verts[b], float(weights[b])))
+        return problem, pi, segments
+
+    def test_slope_and_curvature_match_finite_differences(self, name):
+        problem, pi, segments = self._segments(name, 11)
+
+        def f(theta, d):
+            return _objective_from_joint(problem, pi + theta * d)
+
+        for d, theta_max in segments:
+            slope = _slope_along(problem, pi, d)
+            for frac in (0.25, 0.6):
+                theta = frac * theta_max
+                g, h = slope(theta)
+                eps = 1e-5 * theta_max
+                fd1 = (f(theta + eps, d) - f(theta - eps, d)) / (2 * eps)
+                eps = 1e-3 * theta_max
+                fd2 = (f(theta + eps, d) - 2 * f(theta, d) + f(theta - eps, d)) / eps ** 2
+                assert g == pytest.approx(fd1, abs=1e-8)
+                assert h > 0.0
+                assert h == pytest.approx(fd2, rel=1e-5, abs=1e-6)
+
+    def test_step_matches_golden_section(self, name):
+        # golden section compares objective values, which stop resolving the
+        # minimizer at about sqrt(ulp / f'') ~ 5e-8, so agreement is checked
+        # to 1e-7; an interior Newton step is also a root of the slope (whose
+        # agreement with finite differences is checked above)
+        problem, pi, segments = self._segments(name, 12)
+        for d, theta_max in segments:
+            theta = _line_search(problem, pi, d, theta_max)
+            assert 0.0 <= theta <= theta_max
+            assert theta == pytest.approx(_golden_step(problem, pi, d, theta_max), abs=1e-7)
+            if 1e-3 * theta_max < theta < (1.0 - 1e-3) * theta_max:
+                assert abs(_slope_along(problem, pi, d)(theta)[0]) <= 1e-9
+
+    def test_full_step_when_constraint_active(self, name):
+        problem, pi, segments = self._segments(name, 13)
+        d, _ = segments[0]
+        free = _line_search(problem, pi, d, 1.0)
+        assert 0.0 < free < 1.0
+        cap = 0.5 * free
+        assert _line_search(problem, pi, d, cap) == cap
+        assert _golden_step(problem, pi, d, cap) == pytest.approx(cap, abs=1e-9)
+
+    def test_step_off_a_vertex_with_infinite_slope(self, name):
+        # at a vertex some cumulative row weights sit at 0 or 1, and a
+        # direction that moves one of them has slope -inf at theta = 0
+        problem = _segment_problem(name)
+        v0, v1 = _distinct_vertices(problem, np.random.default_rng(14), 2)
+        d = v1 - v0
+        mu_w = problem.mu.weights[:, None]
+        c = np.cumsum(v0[:, :-1], axis=1) / mu_w
+        e = np.cumsum(d[:, :-1], axis=1) / mu_w
+        assert np.any(((c <= 1e-12) & (e > 1e-12)) | ((c >= 1 - 1e-12) & (e < -1e-12)))
+        theta = _line_search(problem, v0, d, 1.0)
+        assert theta > 0.0
+        assert theta == pytest.approx(_golden_step(problem, v0, d, 1.0), abs=1e-7)
+        assert (_objective_from_joint(problem, v0 + theta * d)
+                < _objective_from_joint(problem, v0))
 
 
 class TestObjectiveForms:
