@@ -87,15 +87,16 @@ EXIT_NUMERIC = 4
 def _config_stage(fn):
     """Report malformed config values as ``ConfigError``.
 
-    Only config assembly is wrapped: a ``KeyError``, ``TypeError`` or
-    ``ValueError`` raised later, while computing, is a program fault and
-    propagates unchanged.
+    Only config assembly is wrapped: a ``KeyError``, ``TypeError``,
+    ``ValueError`` or ``AttributeError`` (a value of the wrong JSON type)
+    raised later, while computing, is a program fault and propagates
+    unchanged.
     """
     @functools.wraps(fn)
     def wrapped(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ConfigError(str(exc)) from exc
     return wrapped
 
@@ -107,24 +108,36 @@ def _require(doc: dict, key: str, context: str):
 
 
 @_config_stage
+def _section(doc: dict, key: str, default=None) -> dict:
+    """The JSON object ``doc[key]``; ``default`` when the key is absent or
+    null, and a missing section when ``default`` is None."""
+    sub = doc.get(key)
+    if sub is None:
+        if default is None:
+            raise ConfigError(f"missing {key!r} section")
+        return default
+    if not isinstance(sub, dict):
+        raise ConfigError(f"{key!r} must be a JSON object, not {json.dumps(sub)}")
+    return sub
+
+
+@_config_stage
 def _build_partition(doc: dict) -> Partition:
-    sub = _require(doc, "partition", "config")
+    sub = _section(doc, "partition")
     return Partition(tuple(_require(sub, "dates", "partition")),
                      int(sub.get("steps_per_arc", 50)))
 
 
 @_config_stage
 def _build_driver(doc: dict):
-    sub = doc.get("driver", {"preset": "brownian"})
-    return driver_preset(_require(sub, "preset", "driver"), **sub.get("params", {}))
+    sub = _section(doc, "driver", {"preset": "brownian"})
+    return driver_preset(_require(sub, "preset", "driver"), **_section(sub, "params", {}))
 
 
 @_config_stage
 def _build_coefficients(doc: dict, key: str, p: Partition, driver,
                         default_role: str) -> CoefficientSet:
-    sub = doc.get(key)
-    if sub is None:
-        raise ConfigError(f"missing {key!r} section")
+    sub = _section(doc, key)
     family = _require(sub, "family", key)
     role = sub.get("role", default_role)
     if family == "piecewise_linear":
@@ -201,7 +214,7 @@ def _build_kernel(doc: dict, context: str):
 
 @_config_stage
 def _ibmot_options(doc: dict) -> IbmotOptions:
-    opt_doc = doc.get("options", {})
+    opt_doc = _section(doc, "options", {})
     unknown = sorted(set(opt_doc) - {"gap", "max_iter"})
     if unknown:
         raise ConfigError(f"unknown ibmot options {unknown}; known: 'gap', 'max_iter'")
@@ -254,14 +267,14 @@ def _cmd_simulate(doc: dict, args) -> int:
             "empirical": float(np.var(bundle.values[:, np.argmin(np.abs(p.grid - mid))])),
             "analytic": float(ap_cov(cfg, mid, mid)),
         }
-        if doc.get("checks", {}).get("markov", False):
+        if _section(doc, "checks", {}).get("markov", False):
             summary["markov_check"] = markov_factorization_check(cfg).as_dict()
     elif kind == "rap":
         cfg = _rap_config(doc)
         bundle, x = build_rap_paths(cfg, n_paths, seed)
         summary["max_pinning_residual"] = float(
             np.max(np.abs(bundle.values[:, p.date_indices] - x)))
-        if doc.get("checks", {}).get("nearly_markov", False):
+        if _section(doc, "checks", {}).get("nearly_markov", False):
             summary["nearly_markov"] = nearly_markov_check(cfg).as_dict()
     else:
         raise ConfigError(f"unknown simulate kind {kind!r}")
@@ -307,7 +320,7 @@ def _cmd_fam(doc: dict, args) -> int:
         diag["martingale_vs_process_max_dev"] = float(
             np.max(np.abs(trace.m_paths[:, 1:-1] - trace.i_paths[:, 1:-1])))
 
-    iso_doc = doc.get("isometry")
+    iso_doc = _section(doc, "isometry", {})
     if iso_doc:
         report = ito_isometry_check(cfg, _option(iso_doc, "n_paths", 20000, int), seed)
         diag["isometry"] = report.as_dict()
@@ -335,7 +348,7 @@ def _cmd_ibmot(doc: dict, args) -> int:
     payload["seed"] = seed
     payload["version"] = __version__
 
-    mc_doc = doc.get("mc_check")
+    mc_doc = _section(doc, "mc_check", {})
     if mc_doc:
         kernel = _build_kernel(mc_doc, "mc_check")
         mc = ibmot_objective_mc(kernel, horizon,
@@ -440,6 +453,9 @@ def main(argv=None) -> int:
         doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         _emit_error("config", exc)
+        return EXIT_CONFIG
+    if not isinstance(doc, dict):
+        _emit_error("config", ConfigError("a config must be a JSON object"))
         return EXIT_CONFIG
     try:
         return _COMMANDS[args.command](doc, args)

@@ -42,6 +42,17 @@ __all__ = [
 # arcade, rap and fam import it from here.
 _VAR_FLOOR = 1e-14
 
+# Forward marches over (paths, nodes) arrays (here and in ``fam``) run tile by
+# tile: the columns of ``_TILE`` nodes are copied into a time-major
+# (nodes, paths) buffer, so each node works on one contiguous row, and are
+# copied back when the tile is done.
+_TILE = 128
+# Paths per block when a tile is copied.  Copying a few hundred rows at a
+# time keeps the pages that the strided accesses touch within the TLB; one
+# pass over all 20k rows of a 1001-node array copied a tile about 5x slower
+# (2-vCPU Xeon, numpy 2.4).
+_COPY_PATHS = 256
+
 
 # ---------------------------------------------------------------------------
 # Driver type and presets
@@ -276,6 +287,27 @@ def check_driver_on_grid(d: GaussMarkovDriver, p: Partition) -> None:
         raise ConfigError("driver covariance is not PSD on the grid")
 
 
+def _tiles(start: int, stop: int):
+    """Node ranges ``[k0, k1)`` of at most ``_TILE`` nodes covering ``[start, stop)``."""
+    for k0 in range(start, stop, _TILE):
+        yield k0, min(k0 + _TILE, stop)
+
+
+def _load_tile(buf: np.ndarray, vals: np.ndarray, k0: int, k1: int) -> None:
+    """Copy the columns ``k0..k1-1`` of ``vals`` (paths, nodes) into the rows
+    ``buf[0..k1-k0-1]`` (nodes, paths)."""
+    for p0 in range(0, vals.shape[0], _COPY_PATHS):
+        p1 = p0 + _COPY_PATHS
+        np.copyto(buf[: k1 - k0, p0:p1], vals[p0:p1, k0:k1].T)
+
+
+def _store_tile(vals: np.ndarray, buf: np.ndarray, k0: int, k1: int) -> None:
+    """Inverse of :func:`_load_tile`: rows of ``buf`` into columns of ``vals``."""
+    for p0 in range(0, vals.shape[0], _COPY_PATHS):
+        p1 = p0 + _COPY_PATHS
+        np.copyto(vals[p0:p1, k0:k1], buf[: k1 - k0, p0:p1].T)
+
+
 def simulate_driver(d: GaussMarkovDriver, p: Partition, n_paths: int, seed: int,
                     block: int = 0) -> PathBundle:
     """Exact-law sequential sampling of the driver on the partition grid.
@@ -292,21 +324,29 @@ def simulate_driver(d: GaussMarkovDriver, p: Partition, n_paths: int, seed: int,
     mean = np.asarray(d.mean(g), dtype=float)
     var = np.asarray(d.variance(g), dtype=float)
     rng = stream_rng(seed, "D", block)
-    z = rng.standard_normal((n_paths, g.size))
+    vals = rng.standard_normal((n_paths, g.size))   # overwritten in place, tile by tile
 
-    vals = np.empty((n_paths, g.size))
-    v0 = max(var[0], 0.0)
-    vals[:, 0] = mean[0] + (math.sqrt(v0) * z[:, 0] if v0 > _VAR_FLOOR else 0.0)
-    for k in range(1, g.size):
-        vp, vc = var[k - 1], var[k]
-        if vp > _VAR_FLOOR:
-            kst = float(d.cov(g[k - 1], g[k]))
-            a = kst / vp
-            cv = max(vc - a * kst, 0.0)
-            vals[:, k] = mean[k] + a * (vals[:, k - 1] - mean[k - 1]) + math.sqrt(cv) * z[:, k]
-        else:
-            cv = max(vc, 0.0)
-            vals[:, k] = mean[k] + (math.sqrt(cv) * z[:, k] if cv > _VAR_FLOOR else 0.0)
+    # Row 0 of the tile buffer carries the node before the tile.
+    tile = np.empty((min(_TILE, g.size) + 1, n_paths))
+    for k0, k1 in _tiles(0, g.size):
+        _load_tile(tile[1:], vals, k0, k1)
+        for r, k in enumerate(range(k0, k1), start=1):
+            z = tile[r]
+            if k == 0:
+                v0 = max(var[0], 0.0)
+                tile[r] = mean[0] + (math.sqrt(v0) * z if v0 > _VAR_FLOOR else 0.0)
+                continue
+            vp, vc = var[k - 1], var[k]
+            if vp > _VAR_FLOOR:
+                kst = float(d.cov(g[k - 1], g[k]))
+                a = kst / vp
+                cv = max(vc - a * kst, 0.0)
+                tile[r] = mean[k] + a * (tile[r - 1] - mean[k - 1]) + math.sqrt(cv) * z
+            else:
+                cv = max(vc, 0.0)
+                tile[r] = mean[k] + (math.sqrt(cv) * z if cv > _VAR_FLOOR else 0.0)
+        _store_tile(vals, tile[1:], k0, k1)
+        tile[0] = tile[k1 - k0]
 
     meta = {
         "kind": "driver",

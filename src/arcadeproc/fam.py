@@ -12,10 +12,22 @@ The module also produces the martingale's volatility coefficient
 the innovations Brownian motion recovered from the paths, and a Monte Carlo
 isometry check tying ``E[(X_n - X_0)^2]`` to the integrated squared
 volatility.
+
+Along simulated paths the filter, like the innovations reconstruction and
+the driver sampler, is one forward march over the grid nodes.  Paths are
+stored as C-ordered (paths, nodes) arrays, where a node's values form a
+strided column, so the march goes tile by tile: the columns of up to
+``_TILE`` nodes are copied into a time-major (nodes, paths) buffer, each node
+updates one contiguous row, and the finished tile is copied back.  What is
+constant on an arc (the conditional atoms of the next target, their log
+prior weights, the revealed targets) is evaluated once per arc.  Each
+element is computed by the same operations in the same order as a node by
+node loop over columns, so the paths do not depend on the tile size.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -23,7 +35,7 @@ import numpy as np
 
 from .arcade import ap_mean, ap_variance
 from .coupling import GaussianStepKernel, StepKernel
-from .drivers import _VAR_FLOOR
+from .drivers import _TILE, _VAR_FLOOR, _load_tile, _store_tile, _tiles
 from .errors import ConfigError, DegenerateError, DomainError, NumericError
 from .rap import RapConfig, build_rap_paths
 
@@ -46,25 +58,43 @@ _LOG_UNDERFLOW = -700.0
 # Posterior cores
 # ---------------------------------------------------------------------------
 
-def _posterior_from_atoms(y, w, resid, g_next, var_a):
+def _atoms_prior(step: StepKernel, x_prev) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate values and log prior weights, each shaped (atoms, paths).
+
+    Both depend only on the current target, so they are constant on an arc.
+    """
+    y, w = step.atoms_given(np.asarray(x_prev, dtype=float))
+    y = np.ascontiguousarray(y.T)
+    w = np.ascontiguousarray(w.T)
+    return y, np.where(w > 0.0, np.log(np.where(w > 0.0, w, 1.0)), -np.inf)
+
+
+def _posterior_from_atoms(y, logw, resid, g_next, var_a):
     """Posterior mean/variance over atoms given Gaussian evidence.
 
-    ``y, w``: candidate values and prior weights, shape (paths, atoms);
-    ``resid``: observation minus base signal, shape (paths,);
-    evidence has mean ``g_next * y`` and variance ``var_a``.
-    Weights are normalized in log space; when every weight underflows the
-    max-shift keeps the nearest atom, counted in the returned tally.
+    ``y, logw``: candidate values and log prior weights, shape
+    (atoms, paths), from :func:`_atoms_prior`; ``resid``: observation minus
+    base signal, shape (paths,); evidence has mean ``g_next * y`` and
+    variance ``var_a``.  Weights are normalized in log space; when every
+    weight underflows the max-shift keeps the nearest atom, counted in the
+    returned tally.
+
+    The reductions run over axis 0, so numpy adds the atom rows one after
+    another.  A (paths, atoms) layout summed along axis 1 instead, which
+    numpy does sequentially for rows of up to 7 atoms and with eight partial
+    sums (pairwise) from 8 atoms on.  The two layouts therefore give
+    bit-identical results for up to 7 atoms per row; with 8 or more the
+    sums, and so the posterior, may differ in the last bits.
     """
-    logw = np.where(w > 0.0, np.log(np.where(w > 0.0, w, 1.0)), -np.inf)
     if var_a > _VAR_FLOOR:
-        z = resid[:, None] - g_next * y
+        z = resid - g_next * y
         logw = logw - 0.5 * z * z / var_a
-    peak = np.max(logw, axis=1, keepdims=True)
-    underflow = int(np.sum(peak[:, 0] < _LOG_UNDERFLOW))
+    peak = np.max(logw, axis=0)
+    underflow = int(np.count_nonzero(peak < _LOG_UNDERFLOW))
     wts = np.exp(logw - peak)
-    wts /= np.sum(wts, axis=1, keepdims=True)
-    mean = np.sum(wts * y, axis=1)
-    var = np.sum(wts * y * y, axis=1) - mean * mean
+    wts /= np.sum(wts, axis=0)
+    mean = np.sum(wts * y, axis=0)
+    var = np.sum(wts * y * y, axis=0) - mean * mean
     return mean, np.clip(var, 0.0, None), underflow
 
 
@@ -79,12 +109,17 @@ def _posterior_gaussian(m0, v0, resid, g_next, var_a):
     return mean, np.full_like(np.asarray(mean, dtype=float), var), 0
 
 
-def _step_posterior(step: StepKernel, x_prev, resid, g_next, var_a):
+def _arc_posterior(step: StepKernel, x_prev):
+    """The posterior ``(resid, g_next, var_a) -> (mean, var, underflows)``
+    of the next target, with the prior given ``x_prev`` evaluated once."""
+    x_prev = np.asarray(x_prev, dtype=float)
     if step.conditional_kind == "gaussian":
-        m0, v0 = step.gaussian_given(np.asarray(x_prev, dtype=float))
-        return _posterior_gaussian(m0, v0, resid, g_next, var_a)
-    y, w = step.atoms_given(np.asarray(x_prev, dtype=float))
-    return _posterior_from_atoms(y, w, resid, g_next, var_a)
+        return functools.partial(_posterior_gaussian, *step.gaussian_given(x_prev))
+    return functools.partial(_posterior_from_atoms, *_atoms_prior(step, x_prev))
+
+
+def _step_posterior(step: StepKernel, x_prev, resid, g_next, var_a):
+    return _arc_posterior(step, x_prev)(resid, g_next, var_a)
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +147,11 @@ def _reduction_applies(cfg: RapConfig) -> bool:
     return True
 
 
-def _prefix_base(gmat_col: np.ndarray, x: np.ndarray, m: int,
+def _prefix_base(x_prefix: np.ndarray, gmat: np.ndarray, k: int,
                  mu_a: float) -> np.ndarray:
-    return x[:, : m + 1] @ gmat_col[: m + 1] + mu_a
+    """Revealed signal plus arcade mean at node ``k``; ``x_prefix`` holds the
+    targets ``X_0..X_m`` revealed on the node's arc, shape (paths, m+1)."""
+    return x_prefix @ gmat[: x_prefix.shape[1], k] + mu_a
 
 
 # ---------------------------------------------------------------------------
@@ -176,58 +213,76 @@ def fam_paths(cfg: RapConfig, n_paths: int, seed: int, block: int = 0,
         raise ConfigError("innovations require a standard randomized arcade")
 
     rap, x = build_rap_paths(cfg, n_paths, seed, block)
+    reduced = _reduction_applies(cfg)
+    if not reduced and any(s.conditional_kind != "atoms" for s in cfg.coupling.steps):
+        raise ConfigError(
+            "full conditioning needs atom-valued step kernels; "
+            "the signal activates targets ahead of their arc"
+        )
+
+    i_vals = rap.values
+    # A function of its own, so the filter's tile buffers are freed before
+    # the innovations allocate theirs.
+    m_vals, vol, underflow = _filter_march(cfg, i_vals, x, reduced)
+    w_vals = innovations_from_arrays(cfg, i_vals, m_vals, x) if with_innovations else None
+    return FamTrace(grid=p.grid, i_paths=i_vals, m_paths=m_vals, vol_paths=vol,
+                    x=x, w_paths=w_vals, underflow_count=underflow,
+                    meta={"config": cfg.config_dict(), "block": block, "seed": seed})
+
+
+def _filter_march(cfg: RapConfig, i_vals: np.ndarray, x: np.ndarray,
+                  reduced: bool) -> tuple[np.ndarray, np.ndarray, int]:
+    """Martingale and volatility paths by one forward march over the nodes.
+
+    The march runs arc by arc and tile by tile: a tile of ``I`` columns is
+    loaded into a time-major buffer, each node computes one contiguous row
+    of ``M`` and of the volatility, and the finished rows are stored back
+    into the (paths, nodes) arrays.  The prior of the next target is
+    evaluated once per arc.  Returns ``(m_vals, vol, underflow_count)``.
+    """
+    p = cfg.partition
     grid = p.grid
     steps = p.steps_per_arc
     n = p.n_arcs
     gmat = cfg.signal.grid_matrix()                 # (n+1, K)
     mu_a = np.asarray(ap_mean(cfg.arcade, grid), dtype=float)
     var_a = np.asarray(ap_variance(cfg.arcade, grid), dtype=float)
-    reduced = _reduction_applies(cfg)
 
-    i_vals = rap.values
     m_vals = np.empty_like(i_vals)
-    vol = np.zeros_like(i_vals)
+    vol = np.empty_like(i_vals)
     underflow = 0
-
-    for k, t in enumerate(grid):
-        if k == grid.size - 1:
-            m_vals[:, k] = x[:, n]
-            vol[:, k] = 0.0
-            continue
-        arc = k // steps
-        is_date = (k % steps == 0)
-        if is_date:
-            m_vals[:, k] = x[:, arc]
-        va = 0.0 if is_date else float(var_a[k])
-        if not is_date and va <= _VAR_FLOOR:
-            raise DegenerateError(f"zero noise variance at interior node t={t}")
-        g_next = float(gmat[arc + 1, k])
-        base = _prefix_base(gmat[:, k], x, arc, float(mu_a[k]))
-        resid = i_vals[:, k] - base
-        if reduced:
-            mean, pvar, uf = _step_posterior(
-                cfg.coupling.steps[arc], x[:, arc], resid, g_next, va
-            )
-        else:
-            if any(s.conditional_kind != "atoms" for s in cfg.coupling.steps[arc:]):
-                raise ConfigError(
-                    "full conditioning needs atom-valued step kernels; "
-                    "the signal activates targets ahead of their arc"
-                )
-            mean, pvar, uf = _full_conditioning_posterior(
-                cfg, k, arc, x, i_vals[:, k], float(mu_a[k]), va, gmat
-            )
-        underflow += uf
-        if not is_date:
-            m_vals[:, k] = mean
-        _, h2, h3 = _h_values(cfg, float(t), arc)
-        if h3 > _VAR_FLOOR and h2 >= 0.0:
-            vol[:, k] = pvar * math.sqrt(max(h2, 0.0)) / h3
-
-    w_vals = innovations_from_arrays(cfg, i_vals, m_vals, x) if with_innovations else None
-    return FamTrace(grid=grid, i_paths=i_vals, m_paths=m_vals, vol_paths=vol,
-                    x=x, w_paths=w_vals, underflow_count=underflow,
-                    meta={"config": cfg.config_dict(), "block": block, "seed": seed})
+    # Each row of ``im_tile`` holds I at a node until the node's M replaces it.
+    im_tile, vol_tile = (np.empty((min(_TILE, steps), i_vals.shape[0])) for _ in range(2))
+    for arc in range(n):
+        x_prefix = x[:, : arc + 1]
+        posterior = _arc_posterior(cfg.coupling.steps[arc], x[:, arc]) if reduced else None
+        for k0, k1 in _tiles(arc * steps, (arc + 1) * steps):
+            _load_tile(im_tile, i_vals, k0, k1)
+            for r, k in enumerate(range(k0, k1)):
+                t = float(grid[k])
+                is_date = (k == arc * steps)
+                va = 0.0 if is_date else float(var_a[k])
+                if not is_date and va <= _VAR_FLOOR:
+                    raise DegenerateError(f"zero noise variance at interior node t={t}")
+                if reduced:
+                    resid = im_tile[r] - _prefix_base(x_prefix, gmat, k, float(mu_a[k]))
+                    mean, pvar, uf = posterior(resid, float(gmat[arc + 1, k]), va)
+                else:
+                    mean, pvar, uf = _full_conditioning_posterior(
+                        cfg, k, arc, x, im_tile[r], float(mu_a[k]), va, gmat
+                    )
+                underflow += uf
+                im_tile[r] = x[:, arc] if is_date else mean
+                _, h2, h3 = _h_values(cfg, t, arc)
+                if h3 > _VAR_FLOOR and h2 >= 0.0:
+                    vol_tile[r] = pvar * math.sqrt(max(h2, 0.0)) / h3
+                else:
+                    vol_tile[r] = 0.0
+            _store_tile(m_vals, im_tile, k0, k1)
+            _store_tile(vol, vol_tile, k0, k1)
+    m_vals[:, -1] = x[:, n]
+    vol[:, -1] = 0.0
+    return m_vals, vol, underflow
 
 
 def _full_conditioning_posterior(cfg, k, arc, x, i_col, mu_a, va, gmat):
@@ -419,7 +474,8 @@ def innovations_from_arrays(cfg: RapConfig, i_vals: np.ndarray,
     ``dW = h2^{-1/2} [ ((Z h1 - M h2)/h3 - J) dt + dI ]`` with
     ``Z = I - sum_{i<=m} g_i X_i - mu_A`` and ``J`` the time derivative of
     the revealed-signal-plus-mean term.  Requires a standard configuration
-    (the drift formulas come from the driver factorization).
+    (the drift formulas come from the driver factorization).  Runs as a
+    tiled forward march, like the filter (see the module docstring).
     """
     if not cfg.standard:
         raise ConfigError("innovations are defined for standard configurations")
@@ -432,27 +488,42 @@ def innovations_from_arrays(cfg: RapConfig, i_vals: np.ndarray,
     dates = np.asarray(p.dates)
     mu_dates = np.asarray(d.mean(dates), dtype=float)
 
-    w = np.zeros_like(i_vals)
-    for k in range(grid.size - 1):
-        t = float(grid[k])
-        arc = k // steps
+    n_paths = i_vals.shape[0]
+    tile = min(_TILE, steps)
+    w = np.empty_like(i_vals)
+    w[:, 0] = 0.0
+    i_tile = np.empty((tile + 1, n_paths))
+    # Row r + 1 of ``mw_tile`` holds M at the tile's node r until W one node
+    # later replaces it; row 0 carries W at the tile start.
+    mw_tile = np.empty((tile + 1, n_paths))
+    mw_tile[0] = 0.0
+    for arc in range(p.n_arcs):
         t_lo, t_hi = dates[arc], dates[arc + 1]
-        h1, h2, h3 = _h_values(cfg, t, arc)
         den = float(d.h1(t_hi) * d.h2(t_lo) - d.h1(t_lo) * d.h2(t_hi))
-        # d/dt of f_{arc} (right piece) and f_{arc+1} (left piece) on this arc
-        h1m = float(d.h1_deriv(t) * d.h2(t_lo) - d.h1(t_lo) * d.h2_deriv(t))
-        dg_m = -h1 / den
-        dg_next = h1m / den
-        mu_a_deriv = float(d.mean_deriv(t)) - dg_m * mu_dates[arc] - dg_next * mu_dates[arc + 1]
-        base = x[:, : arc + 1] @ gmat[: arc + 1, k] + mu_a[k]
-        z = i_vals[:, k] - base
-        j = dg_m * x[:, arc] + mu_a_deriv
-        drift = (z * h1 - m_vals[:, k] * h2) / h3 - j
-        dt = float(grid[k + 1] - grid[k])
-        dn = drift * dt + (i_vals[:, k + 1] - i_vals[:, k])
-        if h2 <= 0.0:
-            raise NumericError("driver quadratic-variation density is not positive")
-        w[:, k + 1] = w[:, k] + dn / math.sqrt(h2)
+        x_prefix = x[:, : arc + 1]
+        for k0, k1 in _tiles(arc * steps, (arc + 1) * steps):
+            rows = k1 - k0
+            _load_tile(i_tile, i_vals, k0, k1 + 1)
+            _load_tile(mw_tile[1:], m_vals, k0, k1)
+            for r, k in enumerate(range(k0, k1)):
+                t = float(grid[k])
+                h1, h2, h3 = _h_values(cfg, t, arc)
+                # d/dt of f_{arc} (right piece) and f_{arc+1} (left piece) on this arc
+                h1m = float(d.h1_deriv(t) * d.h2(t_lo) - d.h1(t_lo) * d.h2_deriv(t))
+                dg_m = -h1 / den
+                dg_next = h1m / den
+                mu_a_deriv = (float(d.mean_deriv(t)) - dg_m * mu_dates[arc]
+                              - dg_next * mu_dates[arc + 1])
+                z = i_tile[r] - _prefix_base(x_prefix, gmat, k, mu_a[k])
+                j = dg_m * x[:, arc] + mu_a_deriv
+                drift = (z * h1 - mw_tile[r + 1] * h2) / h3 - j
+                dt = float(grid[k + 1] - grid[k])
+                dn = drift * dt + (i_tile[r + 1] - i_tile[r])
+                if h2 <= 0.0:
+                    raise NumericError("driver quadratic-variation density is not positive")
+                mw_tile[r + 1] = mw_tile[r] + dn / math.sqrt(h2)
+            _store_tile(w, mw_tile[1:], k0 + 1, k1 + 1)
+            mw_tile[0] = mw_tile[rows]
     return w
 
 

@@ -137,6 +137,20 @@ class TestFam:
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["martingale_vs_process_max_dev"] <= 1e-8
 
+    @pytest.mark.parametrize("key, value", [
+        ("isometry", True),
+        ("driver", "preset"),
+        ("partition", [0.0, 1.0]),
+    ])
+    def test_section_of_wrong_type_is_config_error(self, tmp_path, capsys, key, value):
+        doc = json.loads((CONFIGS / "fam_ou_standard.json").read_text())
+        doc[key] = value
+        rc, _ = _run(tmp_path, "famtype", doc, "fam", "--paths", "4")
+        assert rc == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "config"
+        assert f"{key!r} must be a JSON object" in err["error"]["message"]
+
 
 class TestIbmot:
     def test_gaussian_instance(self, tmp_path):

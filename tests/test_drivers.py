@@ -1,6 +1,7 @@
 """Driver covariances, exact sampling, quadratic variation, reproducibility."""
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from arcadeproc import (
     scaled_bm_driver,
     simulate_driver,
 )
-from arcadeproc.drivers import simulate_driver_cholesky
+from arcadeproc.drivers import _TILE, _VAR_FLOOR, simulate_driver_cholesky
+from arcadeproc.streams import stream_rng
 
 from conftest import assert_within_3se
 
@@ -117,6 +119,37 @@ class TestSimulation:
         assert one.meta["config_hash"] == two.meta["config_hash"]
         other = simulate_driver(brownian_driver(), p, 50, seed=10)
         assert one.csv_bytes() != other.csv_bytes()
+
+    @pytest.mark.parametrize("driver", [
+        ou_driver(theta=0.8, sigma=1.3, mu=0.4, d0=-1.0),
+        brownian_driver(),
+    ], ids=["ou", "brownian"])
+    def test_matches_scalar_recursion_bitwise(self, driver):
+        # the tiled sampler against the Markov recursion one path and one
+        # node at a time, on the same normal draws
+        p = Partition((0.0, 0.5, 1.5), _TILE // 2 + 7)
+        assert p.grid.size > _TILE
+        seed, block, n_paths = 31, 2, 3
+        got = simulate_driver(driver, p, n_paths, seed, block=block).values
+        g = p.grid
+        mean = np.asarray(driver.mean(g), dtype=float)
+        var = np.asarray(driver.variance(g), dtype=float)
+        z = stream_rng(seed, "D", block).standard_normal((n_paths, g.size))
+        want = np.empty((n_paths, g.size))
+        for i in range(n_paths):
+            v0 = max(var[0], 0.0)
+            want[i, 0] = mean[0] + (math.sqrt(v0) * z[i, 0] if v0 > _VAR_FLOOR else 0.0)
+            for k in range(1, g.size):
+                if var[k - 1] > _VAR_FLOOR:
+                    kst = float(driver.cov(g[k - 1], g[k]))
+                    a = kst / var[k - 1]
+                    cv = max(var[k] - a * kst, 0.0)
+                    want[i, k] = (mean[k] + a * (want[i, k - 1] - mean[k - 1])
+                                  + math.sqrt(cv) * z[i, k])
+                else:
+                    cv = max(var[k], 0.0)
+                    want[i, k] = mean[k] + (math.sqrt(cv) * z[i, k] if cv > _VAR_FLOOR else 0.0)
+        assert np.array_equal(got, want)
 
     def test_csv_round_trip(self):
         p = Partition((0.0, 1.0), 3)

@@ -27,7 +27,9 @@ from arcadeproc.coupling import (
     brownian_coupling,
     deterministic_kernel,
     gaussian_n01_kernel,
+    uniform_mot_kernel,
 )
+from arcadeproc.drivers import _COPY_PATHS, _TILE
 
 from conftest import assert_within_3se
 
@@ -355,3 +357,84 @@ class TestIsometry:
         rep = ito_isometry_check(cfg, 2_000, seed=17)
         assert rep.lhs_mean == 0.0
         assert rep.rhs_mean == 0.0
+
+
+class TestTiledMarch:
+    """The filter, the innovations and the driver march over tiles of
+    ``_TILE`` nodes and copy blocks of ``_COPY_PATHS`` paths; node counts
+    and path counts that do not divide evenly must give the point filters'
+    values at the tile and block edges."""
+
+    @staticmethod
+    def _nodes(trace, cfg):
+        """Interior nodes on both sides of every tile edge, plus the last one."""
+        p = cfg.partition
+        dates = set(int(i) for i in p.date_indices)
+        picks = set()
+        for arc in range(p.n_arcs):
+            start = arc * p.steps_per_arc
+            for edge in range(start, start + p.steps_per_arc + 1, _TILE):
+                picks.update((edge - 1, edge, edge + 1))
+            picks.add(start + p.steps_per_arc - 1)
+        return sorted(k for k in picks if 0 < k < trace.grid.size - 1 and k not in dates)
+
+    @staticmethod
+    def _paths(n_paths):
+        picks = {0, n_paths - 1}
+        for edge in range(_COPY_PATHS, n_paths, _COPY_PATHS):
+            picks.update((edge - 1, edge))
+        return sorted(picks)
+
+    @pytest.mark.parametrize("n_paths, steps", [(1, _TILE + 1), (777, 333)])
+    def test_atom_kernel_matches_discrete_filter(self, n_paths, steps):
+        assert steps % _TILE != 0
+        cfg = _bridge_rap(Partition((0.0, 1.0), steps), uniform_mot_kernel())
+        trace = fam_paths(cfg, n_paths, seed=21)
+        for k in self._nodes(trace, cfg):
+            t = float(trace.grid[k])
+            for pidx in self._paths(n_paths):
+                i_t, x_obs = float(trace.i_paths[pidx, k]), [float(trace.x[pidx, 0])]
+                assert trace.m_paths[pidx, k] == pytest.approx(
+                    fam_filter_discrete(cfg, t, i_t, x_obs), abs=1e-12)
+                assert trace.vol_paths[pidx, k] == pytest.approx(
+                    fam_volatility(cfg, t, i_t, x_obs), rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("n_paths, steps", [(1, _TILE + 1), (777, 333)])
+    def test_gaussian_kernel_matches_continuous_filter(self, n_paths, steps):
+        cfg = _bridge_rap(Partition((0.0, 1.0), steps), gaussian_n01_kernel())
+        trace = fam_paths(cfg, n_paths, seed=22)
+        for k in self._nodes(trace, cfg):
+            t = float(trace.grid[k])
+            for pidx in self._paths(n_paths):
+                mean, _ = fam_filter_continuous(cfg, t, float(trace.i_paths[pidx, k]),
+                                                [float(trace.x[pidx, 0])])
+                assert trace.m_paths[pidx, k] == pytest.approx(mean, abs=1e-7)
+
+    @pytest.mark.parametrize("n_paths", [1, 777])
+    def test_chain_matches_bruteforce_filter(self, n_paths):
+        cfg = _bridge_rap(Partition((0.0, 1.0, 2.0), _TILE + 1), binary_chain_kernel(2))
+        trace = fam_paths(cfg, n_paths, seed=23)
+        for k in self._nodes(trace, cfg):
+            t = float(trace.grid[k])
+            arc = cfg.partition.arc_of(t)
+            for pidx in self._paths(n_paths):
+                want = fam_filter_bruteforce(cfg, t, float(trace.i_paths[pidx, k]),
+                                             trace.x[pidx, : arc + 1].tolist())
+                assert trace.m_paths[pidx, k] == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("n_paths, steps", [(1, _TILE + 1), (777, 333)])
+    def test_innovations_path_reproduces_trace(self, n_paths, steps):
+        cfg = _bridge_rap(Partition((0.0, 1.0, 2.0), steps), binary_chain_kernel(2))
+        trace = fam_paths(cfg, n_paths, seed=24)
+        w = trace.w_paths.copy()
+        assert np.array_equal(innovations_path(cfg, trace), w)
+        assert np.all(w[:, 0] == 0.0)
+
+    @pytest.mark.parametrize("n_paths", [1, 777])
+    def test_brownian_coupling_innovations_across_tiles(self, n_paths):
+        # W = I - X_0 for the Brownian coupling, so a tile edge that drops
+        # or repeats an increment shows up as a jump
+        cfg = _bridge_rap(Partition((0.0, 1.0), 333), brownian_coupling(1.0, 1.0))
+        trace = fam_paths(cfg, n_paths, seed=25)
+        dev = np.abs(trace.w_paths - (trace.i_paths - trace.x[:, [0]]))
+        assert np.max(dev) <= 1e-6
