@@ -8,10 +8,13 @@ the centered normal with the horizon variance; by completing the square this
 is equivalent to maximizing the expected product of the terminal target with
 the innovations endpoint.
 
-The solver is conditional-gradient (Frank-Wolfe) with an exact dense-simplex
-linear oracle; after each oracle step, pairwise steps shift weight between
-the vertices already in the active set (plain FW zigzags too slowly to
-certify tight duality gaps).  Every step length comes from a safeguarded
+The solver is conditional-gradient (Frank-Wolfe) with an exact simplex linear
+oracle (``simplex``: one dense phase 1 per solve, then revised-simplex warm
+re-solves on the basis inverse, one per Frank-Wolfe iteration); after each
+oracle step, pairwise steps shift weight between the vertices already in the
+active set (plain FW zigzags too slowly to certify tight duality gaps).  A
+solve stops at the gap tolerance, at ``max_iter``, or when an iteration
+leaves the iterate unchanged.  Every step length comes from a safeguarded
 Newton search on the exact directional derivative: in Abel form the
 objective is linear in the weights plus terms ``I(c_j)`` of the cumulative
 row weights, with ``I' = -Phi^{-1}`` and ``I'' = -1/I``, so slope and
@@ -486,8 +489,10 @@ def solve_ibmot(problem: IbmotProblem, opts: IbmotOptions | None = None,
     feasibility is preserved exactly.  Each oracle call yields the
     Frank-Wolfe duality gap ``<grad, pi - v>``, a suboptimality certificate
     for the iterate it is computed at; the run stops once it falls below
-    ``gap_tol * (1 + |objective|)`` or after ``max_iter`` oracle steps, and
-    the returned gap always belongs to the returned kernel.
+    ``gap_tol * (1 + |objective|)``, after ``max_iter`` oracle steps, or as
+    soon as an iteration leaves the iterate bit-identical (the next one would
+    repeat it exactly); the returned gap always belongs to the returned
+    kernel, and only the first stop reports ``converged``.
 
     Each oracle step is followed by pairwise steps that only shuffle weight
     between already-discovered vertices (best against worst under the
@@ -534,6 +539,7 @@ def solve_ibmot(problem: IbmotProblem, opts: IbmotOptions | None = None,
     iters = 0
     while gap > opts.gap_tol * (1.0 + abs(value)) and iters < opts.max_iter:
         iters += 1
+        start = pi
         direction = v_fw - pi
         theta, cand = search(pi, direction, 1.0)
         if cand > value:
@@ -544,6 +550,8 @@ def solve_ibmot(problem: IbmotProblem, opts: IbmotOptions | None = None,
         active.prune()
         pi, value = _pairwise_corrections(search, grad_of, active, pi, value,
                                           tol=0.1 * gap)
+        if np.array_equal(pi, start):
+            break  # stalled: every later iteration would repeat this one
         v_fw, gap = fw_vertex_and_gap(pi)
 
     gamma = pi.reshape(shape) / problem.mu.weights[:, None]
@@ -726,10 +734,12 @@ def ibmot_objective_mc(kernel: CouplingKernel, horizon: float, n_paths: int,
     ``(X_1 - M_t)^2 sqrt(h2)/h3`` over time (trapezoid, left rectangle on
     the final step where the weight diverges); estimator two evaluates
     ``X_1 W_{T_1}`` from the innovations endpoint.  Both use the same paths,
-    so their difference carries a paired standard error.
+    so their difference carries a paired standard error.  The time integral
+    is reduced over blocks of ``_COPY_PATHS`` paths, so no temporary spans
+    all paths and nodes.
     """
     from .arcade import ArcadeConfig
-    from .drivers import brownian_driver
+    from .drivers import _COPY_PATHS, brownian_driver
     from .fam import fam_paths
     from .partition import Partition, piecewise_linear_coefficients
     from .rap import RapConfig
@@ -752,11 +762,15 @@ def ibmot_objective_mc(kernel: CouplingKernel, horizon: float, n_paths: int,
     while done < n_paths:
         count = min(block_size, n_paths - done)
         trace = fam_paths(cfg, count, seed, block=block, with_innovations=True)
-        err = (trace.x[:, -1][:, None] - trace.m_paths[:, :-1]) ** 2 * weight[None, :]
-        # trapezoid on all but the last step, left rectangle on the final one
-        inner = 0.5 * (err[:, :-1] + err[:, 1:]) @ dt[:-1]
-        time_parts.append(inner + err[:, -1] * dt[-1])
-        end_parts.append(trace.x[:, -1] * trace.w_paths[:, -1])
+        x_end = trace.x[:, -1]
+        part = np.empty(count)
+        for p0 in range(0, count, _COPY_PATHS):
+            rows = slice(p0, p0 + _COPY_PATHS)
+            err = (x_end[rows, None] - trace.m_paths[rows, :-1]) ** 2 * weight
+            # trapezoid on all but the last step, left rectangle on the final one
+            part[rows] = 0.5 * (err[:, :-1] + err[:, 1:]) @ dt[:-1] + err[:, -1] * dt[-1]
+        time_parts.append(part)
+        end_parts.append(x_end * trace.w_paths[:, -1])
         done += count
         block += 1
     ti = np.concatenate(time_parts)

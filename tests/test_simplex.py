@@ -1,9 +1,16 @@
-"""Dense simplex: known optima, degeneracy, warm starts, scipy cross-check."""
+"""Simplex: known optima, degeneracy, warm re-solves, scipy cross-check."""
 
 import numpy as np
 import pytest
 
-from arcadeproc import InfeasibleError, UnboundedError
+from arcadeproc import (
+    IbmotProblem,
+    InfeasibleError,
+    NumericError,
+    UnboundedError,
+    gaussian_marginal,
+    simplex,
+)
 from arcadeproc.simplex import linprog_simplex, resolve_with_costs
 
 
@@ -110,3 +117,69 @@ def test_warm_start_matches_cold():
         fresh, _ = linprog_simplex(c, a, b)
         assert warm.fun == pytest.approx(fresh.fun, abs=1e-8)
         assert np.max(np.abs(a @ warm.x - b)) <= 1e-8
+
+
+def _gaussian_polytope(atoms):
+    mu = gaussian_marginal(0.0, 1.0, atoms)
+    nu = gaussian_marginal(0.0, 2.0, atoms)
+    return IbmotProblem(mu, nu, 1.0).constraint_matrix()
+
+
+def test_warm_resolves_match_cold_on_transport_polytope():
+    # a chain of warm re-solves, as the Frank-Wolfe oracle makes them, on a
+    # 20-atom martingale transport polytope with two redundant rows
+    a, b = _gaussian_polytope(20)
+    rng = np.random.default_rng(2)
+    _, state = linprog_simplex(np.zeros(a.shape[1]), a, b)
+    assert state.basis.size == a.shape[0] - 2
+    for _ in range(20):
+        c = rng.normal(size=a.shape[1])
+        warm, state = resolve_with_costs(state, c)
+        cold, _ = linprog_simplex(c, a, b)
+        assert warm.fun == pytest.approx(cold.fun, abs=1e-9)
+        assert np.max(np.abs(a @ warm.x - b)) <= 1e-8
+        assert np.count_nonzero(warm.x) <= state.basis.size
+
+
+def test_resolve_leaves_its_state_untouched():
+    a, b = _gaussian_polytope(10)
+    rng = np.random.default_rng(3)
+    _, state = linprog_simplex(rng.normal(size=a.shape[1]), a, b)
+    inv, basis = state.inv.copy(), state.basis.copy()
+    c = rng.normal(size=a.shape[1])
+    first, _ = resolve_with_costs(state, c)
+    second, _ = resolve_with_costs(state, c)
+    assert first.iterations > 0
+    assert np.array_equal(first.x, second.x)
+    assert first.fun == second.fun and first.iterations == second.iterations
+    assert np.array_equal(state.inv, inv) and np.array_equal(state.basis, basis)
+
+
+def test_warm_resolve_after_redundant_rows_dropped():
+    a = np.asarray([[1.0, 1.0], [2.0, 2.0]])
+    b = np.asarray([1.0, 2.0])
+    _, state = linprog_simplex(np.asarray([1.0, 0.0]), a, b)
+    assert state.basis.size == 1
+    res, _ = resolve_with_costs(state, np.asarray([0.0, 1.0]))
+    assert res.fun == pytest.approx(0.0, abs=1e-12)
+    assert res.x[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_degenerate_warm_resolve_uses_bland_fallback(monkeypatch):
+    # Beale's instance from the slack basis: Dantzig's rule cycles through
+    # degenerate pivots, and only the Bland fallback reaches the optimum
+    c = np.asarray([-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0])
+    a = np.asarray([
+        [0.25, -60.0, -0.04, 9.0, 1.0, 0.0, 0.0],
+        [0.5, -90.0, -0.02, 3.0, 0.0, 1.0, 0.0],
+        [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
+    ])
+    b = np.asarray([0.0, 0.0, 1.0])
+    _, slack = linprog_simplex(np.asarray([1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0]), a, b)
+    assert sorted(slack.basis.tolist()) == [4, 5, 6]
+    res, _ = resolve_with_costs(slack, c)
+    assert res.fun == pytest.approx(-0.05, abs=1e-9)
+    assert res.iterations > simplex._STALL_LIMIT
+    monkeypatch.setattr(simplex, "_STALL_LIMIT", 10**9)
+    with pytest.raises(NumericError):
+        resolve_with_costs(slack, c, max_iter=500)
