@@ -8,20 +8,24 @@ the centered normal with the horizon variance; by completing the square this
 is equivalent to maximizing the expected product of the terminal target with
 the innovations endpoint.
 
-The solver is conditional-gradient (Frank-Wolfe) with an exact simplex linear
-oracle (``simplex``: one dense phase 1 per solve, then revised-simplex warm
-re-solves on the basis inverse, one per Frank-Wolfe iteration); after each
-oracle step, pairwise steps shift weight between the vertices already in the
-active set (plain FW zigzags too slowly to certify tight duality gaps).  A
-solve stops at the gap tolerance, at ``max_iter``, or when an iteration
-leaves the iterate unchanged.  Every step length comes from a safeguarded
-Newton search on the exact directional derivative: in Abel form the
-objective is linear in the weights plus terms ``I(c_j)`` of the cumulative
-row weights, with ``I' = -Phi^{-1}`` and ``I'' = -1/I``, so slope and
-curvature along a segment cost one ``ndtri`` per moving cell boundary.  A
-brute-force search over the polytope's null direction, refined by golden
-section on objective values, provides an independent oracle on small
-instances.
+The solver is damped Newton ascent on the concave dual over column prices
+``psi`` (one per atom of the second marginal; weak duality as in Beiglboeck,
+Henry-Labordere & Penkner, Finance Stoch. 2013).  In Abel form a row's
+objective is linear in its weights plus terms ``I(c_j)`` of its cumulative
+weights, with ``I = phi o Phi^{-1}``, so for fixed prices every row
+minimizer is ``c_j = Phi(zeta_j - u_i)``: one pool-adjacent-violators pass
+(Best & Chakravarti, Math. Prog. 1990) fixes the pooled slopes ``zeta``
+for all rows, and one monotone scalar root per row meets its barycenter.
+The gradient is the column residual (Danskin) and the Hessian is one
+matrix product.  The dual value is a lower bound on the optimum at every
+iterate, and the kernel built from the row minimizers plus the residual is
+feasible once converged, so the reported duality gap certifies the
+returned kernel.  Where the call functions of the marginals touch, no
+martingale coupling crosses, and the dual would not be attained; the
+problem is split there first (irreducible components, Beiglboeck &
+Juillet, Ann. Probab. 2016).  A brute-force search over the polytope's null direction
+(feasible point from the exact simplex LP oracle, refined by golden section
+on objective values) provides an independent oracle on small instances.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from .coupling import (
     AffineBranchKernel,
@@ -39,7 +43,7 @@ from .coupling import (
     convex_order_report,
 )
 from .errors import ConfigError, InfeasibleError, NumericError
-from .simplex import linprog_simplex, resolve_with_costs
+from .simplex import linprog_simplex
 
 __all__ = [
     "IbmotProblem",
@@ -58,8 +62,16 @@ __all__ = [
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _Q_CLIP = 1e-16
-_LINE_SEARCH_TOL = 1e-10
-_PAIRWISE_BUDGET = 40      # pairwise correction steps per oracle call
+_EPS = float(np.finfo(float).eps)
+_KERNEL_TOL = 1e-7         # feasibility tolerance of a returned kernel
+_TOUCH = 1e-12             # call-function slack, per unit of support, that counts as touching
+_ROUNDING = 1e-15          # kernel entries above -_ROUNDING count as zero
+_ROOT_MAX_ITER = 100       # safeguarded Newton steps per barycenter root
+_ARMIJO = 1e-4             # sufficient-rise fraction of a dual step
+_MAX_RATIO = 10.0          # cap on sqrt(T / spread) in the default start
+_DAMP = 0.1                # Newton damping per unit of gradient norm
+_FLAT = 1000.0             # ulps of D below which a step's rise is not tested
+_HALVINGS = 40             # backtracking halvings before a step is given up
 
 
 # ---------------------------------------------------------------------------
@@ -333,30 +345,18 @@ def induced_correlation(problem: IbmotProblem, gamma: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Linear oracle and Frank-Wolfe
+# Linear oracle
 # ---------------------------------------------------------------------------
 
-class _WarmOracle:
-    """LP oracle that keeps the previous optimal basis between cost changes."""
-
-    def __init__(self, problem: IbmotProblem):
-        self.problem = problem
-        self.shape = problem.shape
-        self.state = None
-
-    def __call__(self, costs: np.ndarray) -> np.ndarray:
-        c = np.asarray(costs, dtype=float).ravel()
-        if self.state is None:
-            a, b = self.problem.constraint_matrix()
-            res, self.state = linprog_simplex(c, a, b)
-        else:
-            res, self.state = resolve_with_costs(self.state, c)
-        return res.x.reshape(self.shape)
-
-
 def lp_oracle(costs: np.ndarray, problem: IbmotProblem) -> np.ndarray:
-    """Exact vertex minimizer of ``<costs, pi>`` over the transport polytope."""
-    return _WarmOracle(problem)(costs)
+    """Exact vertex minimizer of ``<costs, pi>`` over the transport polytope.
+
+    One cold two-phase simplex solve.  The solver does not use it: it is the
+    independent LP certificate behind ``brute_force_small`` and the tests.
+    """
+    a, b = problem.constraint_matrix()
+    res, _ = linprog_simplex(np.asarray(costs, dtype=float).ravel(), a, b)
+    return res.x.reshape(problem.shape)
 
 
 def _golden_section(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -379,189 +379,212 @@ def _golden_section(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return t, f(t)
 
 
-def _slope_along(problem: IbmotProblem, pi: np.ndarray, direction: np.ndarray):
-    """Slope and curvature of the objective along ``pi + theta * direction``.
+# ---------------------------------------------------------------------------
+# Dual Newton solver
+# ---------------------------------------------------------------------------
 
-    Returns ``theta -> (f'(theta), f''(theta))``.  With ``c`` the cumulative
-    row weights at ``theta`` and ``e`` their rate of change, the Abel form
-    gives ``f' = sum d . y^2 + 2 sqrt(tau) sum mu_i dy_j Phi^{-1}(c_ij) e_ij``
-    and ``f'' = 2 sqrt(tau) sum mu_i dy_j e_ij^2 / I(c_ij) >= 0``.  Only cell
-    boundaries with ``e != 0`` enter.  ``c`` is clipped like the gradient's
-    quantiles, so both values stay finite where the exact slope diverges (a
-    boundary leaving or reaching 0 or 1); evaluate strictly inside the
-    segment.
+@dataclass(frozen=True)
+class _DualPoint:
+    """The dual function and its row minimizers at column prices ``psi``."""
+
+    dpsi: np.ndarray        # (n-1,) price differences psi_{j+1} - psi_j
+    value: float            # D(psi): a lower bound on the optimum for every psi
+    rows: np.ndarray        # (m, n) row laws w_i(psi) minimizing F - psi . w
+    residual: np.ndarray    # nu - sum_i mu_i w_i, the gradient of D
+    z: np.ndarray           # (m, n-1) standardized cell boundaries
+    u: np.ndarray           # (m,) barycenter multipliers over 2 sqrt(tau)
+    pools: tuple            # (b, e): each boundary's pool spans atoms b..e
+
+
+def _pooled_slopes(a: np.ndarray, dy: np.ndarray):
+    """Nonincreasing ``dy``-weighted fit of ``a``: one pool-adjacent-violators
+    pass.  Returns the fit and, per boundary, the first boundary ``b`` and
+    one past the last ``e`` of its pool, which spans atoms ``b..e``.
+    """
+    sums: list[float] = []
+    widths: list[float] = []
+    starts: list[int] = []
+    for j in range(a.size):
+        sums.append(dy[j] * a[j])
+        widths.append(dy[j])
+        starts.append(j)
+        while len(starts) > 1 and sums[-2] * widths[-1] < sums[-1] * widths[-2]:
+            starts.pop()
+            merged, width = sums.pop(), widths.pop()
+            sums[-1] += merged
+            widths[-1] += width
+    bounds = np.asarray(starts + [a.size], dtype=int)
+    sizes = np.diff(bounds)
+    fit = np.repeat(np.divide(sums, widths), sizes)
+    return fit, (np.repeat(bounds[:-1], sizes), np.repeat(bounds[1:], sizes))
+
+
+def _rho(z: np.ndarray) -> np.ndarray:
+    """``z Phi(z) + phi(z)``, summed as ``max(z, 0) + rho(-|z|)`` so both tails
+    stay accurate."""
+    t = -np.abs(z)
+    return np.maximum(z, 0.0) + (t * ndtr(t) + np.exp(-0.5 * t * t) / _SQRT_2PI)
+
+
+def _dual_point(problem: IbmotProblem, dpsi: np.ndarray,
+                u_start: np.ndarray | None = None) -> _DualPoint:
+    """Evaluate ``D(psi) = psi . nu + sum_i mu_i min_{w . y = x_i} [F(w) - psi . w]``.
+
+    In cumulative weights ``c_j`` a row's objective is
+    ``s_n + tau + sum_j dy_j [a_j c_j - 2 sqrt(tau) I(c_j)]`` with
+    ``s = y^2 - psi`` and ``a_j = (s_j - s_{j+1}) / dy_j``; the barycenter
+    constraint is ``sum_j dy_j c_j = y_n - x_i``.  The monotone constraint
+    on ``c`` fixes one pooling ``a_hat`` of ``a`` for every row, after which
+    ``c_j = Phi(zeta_j - u_i)`` with ``zeta = -a_hat / (2 sqrt(tau))`` and
+    one scalar ``u_i`` per row, the root of a monotone equation.  The row
+    value is the Lagrangian at ``u_i`` in closed form, a valid lower bound
+    on the row minimum at any ``u_i``, so ``D`` is a lower bound by
+    construction.
+    Every ``x_i`` must lie strictly inside the support of ``nu`` (rows at its
+    ends are split off by ``_components``).
+
+    The prices enter as their differences ``dpsi_j = psi_{j+1} - psi_j``
+    (``psi_1 = 0``; ``D`` ignores constant shifts): ``a`` is formed from
+    them directly, so its rounding does not grow with ``|psi|`` over a
+    short cell.
+    """
+    x, mu_w = problem.mu.values, problem.mu.weights
+    y, nu_w = problem.nu.values, problem.nu.weights
+    two_rt = 2.0 * math.sqrt(problem.horizon)
+    dy = np.diff(y)
+    psi = np.concatenate([[0.0], np.cumsum(dpsi)])
+    a_hat, pools = _pooled_slopes(dpsi / dy - (y[:-1] + y[1:]), dy)
+    zeta = -a_hat / two_rt
+    u = _barycenter_roots(zeta, dy, x - y[0], y[-1] - x, y[-1] - y[0], u_start)
+    z = zeta[None, :] - u[:, None]
+    lower, upper = ndtr(z), ndtr(-z)
+    # cell masses from the lower tail below the median, the upper above
+    inner = np.where(z[:, :-1] > 0.0, upper[:, :-1] - upper[:, 1:],
+                     lower[:, 1:] - lower[:, :-1])
+    rows = np.hstack([lower[:, :1], inner, upper[:, -1:]])
+    row_value = (y[-1] ** 2 - psi[-1] + problem.horizon
+                 - two_rt * (u * (y[-1] - x) + _rho(z) @ dy))
+    return _DualPoint(dpsi=dpsi, value=float(psi @ nu_w + mu_w @ row_value), rows=rows,
+                      residual=nu_w - mu_w @ rows, z=z, u=u, pools=pools)
+
+
+def _barycenter_roots(zeta, dy, lower, upper, span, start):
+    """Solve ``sum_j dy_j Phi(u_i - zeta_j) = lower_i`` for every row at once.
+
+    ``lower = x_i - y_1`` and ``upper = y_n - x_i``; rows nearer the top
+    solve the mirrored equation ``sum_j dy_j Phi(zeta_j - u_i) = upper_i``
+    so the small tail sets the precision.  Safeguarded Newton inside the
+    bracket ``[min zeta, max zeta] + Phi^{-1}(lower / span)``; a row stops,
+    before its multiplier is updated, once its residual or its Newton step
+    is at rounding level.
+    """
+    near_bottom = lower <= upper
+    sign = np.where(near_bottom, 1.0, -1.0)
+    target = np.where(near_bottom, lower, upper)
+    q = sign * ndtri(target / span)
+    lo, hi = zeta[0] + q, zeta[-1] + q
+    u = 0.5 * (lo + hi) if start is None else np.clip(start, lo, hi)
+    active = np.arange(u.size)
+    for _ in range(_ROOT_MAX_ITER):
+        ua, sg = u[active], sign[active]
+        d = ua[:, None] - zeta[None, :]
+        resid = sg * (ndtr(sg[:, None] * d) @ dy - target[active])   # increasing in u
+        slope = (np.exp(-0.5 * d * d) / _SQRT_2PI) @ dy
+        scale = 4.0 * _EPS * (1.0 + np.abs(ua))
+        done = ((np.abs(resid) <= 8.0 * _EPS * target[active])
+                | (np.abs(resid) <= scale * slope)
+                | (hi[active] - lo[active] <= scale))
+        keep = ~done
+        active, ua, resid, slope = active[keep], ua[keep], resid[keep], slope[keep]
+        if not active.size:
+            break
+        hi[active] = np.where(resid > 0.0, ua, hi[active])
+        lo[active] = np.where(resid < 0.0, ua, lo[active])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            newton = ua - resid / slope
+        inside = (newton > lo[active]) & (newton < hi[active])
+        u[active] = np.where(inside, newton, 0.5 * (lo[active] + hi[active]))
+    return u
+
+
+def _dual_hessian(problem: IbmotProblem, point: _DualPoint) -> np.ndarray:
+    """Hessian of ``D`` at ``point`` through the fixed pooling and the roots.
+
+    With ``P = phi(z)``, ``V = P dy``, ``S = V 1``, ``A = d a_hat / d psi``
+    and ``Delta`` the map from cumulative weights to cell masses, it is
+    ``Delta [diag(mu^T P) - P^T diag(mu / S) V] A / (2 sqrt(tau))``.
     """
     mu_w = problem.mu.weights
     y = problem.nu.values
-    lin = float(np.sum(direction @ (y * y)))
-    cum_d = np.cumsum(direction[:, :-1], axis=1)
-    rows, cols = np.nonzero(cum_d)
-    c0 = np.cumsum(pi[:, :-1], axis=1)[rows, cols] / mu_w[rows]
-    e = cum_d[rows, cols] / mu_w[rows]
-    w = 2.0 * math.sqrt(problem.horizon) * np.diff(y)[cols] * cum_d[rows, cols]
-    we = _SQRT_2PI * w * e
-
-    def slope(theta: float) -> tuple[float, float]:
-        c = c0 + theta * e
-        z = ndtri(np.minimum(np.maximum(c, _Q_CLIP, out=c), 1.0 - _Q_CLIP, out=c))
-        return lin + float(w @ z), float(we @ np.exp(0.5 * z * z))
-
-    return slope
-
-
-def _line_search(problem: IbmotProblem, pi: np.ndarray, direction: np.ndarray,
-                 theta_max: float) -> float:
-    """Exact minimizing step on ``[0, theta_max]`` for a convex objective.
-
-    Safeguarded Newton on the slope.  Each evaluation shrinks a bracket of
-    the slope's root; a Newton step that leaves the bracket, or is not below
-    half the previous step, is replaced by bisection in log scale (the
-    geometric mean of the bracket, its lower end floored at half of
-    ``_LINE_SEARCH_TOL``), because optimal steps range over many orders of
-    magnitude.  The search stops once the bracket or the Newton step is
-    narrower than ``_LINE_SEARCH_TOL``.  The slope is never taken at an
-    endpoint, where it may be infinite; if it is still <= 0 just inside
-    ``theta_max``, the full step is returned.
-    """
-    tol = _LINE_SEARCH_TOL
-    slope = _slope_along(problem, pi, direction)
-    hi = theta_max - min(tol, 0.5 * theta_max)
-    if slope(hi)[0] <= 0.0:
-        return theta_max
-    lo, floor = 0.0, 0.5 * tol
-    theta = math.sqrt(floor * hi)
-    step = hi
-    while hi - lo > tol:
-        g, h = slope(theta)
-        if g > 0.0:
-            hi = theta
-        elif g < 0.0:
-            lo = theta
-        else:
-            return theta
-        newton = g / h if h > 0.0 else math.inf
-        if lo < theta - newton < hi and abs(newton) <= 0.5 * abs(step):
-            step = newton
-            theta -= step
-            if abs(step) <= tol:
-                return theta
-        else:
-            mid = math.sqrt(max(lo, floor) * hi)
-            step = theta - mid
-            theta = mid
-    return 0.5 * (lo + hi)
-
-
-class _ActiveSet:
-    """Vertices of the current convex combination, stacked row-wise."""
-
-    def __init__(self, vertex: np.ndarray):
-        self.vertices = vertex.ravel()[None, :].copy()
-        self.weights = np.asarray([1.0])
-
-    def add(self, vertex: np.ndarray, weight_scale: float, weight: float) -> None:
-        flat = vertex.ravel()
-        match = np.nonzero(
-            np.all(np.abs(self.vertices - flat) <= 1e-12, axis=1)
-        )[0]
-        self.weights = self.weights * weight_scale
-        if match.size:
-            self.weights[match[0]] += weight
-        else:
-            self.vertices = np.vstack([self.vertices, flat])
-            self.weights = np.append(self.weights, weight)
-
-    def prune(self) -> None:
-        keep = self.weights > 1e-14
-        if not np.all(keep):
-            self.vertices = self.vertices[keep]
-            self.weights = self.weights[keep]
-
-    def scores(self, grad: np.ndarray) -> np.ndarray:
-        return self.vertices @ grad.ravel()
+    n = y.size
+    p = np.exp(-0.5 * point.z * point.z) / _SQRT_2PI
+    v = p * np.diff(y)
+    total = v.sum(axis=1)
+    coef = np.divide(mu_w, total, out=np.zeros_like(total), where=total > 0.0)
+    inner = np.diag(mu_w @ p) - p.T @ (coef[:, None] * v)
+    b, e = point.pools
+    slopes = np.zeros((n - 1, n))
+    rows = np.arange(n - 1)
+    width = y[e] - y[b]
+    slopes[rows, b] = -1.0 / width
+    slopes[rows, e] = 1.0 / width
+    cumulative = inner @ slopes
+    cells = np.vstack([cumulative[:1], np.diff(cumulative, axis=0), -cumulative[-1:]])
+    return cells / (2.0 * math.sqrt(problem.horizon))
 
 
 def solve_ibmot(problem: IbmotProblem, opts: IbmotOptions | None = None,
-                start_costs: np.ndarray | None = None) -> IbmotSolution:
-    """Conditional-gradient minimization of the quantile objective.
+                start_prices: np.ndarray | None = None) -> IbmotSolution:
+    """Damped Newton ascent on the concave dual over the column prices.
 
-    Every iterate is a convex combination of polytope vertices, so
-    feasibility is preserved exactly.  Each oracle call yields the
-    Frank-Wolfe duality gap ``<grad, pi - v>``, a suboptimality certificate
-    for the iterate it is computed at; the run stops once it falls below
-    ``gap_tol * (1 + |objective|)``, after ``max_iter`` oracle steps, or as
-    soon as an iteration leaves the iterate bit-identical (the next one would
-    repeat it exactly); the returned gap always belongs to the returned
-    kernel, and only the first stop reports ``converged``.
+    The problem first splits into its irreducible components (see
+    ``_components``); each is solved by ``_newton`` and a row at a touching
+    point is a point mass.  ``D(psi)`` (see ``_dual_point``) is a lower
+    bound on a component's optimum at every ``psi``, so their ``mu``-mass
+    weighted sum, plus the forced values of the point-mass rows, bounds the
+    optimum.  ``duality_gap`` is the objective of the returned kernel minus
+    that bound, clamped at 0 against rounding; kernel entries down to
+    ``-_ROUNDING`` count as zero.  The solve is ``converged`` when the gap
+    is at most ``gap_tol * (1 + |objective|)``, which holds once every
+    component meets the same test.
 
-    Each oracle step is followed by pairwise steps that only shuffle weight
-    between already-discovered vertices (best against worst under the
-    current gradient).  They matter in practice: the optimum sits on a
-    high-dimensional face whose vertex representation oracle steps alone
-    assemble too slowly for tight gaps.  Both step kinds take the exact
-    minimizing step from ``_line_search`` (safeguarded Newton on the
-    closed-form slope and curvature, a few slope evaluations per step); the
-    candidate is then evaluated once and rejected if the objective rose.
-
-    ``start_costs`` selects the initial vertex (the minimizer of that linear
-    functional); the default starts from the phase-1 feasible vertex.
-    Raises ``NumericError`` if the returned kernel fails ``validate_kernel``
-    at 1e-7.
+    ``start_prices`` sets the initial ``psi`` of every component, restricted
+    to its atoms (default: see ``_newton``).  Raises ``InfeasibleError`` if
+    the marginals are not in convex order (checked here when the problem
+    skipped its own check), and ``NumericError`` if the returned kernel has
+    an entry below ``-_ROUNDING`` (a run stopped early) or fails
+    ``validate_kernel`` at 1e-7.
     """
     opts = opts or IbmotOptions()
-    oracle = _WarmOracle(problem)
-    if start_costs is None:
-        start_costs = np.zeros(problem.shape)
-    pi0 = oracle(np.asarray(start_costs, dtype=float))
-    active = _ActiveSet(pi0)
-    pi = pi0.ravel().copy()
-    shape = problem.shape
+    if not problem.validate:
+        ok, worst, witness = convex_order_report(problem.mu, problem.nu)
+        if not ok:
+            raise InfeasibleError(f"marginals are not in convex order (violation {worst:.3e})",
+                                  witness=witness)
+    x = problem.mu.values
+    mu_w = problem.mu.weights
+    gamma = np.zeros(problem.shape)
+    bound, iters = 0.0, 0
+    for rows, cols, mass, sub in _components(problem):
+        if sub is None:
+            gamma[rows, cols] = 1.0
+            bound += float(mu_w[rows] @ (x[rows] ** 2 + problem.horizon))
+            continue
+        start = None if start_prices is None else np.asarray(start_prices, float)[cols]
+        part, dual, newton_iters = _newton(sub, opts, start)
+        gamma[np.ix_(rows, cols)] = part
+        bound += mass * dual
+        iters += newton_iters
 
-    def f_of(flat: np.ndarray) -> float:
-        return _objective_from_joint(problem, flat.reshape(shape))
-
-    def grad_of(flat: np.ndarray) -> np.ndarray:
-        return _gradient_from_joint(problem, flat.reshape(shape)).ravel()
-
-    def fw_vertex_and_gap(flat: np.ndarray) -> tuple[np.ndarray, float]:
-        grad = grad_of(flat)
-        vertex = oracle(grad.reshape(shape)).ravel()
-        return vertex, float(grad @ (flat - vertex))
-
-    def search(flat: np.ndarray, direction: np.ndarray,
-               theta_max: float) -> tuple[float, float]:
-        theta = _line_search(problem, flat.reshape(shape),
-                             direction.reshape(shape), theta_max)
-        return theta, f_of(flat + theta * direction)
-
-    value = f_of(pi)
-    v_fw, gap = fw_vertex_and_gap(pi)
-    iters = 0
-    while gap > opts.gap_tol * (1.0 + abs(value)) and iters < opts.max_iter:
-        iters += 1
-        start = pi
-        direction = v_fw - pi
-        theta, cand = search(pi, direction, 1.0)
-        if cand > value:
-            theta, cand = 0.0, value
-        pi = pi + theta * direction
-        value = cand
-        active.add(v_fw.reshape(shape), 1.0 - theta, theta)
-        active.prune()
-        pi, value = _pairwise_corrections(search, grad_of, active, pi, value,
-                                          tol=0.1 * gap)
-        if np.array_equal(pi, start):
-            break  # stalled: every later iteration would repeat this one
-        v_fw, gap = fw_vertex_and_gap(pi)
-
-    gamma = pi.reshape(shape) / problem.mu.weights[:, None]
-    row_sums = gamma.sum(axis=1, keepdims=True)
-    gamma = gamma / np.where(row_sums > 0.0, row_sums, 1.0)
+    if gamma.min() < -_ROUNDING:
+        raise NumericError(f"solver stopped at a kernel with negative entries "
+                           f"(min {gamma.min():.3e})")
     try:
-        validate_kernel(problem, gamma, 1e-7)
+        validate_kernel(problem, gamma, _KERNEL_TOL)
     except ConfigError as exc:
         raise NumericError(f"solver returned an infeasible kernel: {exc}") from exc
     quant = ibmot_objective_quantile(problem, gamma, validate=False)
+    gap = _certified_gap(quant.value, bound, gamma)
     return IbmotSolution(
         problem=problem,
         gamma=gamma,
@@ -570,42 +593,139 @@ def solve_ibmot(problem: IbmotProblem, opts: IbmotOptions | None = None,
         objective_ki_target=quant.k_i_target,
         iterations=iters,
         duality_gap=gap,
-        converged=gap <= opts.gap_tol * (1.0 + abs(value)),
+        converged=gap <= opts.gap_tol * (1.0 + abs(quant.value)),
     )
 
 
-def _pairwise_corrections(search, grad_of, active: _ActiveSet, pi: np.ndarray,
-                          value: float, tol: float) -> tuple[np.ndarray, float]:
-    """Shift weight from the worst active vertex to the best one.
+def _components(problem: IbmotProblem):
+    """Irreducible components of the marginal pair (Beiglboeck & Juillet,
+    Ann. Probab. 2016).
 
-    ``search(pi, direction, theta_max)`` returns the Newton line-search step
-    on ``[0, theta_max]`` (the worst vertex's weight, so the full step drops
-    it) and the objective there.  Runs until the internal pairwise gap drops
-    below ``tol`` or ``_PAIRWISE_BUDGET`` steps are taken; the iterate stays
-    inside the hull of the active set, so feasibility and the monotone
-    objective are preserved.
+    Where the call functions touch, ``E(Y - k)^+ = E(X - k)^+``, Jensen's
+    inequality is tight, so every martingale coupling keeps each row on one
+    side of ``k`` and a row at ``k`` is a point mass there.  The touching
+    points split the problem into open intervals; an atom of ``nu`` at a cut
+    is shared, and each side's share follows from its mass and mean.
+    Yields ``(rows, cols, mass, sub)`` per interval, ``sub`` the normalized
+    subproblem and ``mass`` its ``mu`` mass, and one
+    ``(rows, cols, 1, None)`` for all point-mass rows, each at the atom of
+    ``nu`` nearest to it.  A pair that does not split yields ``problem``
+    itself.
     """
-    for _ in range(_PAIRWISE_BUDGET):
-        if active.weights.size < 2:
-            break
-        grad = grad_of(pi)
-        scores = active.scores(grad)
-        best = int(np.argmin(scores))
-        worst = int(np.argmax(scores))
-        pair_gap = float(scores[worst] - scores[best])
-        if pair_gap <= tol or best == worst:
-            break
-        direction = active.vertices[best] - active.vertices[worst]
-        theta_max = float(active.weights[worst])
-        theta, cand = search(pi, direction, theta_max)
-        if cand > value or theta <= 0.0:
-            break
-        pi = pi + theta * direction
-        value = cand
-        active.weights[worst] -= theta
-        active.weights[best] += theta
-        active.prune()
-    return pi, value
+    x, mu_w = problem.mu.values, problem.mu.weights
+    y, nu_w = problem.nu.values, problem.nu.weights
+    kinks = np.union1d(x, y)
+    slack = (np.maximum(y[None, :] - kinks[:, None], 0.0) @ nu_w
+             - np.maximum(x[None, :] - kinks[:, None], 0.0) @ mu_w)
+    cuts = kinks[slack <= _TOUCH * (y[-1] - y[0])]
+    point = np.isin(x, cuts)
+    if point.any():
+        nearest = np.argmin(np.abs(y[None, :] - x[point, None]), axis=1)
+        yield np.nonzero(point)[0], nearest, 1.0, None
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        rows = np.nonzero((x > lo) & (x < hi))[0]
+        if not rows.size:
+            continue
+        if rows.size == x.size and cuts.size == 2:
+            yield rows, np.arange(y.size), 1.0, problem
+            return
+        inside = np.nonzero((y > lo) & (y < hi))[0]
+        mass, moment = float(mu_w[rows].sum()), float(mu_w[rows] @ x[rows])
+        rest, rest_moment = mass - nu_w[inside].sum(), moment - nu_w[inside] @ y[inside]
+        share_hi = (rest_moment - lo * rest) / (hi - lo)
+        cols, weights = [inside], [nu_w[inside]]
+        for end, share in ((lo, rest - share_hi), (hi, share_hi)):
+            j = np.searchsorted(y, end)
+            if share > 0.0 and j < y.size and y[j] == end:
+                cols.append([j])
+                weights.append([share])
+        cols, weights = np.concatenate(cols), np.concatenate(weights)
+        order = np.argsort(cols)
+        cols, weights = cols[order], weights[order]
+        sub = IbmotProblem(DiscreteMarginal(x[rows], mu_w[rows] / mass),
+                           DiscreteMarginal(y[cols], weights / weights.sum()),
+                           problem.horizon, validate=False)
+        yield rows, cols, mass, sub
+
+
+def _newton(problem: IbmotProblem, opts: IbmotOptions,
+            start_prices: np.ndarray | None) -> tuple[np.ndarray, float, int]:
+    """Kernel, dual bound and Newton iterations for one component.
+
+    The kernel of an iterate is ``w_i(psi) + r`` on every row, with
+    ``r = nu - sum_i mu_i w_i``: rows and barycenters hold as in ``w`` and
+    the columns close exactly, so the objective minus ``D(psi)`` certifies
+    it.  The gap is tested at every iterate.  A run stops once it is below
+    ``gap_tol * (1 + |objective|)``, after ``max_iter`` Newton steps, or
+    when no step can raise ``D`` any more; so ``gap_tol = 0`` runs to the
+    last step rounding lets through.
+
+    A step solves ``(delta I - H) step = r`` by least squares, with ``H``
+    the Hessian of ``D`` and ``delta = _DAMP |r|``: ``psi`` has two null
+    directions (constants and ``y``), and where a pool empties an atom
+    ``D`` is linear in its price, which only the damping moves.  Steps
+    backtrack until Armijo's condition holds (see ``_backtrack``).
+
+    The default start ``(1 - sqrt(T / s2)) y^2``, with
+    ``s2 = Var(nu) - Var(mu)`` and the root capped at ``_MAX_RATIO``,
+    starts each row at ``N(x_i, s2)`` cut at the atom midpoints: the
+    Brownian coupling, optimal for Gaussian marginals in the continuum.
+    """
+    mu_w = problem.mu.weights
+    y = problem.nu.values
+    if start_prices is None:
+        spread = problem.nu.variance() - problem.mu.variance()
+        ratio = math.sqrt(problem.horizon / spread) if spread > 0.0 else 1.0
+        start_prices = (1.0 - min(ratio, _MAX_RATIO)) * y * y
+    point = _dual_point(problem, np.diff(start_prices))
+    iters = 0
+    while True:
+        gamma = point.rows + point.residual[None, :]
+        value = _objective_from_joint(problem, mu_w[:, None] * gamma)
+        gap = _certified_gap(value, point.value, gamma)
+        if gap < opts.gap_tol * (1.0 + abs(value)) or iters >= opts.max_iter:
+            return gamma, point.value, iters
+        hess = _dual_hessian(problem, point)
+        damping = _DAMP * np.linalg.norm(point.residual)
+        step = np.linalg.lstsq(damping * np.eye(hess.shape[0]) - hess, point.residual,
+                               rcond=None)[0]
+        trial = _backtrack(problem, point, step)
+        if trial is None:
+            return gamma, point.value, iters
+        point = trial
+        iters += 1
+
+
+def _certified_gap(value: float, dual: float, gamma: np.ndarray) -> float:
+    """Primal minus dual value, clamped at 0 against rounding; infinite while
+    the kernel has an entry below ``-_ROUNDING``."""
+    return max(value - dual, 0.0) if gamma.min() >= -_ROUNDING else math.inf
+
+
+def _backtrack(problem: IbmotProblem, point: _DualPoint,
+               step: np.ndarray) -> _DualPoint | None:
+    """The next iterate along a Newton step, or ``None`` if there is none.
+
+    Tries ``t = 1, 1/2, ...`` until ``D`` rises by ``_ARMIJO * t * gain``,
+    ``gain`` being the rise the step predicts.  Once ``gain`` is within
+    ``_FLAT`` ulps of ``D``, rounding hides the rise while the gradient can
+    still be far above it (the far-tail columns of a fine grid); then the
+    full step is taken if it halves the gradient norm.
+    """
+    gain = float(point.residual @ step)
+    if not gain > 0.0:
+        return None
+    if gain <= _FLAT * _EPS * (1.0 + abs(point.value)):
+        trial = _dual_point(problem, point.dpsi + np.diff(step), point.u)
+        shrunk = np.linalg.norm(trial.residual) <= 0.5 * np.linalg.norm(point.residual)
+        return trial if shrunk else None
+    t = 1.0
+    for _ in range(_HALVINGS):
+        trial = _dual_point(problem, point.dpsi + t * np.diff(step), point.u)
+        if trial.value > point.value + _ARMIJO * t * gain:
+            return trial
+        t *= 0.5
+    return None
 
 
 # ---------------------------------------------------------------------------

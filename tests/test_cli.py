@@ -190,7 +190,7 @@ class TestIbmot:
             "nu": {"dist": "normal", "mean": 0, "var": 2, "atoms": 15},
             "T": 1.0,
             "seed": 3,
-            "options": {"gap": 1e-7, "max_iter": 2},
+            "options": {"gap": 1e-12, "max_iter": 2},
         }
         rc, out = _run(tmp_path, "ibnc", doc, "ibmot")
         assert rc == EXIT_NUMERIC

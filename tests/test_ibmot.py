@@ -23,11 +23,11 @@ from arcadeproc import (
 )
 from arcadeproc.coupling import DiscreteMarginal, brownian_coupling, uniform_mot_kernel
 from arcadeproc.ibmot import (
+    _dual_hessian,
+    _dual_point,
     _golden_section,
     _gradient_from_joint,
-    _line_search,
     _objective_from_joint,
-    _slope_along,
     _w2sq_rows,
     discretize_affine_kernel,
     induced_correlation,
@@ -139,108 +139,6 @@ class TestGradient:
 def _w2sq_gradient(p, y, tau):
     from arcadeproc.ibmot import _w2sq_gradient_rows
     return _w2sq_gradient_rows(np.asarray(p)[None, :], np.asarray(y, float), tau)[0]
-
-
-def _segment_problem(name):
-    if name == "gauss8":
-        return IbmotProblem(gaussian_marginal(0.0, 1.0, 8),
-                            gaussian_marginal(0.0, 2.0, 8), 1.0)
-    mu = DiscreteMarginal(np.asarray([-0.5, 0.5]), np.asarray([0.5, 0.5]))
-    nu = DiscreteMarginal(np.asarray([-2.0, 0.0, 2.0]), np.asarray([0.25, 0.5, 0.25]))
-    return IbmotProblem(mu, nu, 1.0)
-
-
-def _distinct_vertices(problem, rng, count):
-    found = []
-    for _ in range(200):
-        v = lp_oracle(rng.normal(size=problem.shape), problem)
-        if all(np.max(np.abs(v - u)) > 1e-9 for u in found):
-            found.append(v)
-        if len(found) == count:
-            break
-    return found
-
-
-def _golden_step(problem, pi, d, theta_max):
-    theta, _ = _golden_section(
-        lambda t: _objective_from_joint(problem, pi + t * d), 0.0, theta_max, 1e-10)
-    return theta
-
-
-@pytest.mark.parametrize("name", ["gauss8", "two_by_three"])
-class TestLineSearch:
-    """Newton line search against finite differences and golden section."""
-
-    def _segments(self, name, seed):
-        # FW segments [0, 1] and pairwise segments [0, weight] from a convex
-        # combination of distinct vertices (interior of its face)
-        problem = _segment_problem(name)
-        rng = np.random.default_rng(seed)
-        verts = _distinct_vertices(problem, rng, 5)
-        weights = rng.dirichlet(np.ones(len(verts)))
-        pi = sum(w * v for w, v in zip(weights, verts))
-        segments = [(v - pi, 1.0) for v in _distinct_vertices(problem, rng, 4)]
-        for a in range(len(verts)):
-            b = (a + 1) % len(verts)
-            segments.append((verts[a] - verts[b], float(weights[b])))
-        return problem, pi, segments
-
-    def test_slope_and_curvature_match_finite_differences(self, name):
-        problem, pi, segments = self._segments(name, 11)
-
-        def f(theta, d):
-            return _objective_from_joint(problem, pi + theta * d)
-
-        for d, theta_max in segments:
-            slope = _slope_along(problem, pi, d)
-            for frac in (0.25, 0.6):
-                theta = frac * theta_max
-                g, h = slope(theta)
-                eps = 1e-5 * theta_max
-                fd1 = (f(theta + eps, d) - f(theta - eps, d)) / (2 * eps)
-                eps = 1e-3 * theta_max
-                fd2 = (f(theta + eps, d) - 2 * f(theta, d) + f(theta - eps, d)) / eps ** 2
-                assert g == pytest.approx(fd1, abs=1e-8)
-                assert h > 0.0
-                assert h == pytest.approx(fd2, rel=1e-5, abs=1e-6)
-
-    def test_step_matches_golden_section(self, name):
-        # golden section compares objective values, which stop resolving the
-        # minimizer at about sqrt(ulp / f'') ~ 5e-8, so agreement is checked
-        # to 1e-7; an interior Newton step is also a root of the slope (whose
-        # agreement with finite differences is checked above)
-        problem, pi, segments = self._segments(name, 12)
-        for d, theta_max in segments:
-            theta = _line_search(problem, pi, d, theta_max)
-            assert 0.0 <= theta <= theta_max
-            assert theta == pytest.approx(_golden_step(problem, pi, d, theta_max), abs=1e-7)
-            if 1e-3 * theta_max < theta < (1.0 - 1e-3) * theta_max:
-                assert abs(_slope_along(problem, pi, d)(theta)[0]) <= 1e-9
-
-    def test_full_step_when_constraint_active(self, name):
-        problem, pi, segments = self._segments(name, 13)
-        d, _ = segments[0]
-        free = _line_search(problem, pi, d, 1.0)
-        assert 0.0 < free < 1.0
-        cap = 0.5 * free
-        assert _line_search(problem, pi, d, cap) == cap
-        assert _golden_step(problem, pi, d, cap) == pytest.approx(cap, abs=1e-9)
-
-    def test_step_off_a_vertex_with_infinite_slope(self, name):
-        # at a vertex some cumulative row weights sit at 0 or 1, and a
-        # direction that moves one of them has slope -inf at theta = 0
-        problem = _segment_problem(name)
-        v0, v1 = _distinct_vertices(problem, np.random.default_rng(14), 2)
-        d = v1 - v0
-        mu_w = problem.mu.weights[:, None]
-        c = np.cumsum(v0[:, :-1], axis=1) / mu_w
-        e = np.cumsum(d[:, :-1], axis=1) / mu_w
-        assert np.any(((c <= 1e-12) & (e > 1e-12)) | ((c >= 1 - 1e-12) & (e < -1e-12)))
-        theta = _line_search(problem, v0, d, 1.0)
-        assert theta > 0.0
-        assert theta == pytest.approx(_golden_step(problem, v0, d, 1.0), abs=1e-7)
-        assert (_objective_from_joint(problem, v0 + theta * d)
-                < _objective_from_joint(problem, v0))
 
 
 class TestObjectiveForms:
@@ -364,7 +262,8 @@ class TestSolver:
 
     def test_two_by_three_matches_bruteforce(self):
         # converged solves match brute force; truncated solves (max_iter 1-3,
-        # gap_tol 0) never sit further above the optimum than their gap says
+        # gap_tol 0) never sit further above the optimum than their gap says,
+        # and may only fail while their kernel still has a negative entry
         rng = np.random.default_rng(5)
         done = 0
         while done < 20:
@@ -391,69 +290,52 @@ class TestSolver:
             _, val_bf = brute_force_small(problem)
             assert sol.objective_quantile == pytest.approx(val_bf, abs=1e-5)
             for max_iter in (1, 2, 3):
-                part = solve_ibmot(problem, IbmotOptions(gap_tol=0.0, max_iter=max_iter))
+                try:
+                    part = solve_ibmot(problem, IbmotOptions(gap_tol=0.0, max_iter=max_iter))
+                except NumericError as exc:
+                    assert "negative entries" in str(exc)
+                    continue
                 assert part.objective_quantile - val_bf <= part.duality_gap + 1e-9
+                assert part.objective_quantile - part.duality_gap <= val_bf + 1e-9
             done += 1
 
     def test_gap_belongs_to_returned_kernel(self):
-        # a solve stopped by max_iter reports the gap of the kernel it returns
+        # a solve stopped by max_iter reports objective minus a lower bound
+        # of the optimum, for the feasible kernel it returns
         mu = gaussian_marginal(0.0, 1.0, 8)
         nu = gaussian_marginal(0.0, 2.0, 8)
         problem = IbmotProblem(mu, nu, 1.0)
-        sol = solve_ibmot(problem, IbmotOptions(gap_tol=0.0, max_iter=5))
-        assert sol.iterations == 5 and not sol.converged
-        pi = sol.joint()
-        grad = _gradient_from_joint(problem, pi)
-        gap = float(np.sum(grad * (pi - lp_oracle(grad, problem))))
-        assert sol.duality_gap == pytest.approx(gap, rel=1e-6, abs=1e-12)
-
-    def test_stalled_solve_stops_early(self):
-        # at gap_tol 0 the iterate freezes once no step lowers the objective;
-        # the solve stops there, unconverged, instead of spinning to max_iter
-        mu = gaussian_marginal(0.0, 1.0, 8)
-        nu = gaussian_marginal(0.0, 2.0, 8)
-        problem = IbmotProblem(mu, nu, 1.0)
-        sol = solve_ibmot(problem, IbmotOptions(gap_tol=0.0, max_iter=3000))
-        assert not sol.converged
-        assert sol.iterations < 100
-        pi = sol.joint()
-        grad = _gradient_from_joint(problem, pi)
-        gap = float(np.sum(grad * (pi - lp_oracle(grad, problem))))
-        assert sol.duality_gap == pytest.approx(gap, rel=1e-6, abs=1e-12)
-
-    def test_oracle_calls_route_through_module_names(self, monkeypatch):
-        # profilers wrap the two simplex entry points as ibmot sees them: one
-        # cold solve, then one warm re-solve per iteration plus the first gap
-        import arcadeproc.ibmot as ibmot
-
-        calls = {"cold": 0, "warm": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(ibmot, "linprog_simplex", counted("cold", ibmot.linprog_simplex))
-        monkeypatch.setattr(ibmot, "resolve_with_costs",
-                            counted("warm", ibmot.resolve_with_costs))
-        problem = IbmotProblem(uniform_marginal(-1.0, 1.0, 5),
-                               uniform_marginal(-2.0, 2.0, 5), 1.0)
-        sol = solve_ibmot(problem, IbmotOptions(gap_tol=1e-6))
-        assert sol.converged and sol.iterations > 0
-        assert calls == {"cold": 1, "warm": sol.iterations + 1}
+        best = solve_ibmot(problem, IbmotOptions(gap_tol=1e-13))
+        assert best.converged
+        partial = []
+        for max_iter in (1, 2, 3):
+            try:
+                partial.append(solve_ibmot(problem, IbmotOptions(gap_tol=0.0, max_iter=max_iter)))
+            except NumericError as exc:
+                assert "negative entries" in str(exc)
+        assert any(not sol.converged for sol in partial)
+        for sol in partial:
+            validate_kernel(problem, sol.gamma, tol=1e-12)
+            assert sol.objective_quantile == ibmot_objective_quantile(problem, sol.gamma).value
+            assert sol.objective_quantile >= best.objective_quantile - best.duality_gap - 1e-12
+            assert sol.objective_quantile - best.objective_quantile <= sol.duality_gap + 1e-9
 
     def test_infeasible_result_raises_numeric_error(self, monkeypatch):
-        # an oracle vertex that breaks the martingale constraint must not be
-        # returned as a solution, nor reported as a config error
+        # a row solve that misses the barycenters must not be returned as a
+        # solution, nor reported as a config error
         mu = uniform_marginal(-1.0, 1.0, 2)
         nu = uniform_marginal(-2.0, 2.0, 3)
         problem = IbmotProblem(mu, nu, 1.0)
-        flat_rows = np.outer(mu.weights, np.full(3, 1.0 / 3.0))
-        monkeypatch.setattr("arcadeproc.ibmot._WarmOracle.__call__",
-                            lambda self, costs: flat_rows)
+        monkeypatch.setattr("arcadeproc.ibmot._barycenter_roots",
+                            lambda zeta, dy, lower, upper, span, start: np.zeros(lower.size))
         with pytest.raises(NumericError):
-            solve_ibmot(problem)
+            solve_ibmot(problem, IbmotOptions(max_iter=3))
+
+    def test_atom_outside_the_support_is_infeasible(self):
+        mu = DiscreteMarginal(np.asarray([-3.0, 3.0]), np.asarray([0.5, 0.5]))
+        nu = DiscreteMarginal(np.asarray([-2.0, 2.0]), np.asarray([0.5, 0.5]))
+        with pytest.raises(InfeasibleError):
+            solve_ibmot(IbmotProblem(mu, nu, 1.0, validate=False))
 
     def test_feasibility_preserved(self):
         mu = gaussian_marginal(0.0, 1.0, 8)
@@ -473,15 +355,15 @@ class TestSolver:
         assert abs(induced_correlation(problem, sol.gamma) - 1.0 / np.sqrt(2.0)) <= 0.05
 
     def test_uniqueness_from_different_starts(self):
-        # strict convexity: runs seeded at different polytope vertices land on
-        # the same conditional laws
+        # strict convexity: runs started from different column prices land on
+        # the same conditional laws; prices y^2 start every row as a two-point
+        # law on the ends of the support
         mu = gaussian_marginal(0.0, 1.0, 15)
         nu = gaussian_marginal(0.0, 2.0, 15)
         problem = IbmotProblem(mu, nu, 1.0)
         opts = IbmotOptions(gap_tol=1e-7, max_iter=6000)
         a = solve_ibmot(problem, opts)
-        anti_comonotone = np.outer(mu.values, nu.values)
-        b = solve_ibmot(problem, opts, start_costs=anti_comonotone)
+        b = solve_ibmot(problem, opts, start_prices=nu.values ** 2)
         assert a.converged and b.converged
         tv = 0.5 * np.max(np.sum(np.abs(a.gamma - b.gamma), axis=1))
         assert tv <= 1e-3
@@ -507,6 +389,162 @@ class TestSolver:
                 break
             pi = pi + th * d
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+
+
+class TestDualCertificates:
+    """Instances the dual Newton solver certifies to gap 1e-12."""
+
+    def test_hessian_matches_central_differences(self):
+        problem = IbmotProblem(gaussian_marginal(0.0, 1.0, 9),
+                               gaussian_marginal(0.0, 2.0, 11), 1.3)
+        psi = np.random.default_rng(0).normal(size=11)
+        hess = _dual_hessian(problem, _dual_point(problem, np.diff(psi)))
+        h = 1e-5
+        for k in range(11):
+            e = np.zeros(11)
+            e[k] = h
+            up = _dual_point(problem, np.diff(psi + e))
+            dn = _dual_point(problem, np.diff(psi - e))
+            assert (up.value - dn.value) / (2 * h) == pytest.approx(
+                _dual_point(problem, np.diff(psi)).residual[k], abs=1e-9)
+            assert np.allclose(hess[:, k], (up.residual - dn.residual) / (2 * h),
+                               rtol=0.0, atol=1e-9)
+
+    def test_dual_bound_holds_at_any_prices(self):
+        # random prices whose slopes break monotonicity, so the row solve
+        # must pool: rows stay laws with the right barycenters, and D stays
+        # below the optimum
+        problem = IbmotProblem(gaussian_marginal(0.0, 1.0, 9),
+                               gaussian_marginal(0.0, 2.0, 12), 1.0)
+        best = solve_ibmot(problem, IbmotOptions(gap_tol=1e-13))
+        rng = np.random.default_rng(3)
+        for scale in (0.3, 3.0, 30.0):
+            point = _dual_point(problem, scale * rng.normal(size=11))
+            assert np.min(point.rows) >= 0.0
+            assert np.allclose(point.rows.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+            assert np.allclose(point.rows @ problem.nu.values, problem.mu.values,
+                               rtol=0.0, atol=1e-12)
+            assert point.value <= best.objective_quantile + 1e-12
+
+    def test_fifty_atoms(self):
+        problem = IbmotProblem(gaussian_marginal(0.0, 1.0, 50),
+                               gaussian_marginal(0.0, 2.0, 50), 1.0)
+        sol = solve_ibmot(problem, IbmotOptions(gap_tol=1e-12))
+        assert sol.converged and sol.duality_gap <= 1e-12
+        validate_kernel(problem, sol.gamma, tol=1e-12)
+
+    def test_near_tight_marginals(self):
+        # N(0,1) -> N(0,1.05) on 12 atoms: the variance budget is small, so
+        # much of the optimal kernel sits near the point masses
+        problem = IbmotProblem(gaussian_marginal(0.0, 1.0, 12),
+                               gaussian_marginal(0.0, 1.05, 12), 1.0)
+        sol = solve_ibmot(problem, IbmotOptions(gap_tol=1e-12))
+        assert sol.converged
+        assert sol.duality_gap <= 1e-12 * (1.0 + abs(sol.objective_quantile))
+        validate_kernel(problem, sol.gamma, tol=1e-12)
+
+    @pytest.mark.parametrize("atoms", [8, 40])
+    def test_equal_marginals_give_the_identity(self, atoms):
+        # mu = nu admits only the identity coupling, and the dual is not
+        # attained: every atom is a touching point of the call functions
+        mu = gaussian_marginal(0.0, 1.0, atoms)
+        problem = IbmotProblem(mu, mu, 1.0)
+        sol = solve_ibmot(problem, IbmotOptions(gap_tol=1e-12))
+        assert sol.converged
+        assert sol.duality_gap <= 1e-12 * (1.0 + abs(sol.objective_quantile))
+        assert np.max(np.abs(sol.gamma - np.eye(atoms))) <= 1e-9
+        identity = ibmot_objective_quantile(problem, np.eye(atoms)).value
+        assert sol.objective_quantile == pytest.approx(identity, abs=1e-12)
+
+    def test_plus_minus_one_to_three_atoms(self):
+        # +-1 -> {-2, 0, 2}: one coupling, with a zero at each row's far end
+        mu = DiscreteMarginal(np.asarray([-1.0, 1.0]), np.asarray([0.5, 0.5]))
+        nu = DiscreteMarginal(np.asarray([-2.0, 0.0, 2.0]), np.asarray([0.25, 0.5, 0.25]))
+        problem = IbmotProblem(mu, nu, 1.0)
+        sol = solve_ibmot(problem, IbmotOptions(gap_tol=1e-12))
+        assert sol.converged
+        assert sol.duality_gap <= 1e-12 * (1.0 + abs(sol.objective_quantile))
+        assert np.max(np.abs(sol.gamma - [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])) <= 1e-9
+        _, val_bf = brute_force_small(problem)
+        assert sol.objective_quantile == pytest.approx(val_bf, abs=1e-12)
+
+    def test_touching_call_functions_split_the_problem(self):
+        # two problems on disjoint intervals, mixed 1:1: the call functions
+        # touch between them, no row may cross, and the optimum is the mix
+        # of the two optima (brute force for the 2x3 part; the 1x2 part has
+        # one coupling)
+        left = IbmotProblem(
+            DiscreteMarginal(np.asarray([-0.5, 0.5]), np.asarray([0.5, 0.5])),
+            DiscreteMarginal(np.asarray([-2.0, 0.0, 2.0]), np.asarray([0.25, 0.5, 0.25])), 1.0)
+        right = IbmotProblem(DiscreteMarginal(np.asarray([6.0]), np.asarray([1.0])),
+                             DiscreteMarginal(np.asarray([5.0, 7.0]), np.asarray([0.5, 0.5])), 1.0)
+        mu = DiscreteMarginal(np.asarray([-0.5, 0.5, 6.0]), np.asarray([0.25, 0.25, 0.5]))
+        nu = DiscreteMarginal(np.asarray([-2.0, 0.0, 2.0, 5.0, 7.0]),
+                              np.asarray([0.125, 0.25, 0.125, 0.25, 0.25]))
+        problem = IbmotProblem(mu, nu, 1.0)
+        sol = solve_ibmot(problem, IbmotOptions(gap_tol=1e-12))
+        assert sol.converged
+        assert np.all(sol.gamma[:2, 3:] == 0.0) and np.all(sol.gamma[2, :3] == 0.0)
+        _, val_left = brute_force_small(left)
+        val_right = ibmot_objective_quantile(right, np.asarray([[0.5, 0.5]])).value
+        assert sol.objective_quantile == pytest.approx(0.5 * (val_left + val_right), abs=1e-10)
+
+    def test_atom_at_the_support_end(self):
+        # the row at y_1 is a point mass, which leaves the other row one law
+        mu = DiscreteMarginal(np.asarray([-1.0, 0.5]), np.asarray([1.0, 2.0]) / 3.0)
+        nu = DiscreteMarginal(np.asarray([-1.0, 0.0, 1.0]), np.full(3, 1.0 / 3.0))
+        problem = IbmotProblem(mu, nu, 1.0)
+        sol = solve_ibmot(problem, IbmotOptions(gap_tol=1e-12))
+        assert sol.converged
+        unique = np.asarray([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]])
+        assert np.max(np.abs(sol.gamma - unique)) <= 1e-9
+        assert sol.objective_quantile == pytest.approx(
+            ibmot_objective_quantile(problem, unique).value, abs=1e-12)
+
+    def test_price_of_an_emptied_atom_moves(self):
+        # a Newton step here pools cells so that an atom gets no mass in any
+        # row; D is then linear in that atom's price, which only the damped
+        # step moves (undamped, the solve stalls at gap 9e-2)
+        mu = DiscreteMarginal(np.asarray([-0.5, 0.5]), np.asarray([0.5, 0.5]))
+        nu = DiscreteMarginal(np.asarray([-2.0, -1.0, 1.0, 2.0]),
+                              np.asarray([3.0, 6.0, 2.0, 5.0]) / 16.0)
+        problem = IbmotProblem(mu, nu, 1.0)
+        sol = solve_ibmot(problem, IbmotOptions(gap_tol=1e-12))
+        assert sol.converged
+        assert sol.duality_gap <= 1e-12 * (1.0 + abs(sol.objective_quantile))
+        validate_kernel(problem, sol.gamma, tol=1e-12)
+        feasible = np.asarray([[0.0, 0.75, 0.25, 0.0], [0.375, 0.0, 0.0, 0.625]])
+        assert sol.objective_quantile <= ibmot_objective_quantile(problem, feasible).value
+
+
+class TestContinuumLimit:
+    """N(0,1) -> N(0,2) with Brownian noise: the continuum optimum is K_I = T."""
+
+    def test_k_i_rises_to_the_horizon(self):
+        values = []
+        for atoms in (25, 50, 100, 200):
+            problem = IbmotProblem(gaussian_marginal(0.0, 1.0, atoms),
+                                   gaussian_marginal(0.0, 2.0, atoms), 1.0,
+                                   target_second_moment=2.0)
+            sol = solve_ibmot(problem, IbmotOptions(gap_tol=1e-12))
+            assert sol.converged
+            values.append(sol.objective_ki_target)
+        assert all(a < b for a, b in zip(values, values[1:]))
+        assert values[-1] < 1.0
+        assert 1.0 - values[-1] <= 1e-3
+
+    def test_noise_level_only_rescales_the_value(self):
+        # the objective is E[Y^2] + T - 2 sqrt(T) S(gamma): the optimal kernel
+        # does not depend on T, and K_I = sqrt(T) S*
+        sols = []
+        for horizon in (0.25, 1.0, 4.0):
+            problem = IbmotProblem(gaussian_marginal(0.0, 1.0, 15),
+                                   gaussian_marginal(0.0, 2.0, 15), horizon)
+            sols.append(solve_ibmot(problem, IbmotOptions(gap_tol=0.0)))
+        for sol in sols[1:]:
+            assert np.max(np.abs(sol.gamma - sols[0].gamma)) <= 1e-12
+            assert sol.objective_ki / np.sqrt(sol.problem.horizon) == pytest.approx(
+                sols[0].objective_ki / np.sqrt(sols[0].problem.horizon), abs=1e-12)
 
 
 def _three_point(x, y):
