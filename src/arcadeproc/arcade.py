@@ -89,11 +89,11 @@ def build_ap_paths(cfg: ArcadeConfig, driver_paths: PathBundle) -> PathBundle:
     ):
         raise ConfigError("driver paths were simulated on a different grid")
     fmat = cfg.coeffs.grid_matrix()                  # (n+1, K)
-    d_dates = driver_paths.values[:, p.date_indices]  # (P, n+1)
-    values = driver_paths.values - d_dates @ fmat
+    d_rows = driver_paths.values.T                   # (K, P)
+    values = d_rows - fmat.T @ d_rows[p.date_indices]
     meta = {"kind": "ap", "config": cfg.config_dict()}
     meta["config_hash"] = config_hash(meta)
-    return PathBundle(grid=p.grid, values=values, seed=driver_paths.seed, meta=meta)
+    return PathBundle(grid=p.grid, values=values.T, seed=driver_paths.seed, meta=meta)
 
 
 def ap_mean(cfg: ArcadeConfig, t):

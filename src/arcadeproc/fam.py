@@ -14,15 +14,10 @@ isometry check tying ``E[(X_n - X_0)^2]`` to the integrated squared
 volatility.
 
 Along simulated paths the filter, like the innovations reconstruction and
-the driver sampler, is one forward march over the grid nodes.  Paths are
-stored as C-ordered (paths, nodes) arrays, where a node's values form a
-strided column, so the march goes tile by tile: the columns of up to
-``_TILE`` nodes are copied into a time-major (nodes, paths) buffer, each node
-updates one contiguous row, and the finished tile is copied back.  What is
-constant on an arc (the conditional atoms of the next target, their log
-prior weights, the revealed targets) is evaluated once per arc.  Each
-element is computed by the same operations in the same order as a node by
-node loop over columns, so the paths do not depend on the tile size.
+the driver sampler, is one forward march over the grid nodes.  The paths are
+stored time-major (see :class:`FamTrace`), so each node reads and writes one
+contiguous row.  What is constant on an arc (the conditional atoms of the
+next target and their log prior weights) is evaluated once per arc.
 """
 
 from __future__ import annotations
@@ -35,7 +30,7 @@ import numpy as np
 
 from .arcade import ap_mean, ap_variance
 from .coupling import GaussianStepKernel, StepKernel
-from .drivers import _TILE, _VAR_FLOOR, _load_tile, _store_tile, _tiles
+from .drivers import _VAR_FLOOR
 from .errors import ConfigError, DegenerateError, DomainError, NumericError
 from .rap import RapConfig, build_rap_paths
 
@@ -147,11 +142,11 @@ def _reduction_applies(cfg: RapConfig) -> bool:
     return True
 
 
-def _prefix_base(x_prefix: np.ndarray, gmat: np.ndarray, k: int,
+def _prefix_base(x: np.ndarray, gmat: np.ndarray, k: int, arc: int,
                  mu_a: float) -> np.ndarray:
-    """Revealed signal plus arcade mean at node ``k``; ``x_prefix`` holds the
-    targets ``X_0..X_m`` revealed on the node's arc, shape (paths, m+1)."""
-    return x_prefix @ gmat[: x_prefix.shape[1], k] + mu_a
+    """Revealed signal plus arcade mean at node ``k`` of arc ``arc``, from the
+    targets ``x`` (paths, n+1), of which ``X_0..X_arc`` are revealed."""
+    return gmat[: arc + 1, k] @ x.T[: arc + 1] + mu_a
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +155,12 @@ def _prefix_base(x_prefix: np.ndarray, gmat: np.ndarray, k: int,
 
 @dataclass
 class FamTrace:
-    """Per-path martingale, volatility, and innovations values on the grid."""
+    """Per-path martingale, volatility, and innovations values on the grid.
+
+    The path arrays are ``(paths, nodes)`` transposed views of C-contiguous
+    ``(nodes, paths)`` buffers, like :attr:`PathBundle.values`; ``x`` holds
+    the targets, shape (paths, n+1).
+    """
 
     grid: np.ndarray
     i_paths: np.ndarray
@@ -221,8 +221,6 @@ def fam_paths(cfg: RapConfig, n_paths: int, seed: int, block: int = 0,
         )
 
     i_vals = rap.values
-    # A function of its own, so the filter's tile buffers are freed before
-    # the innovations allocate theirs.
     m_vals, vol, underflow = _filter_march(cfg, i_vals, x, reduced)
     w_vals = innovations_from_arrays(cfg, i_vals, m_vals, x) if with_innovations else None
     return FamTrace(grid=p.grid, i_paths=i_vals, m_paths=m_vals, vol_paths=vol,
@@ -234,11 +232,10 @@ def _filter_march(cfg: RapConfig, i_vals: np.ndarray, x: np.ndarray,
                   reduced: bool) -> tuple[np.ndarray, np.ndarray, int]:
     """Martingale and volatility paths by one forward march over the nodes.
 
-    The march runs arc by arc and tile by tile: a tile of ``I`` columns is
-    loaded into a time-major buffer, each node computes one contiguous row
-    of ``M`` and of the volatility, and the finished rows are stored back
-    into the (paths, nodes) arrays.  The prior of the next target is
-    evaluated once per arc.  Returns ``(m_vals, vol, underflow_count)``.
+    Each node computes one row of ``M`` and of the volatility from the row of
+    ``I``; the prior of the next target is evaluated once per arc.  Takes
+    and returns (paths, nodes) views of time-major buffers.  Returns
+    ``(m_vals, vol, underflow_count)``.
     """
     p = cfg.partition
     grid = p.grid
@@ -248,41 +245,35 @@ def _filter_march(cfg: RapConfig, i_vals: np.ndarray, x: np.ndarray,
     mu_a = np.asarray(ap_mean(cfg.arcade, grid), dtype=float)
     var_a = np.asarray(ap_variance(cfg.arcade, grid), dtype=float)
 
-    m_vals = np.empty_like(i_vals)
-    vol = np.empty_like(i_vals)
+    i_rows = i_vals.T
+    m_rows = np.empty(i_rows.shape)
+    vol_rows = np.empty(i_rows.shape)
     underflow = 0
-    # Each row of ``im_tile`` holds I at a node until the node's M replaces it.
-    im_tile, vol_tile = (np.empty((min(_TILE, steps), i_vals.shape[0])) for _ in range(2))
     for arc in range(n):
-        x_prefix = x[:, : arc + 1]
         posterior = _arc_posterior(cfg.coupling.steps[arc], x[:, arc]) if reduced else None
-        for k0, k1 in _tiles(arc * steps, (arc + 1) * steps):
-            _load_tile(im_tile, i_vals, k0, k1)
-            for r, k in enumerate(range(k0, k1)):
-                t = float(grid[k])
-                is_date = (k == arc * steps)
-                va = 0.0 if is_date else float(var_a[k])
-                if not is_date and va <= _VAR_FLOOR:
-                    raise DegenerateError(f"zero noise variance at interior node t={t}")
-                if reduced:
-                    resid = im_tile[r] - _prefix_base(x_prefix, gmat, k, float(mu_a[k]))
-                    mean, pvar, uf = posterior(resid, float(gmat[arc + 1, k]), va)
-                else:
-                    mean, pvar, uf = _full_conditioning_posterior(
-                        cfg, k, arc, x, im_tile[r], float(mu_a[k]), va, gmat
-                    )
-                underflow += uf
-                im_tile[r] = x[:, arc] if is_date else mean
-                _, h2, h3 = _h_values(cfg, t, arc)
-                if h3 > _VAR_FLOOR and h2 >= 0.0:
-                    vol_tile[r] = pvar * math.sqrt(max(h2, 0.0)) / h3
-                else:
-                    vol_tile[r] = 0.0
-            _store_tile(m_vals, im_tile, k0, k1)
-            _store_tile(vol, vol_tile, k0, k1)
-    m_vals[:, -1] = x[:, n]
-    vol[:, -1] = 0.0
-    return m_vals, vol, underflow
+        for k in range(arc * steps, (arc + 1) * steps):
+            t = float(grid[k])
+            is_date = (k == arc * steps)
+            va = 0.0 if is_date else float(var_a[k])
+            if not is_date and va <= _VAR_FLOOR:
+                raise DegenerateError(f"zero noise variance at interior node t={t}")
+            if reduced:
+                resid = i_rows[k] - _prefix_base(x, gmat, k, arc, float(mu_a[k]))
+                mean, pvar, uf = posterior(resid, float(gmat[arc + 1, k]), va)
+            else:
+                mean, pvar, uf = _full_conditioning_posterior(
+                    cfg, k, arc, x, i_rows[k], float(mu_a[k]), va, gmat
+                )
+            underflow += uf
+            m_rows[k] = x[:, arc] if is_date else mean
+            _, h2, h3 = _h_values(cfg, t, arc)
+            if h3 > _VAR_FLOOR and h2 >= 0.0:
+                vol_rows[k] = pvar * math.sqrt(max(h2, 0.0)) / h3
+            else:
+                vol_rows[k] = 0.0
+    m_rows[-1] = x[:, n]
+    vol_rows[-1] = 0.0
+    return m_rows.T, vol_rows.T, underflow
 
 
 def _full_conditioning_posterior(cfg, k, arc, x, i_col, mu_a, va, gmat):
@@ -475,7 +466,9 @@ def innovations_from_arrays(cfg: RapConfig, i_vals: np.ndarray,
     ``Z = I - sum_{i<=m} g_i X_i - mu_A`` and ``J`` the time derivative of
     the revealed-signal-plus-mean term.  Requires a standard configuration
     (the drift formulas come from the driver factorization).  Runs as a
-    tiled forward march, like the filter (see the module docstring).
+    forward march over the node rows of ``I`` and ``M``, given as (paths,
+    nodes) arrays; the rows are contiguous for the time-major views that
+    :func:`fam_paths` returns, and ``W`` is returned as such a view.
     """
     if not cfg.standard:
         raise ConfigError("innovations are defined for standard configurations")
@@ -488,43 +481,30 @@ def innovations_from_arrays(cfg: RapConfig, i_vals: np.ndarray,
     dates = np.asarray(p.dates)
     mu_dates = np.asarray(d.mean(dates), dtype=float)
 
-    n_paths = i_vals.shape[0]
-    tile = min(_TILE, steps)
-    w = np.empty_like(i_vals)
-    w[:, 0] = 0.0
-    i_tile = np.empty((tile + 1, n_paths))
-    # Row r + 1 of ``mw_tile`` holds M at the tile's node r until W one node
-    # later replaces it; row 0 carries W at the tile start.
-    mw_tile = np.empty((tile + 1, n_paths))
-    mw_tile[0] = 0.0
+    i_rows, m_rows = i_vals.T, m_vals.T
+    w_rows = np.empty(i_rows.shape)
+    w_rows[0] = 0.0
     for arc in range(p.n_arcs):
         t_lo, t_hi = dates[arc], dates[arc + 1]
         den = float(d.h1(t_hi) * d.h2(t_lo) - d.h1(t_lo) * d.h2(t_hi))
-        x_prefix = x[:, : arc + 1]
-        for k0, k1 in _tiles(arc * steps, (arc + 1) * steps):
-            rows = k1 - k0
-            _load_tile(i_tile, i_vals, k0, k1 + 1)
-            _load_tile(mw_tile[1:], m_vals, k0, k1)
-            for r, k in enumerate(range(k0, k1)):
-                t = float(grid[k])
-                h1, h2, h3 = _h_values(cfg, t, arc)
-                # d/dt of f_{arc} (right piece) and f_{arc+1} (left piece) on this arc
-                h1m = float(d.h1_deriv(t) * d.h2(t_lo) - d.h1(t_lo) * d.h2_deriv(t))
-                dg_m = -h1 / den
-                dg_next = h1m / den
-                mu_a_deriv = (float(d.mean_deriv(t)) - dg_m * mu_dates[arc]
-                              - dg_next * mu_dates[arc + 1])
-                z = i_tile[r] - _prefix_base(x_prefix, gmat, k, mu_a[k])
-                j = dg_m * x[:, arc] + mu_a_deriv
-                drift = (z * h1 - mw_tile[r + 1] * h2) / h3 - j
-                dt = float(grid[k + 1] - grid[k])
-                dn = drift * dt + (i_tile[r + 1] - i_tile[r])
-                if h2 <= 0.0:
-                    raise NumericError("driver quadratic-variation density is not positive")
-                mw_tile[r + 1] = mw_tile[r] + dn / math.sqrt(h2)
-            _store_tile(w, mw_tile[1:], k0 + 1, k1 + 1)
-            mw_tile[0] = mw_tile[rows]
-    return w
+        for k in range(arc * steps, (arc + 1) * steps):
+            t = float(grid[k])
+            h1, h2, h3 = _h_values(cfg, t, arc)
+            # d/dt of f_{arc} (right piece) and f_{arc+1} (left piece) on this arc
+            h1m = float(d.h1_deriv(t) * d.h2(t_lo) - d.h1(t_lo) * d.h2_deriv(t))
+            dg_m = -h1 / den
+            dg_next = h1m / den
+            mu_a_deriv = (float(d.mean_deriv(t)) - dg_m * mu_dates[arc]
+                          - dg_next * mu_dates[arc + 1])
+            z = i_rows[k] - _prefix_base(x, gmat, k, arc, mu_a[k])
+            j = dg_m * x[:, arc] + mu_a_deriv
+            drift = (z * h1 - m_rows[k] * h2) / h3 - j
+            dt = float(grid[k + 1] - grid[k])
+            dn = drift * dt + (i_rows[k + 1] - i_rows[k])
+            if h2 <= 0.0:
+                raise NumericError("driver quadratic-variation density is not positive")
+            w_rows[k + 1] = w_rows[k] + dn / math.sqrt(h2)
+    return w_rows.T
 
 
 def innovations_path(cfg: RapConfig, trace: FamTrace) -> np.ndarray:
@@ -566,19 +546,25 @@ def ito_isometry_check(cfg: RapConfig, n_paths: int, seed: int,
 
     The squared volatility is integrated by the trapezoid rule (the
     volatility is zero at the final date, so the last cell is a half
-    rectangle).  Both sides are evaluated on the same paths, so the
-    difference carries a paired standard error.
+    rectangle), accumulated node row by node row.  Both sides are evaluated
+    on the same paths, so the difference carries a paired standard error,
+    which needs at least two paths.
     """
+    if n_paths < 2:
+        raise ConfigError("the isometry check needs at least 2 paths")
+    dt = np.diff(cfg.partition.grid)
+    weights = 0.5 * (np.append(dt, 0.0) + np.insert(dt, 0, 0.0))
     lhs_parts, rhs_parts = [], []
     done = 0
     block = 0
     while done < n_paths:
         count = min(block_size, n_paths - done)
         trace = fam_paths(cfg, count, seed, block=block, with_innovations=False)
-        dt = np.diff(trace.grid)
-        vol_sq = trace.vol_paths ** 2
+        rhs = np.zeros(count)
+        for wk, vol in zip(weights, trace.vol_paths.T):
+            rhs += wk * (vol * vol)
         lhs_parts.append((trace.x[:, -1] - trace.x[:, 0]) ** 2)
-        rhs_parts.append(0.5 * ((vol_sq[:, :-1] + vol_sq[:, 1:]) @ dt))
+        rhs_parts.append(rhs)
         done += count
         block += 1
     lhs = np.concatenate(lhs_parts)

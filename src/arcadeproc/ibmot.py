@@ -738,8 +738,9 @@ def brute_force_small(problem: IbmotProblem, grid_points: int = 4001
 
     Valid when the feasible set has affine dimension <= 1 (e.g. 2x3
     instances).  Finds a feasible point, walks the null direction of the
-    equality system to its positivity bounds, grid-scans the objective, and
-    refines by golden section (the grid brackets the convex objective's
+    equality system to its positivity bounds, grid-scans the objective (the
+    rows of every grid kernel in one stacked evaluation), and refines by
+    golden section (the grid brackets the convex objective's
     minimizer, the refinement pins it to 1e-12).  The refinement uses
     objective values only, not the solver's slope formula, so the oracle
     stays independent of the code it certifies.
@@ -768,12 +769,16 @@ def brute_force_small(problem: IbmotProblem, grid_points: int = 4001
 
     thetas = np.linspace(lo, hi, grid_points)
     shape = problem.shape
+    mu_w = problem.mu.weights
 
     def value_at(theta: float) -> float:
         pi = np.clip(x0 + theta * d, 0.0, None).reshape(shape)
         return _objective_from_joint(problem, pi)
 
-    vals = np.asarray([value_at(t) for t in thetas])
+    pis = np.clip(x0 + thetas[:, None] * d, 0.0, None).reshape(grid_points, *shape)
+    rows = (pis / mu_w[:, None]).reshape(-1, shape[1])
+    w2 = _w2sq_rows(rows, problem.nu.values, problem.horizon)
+    vals = w2.reshape(grid_points, shape[0]) @ mu_w
     best = int(np.argmin(vals))
     left = thetas[max(best - 1, 0)]
     right = thetas[min(best + 1, grid_points - 1)]
@@ -854,12 +859,14 @@ def ibmot_objective_mc(kernel: CouplingKernel, horizon: float, n_paths: int,
     ``(X_1 - M_t)^2 sqrt(h2)/h3`` over time (trapezoid, left rectangle on
     the final step where the weight diverges); estimator two evaluates
     ``X_1 W_{T_1}`` from the innovations endpoint.  Both use the same paths,
-    so their difference carries a paired standard error.  The time integral
-    is reduced over blocks of ``_COPY_PATHS`` paths, so no temporary spans
-    all paths and nodes.
+    so their difference carries a paired standard error, which needs at
+    least two paths.  The time integral is accumulated node row by node
+    row, so no temporary spans all paths and nodes.
     """
+    if n_paths < 2:
+        raise ConfigError("the Monte Carlo objective needs at least 2 paths")
     from .arcade import ArcadeConfig
-    from .drivers import _COPY_PATHS, brownian_driver
+    from .drivers import brownian_driver
     from .fam import fam_paths
     from .partition import Partition, piecewise_linear_coefficients
     from .rap import RapConfig
@@ -874,8 +881,12 @@ def ibmot_objective_mc(kernel: CouplingKernel, horizon: float, n_paths: int,
     )
     grid = p.grid
     t_hi = p.dates[-1]
-    weight = 1.0 / (t_hi - grid[:-1])      # sqrt(h2)/h3 for the Brownian bridge
     dt = np.diff(grid)
+    # Trapezoid on all but the last step, left rectangle on the final one,
+    # times sqrt(h2)/h3 = 1/(T_1 - t) of the Brownian bridge.
+    weights = 0.5 * (np.append(dt[:-1], 0.0) + np.insert(dt[:-1], 0, 0.0))
+    weights[-1] += dt[-1]
+    weights /= t_hi - grid[:-1]
 
     time_parts, end_parts = [], []
     done, block = 0, 0
@@ -883,12 +894,10 @@ def ibmot_objective_mc(kernel: CouplingKernel, horizon: float, n_paths: int,
         count = min(block_size, n_paths - done)
         trace = fam_paths(cfg, count, seed, block=block, with_innovations=True)
         x_end = trace.x[:, -1]
-        part = np.empty(count)
-        for p0 in range(0, count, _COPY_PATHS):
-            rows = slice(p0, p0 + _COPY_PATHS)
-            err = (x_end[rows, None] - trace.m_paths[rows, :-1]) ** 2 * weight
-            # trapezoid on all but the last step, left rectangle on the final one
-            part[rows] = 0.5 * (err[:, :-1] + err[:, 1:]) @ dt[:-1] + err[:, -1] * dt[-1]
+        part = np.zeros(count)
+        for wk, m in zip(weights, trace.m_paths.T[:-1]):
+            err = x_end - m
+            part += wk * (err * err)
         time_parts.append(part)
         end_parts.append(x_end * trace.w_paths[:, -1])
         done += count

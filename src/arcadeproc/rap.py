@@ -144,10 +144,10 @@ def build_rap_paths(cfg: RapConfig, n_paths: int, seed: int,
     ap = build_ap_paths(cfg.arcade, driver_paths)
     x = cfg.coupling.sample(n_paths, seed, block)
     gmat = cfg.signal.grid_matrix()
-    values = ap.values + x @ gmat
+    values = ap.values.T + gmat.T @ x.T              # (K, P)
     meta = {"kind": "rap", "config": cfg.config_dict(), "block": block}
     meta["config_hash"] = config_hash(meta)
-    return PathBundle(grid=p.grid, values=values, seed=seed, meta=meta), x
+    return PathBundle(grid=p.grid, values=values.T, seed=seed, meta=meta), x
 
 
 # ---------------------------------------------------------------------------

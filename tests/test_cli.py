@@ -152,6 +152,20 @@ class TestFam:
         assert f"{key!r} must be a JSON object" in err["error"]["message"]
 
 
+    @pytest.mark.parametrize("n_paths", [0, 1])
+    def test_isometry_with_fewer_than_two_paths_is_config_error(self, tmp_path, capsys,
+                                                                 n_paths):
+        # one path has no standard error, so the check could not fail
+        doc = json.loads((CONFIGS / "fam_tanh.json").read_text())
+        doc["isometry"] = {"n_paths": n_paths}
+        rc, out = _run(tmp_path, "famiso", doc, "fam", "--paths", "4")
+        assert rc == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "config"
+        assert "at least 2 paths" in err["error"]["message"]
+        assert not (out / "diagnostics.json").exists()
+
+
 class TestIbmot:
     def test_gaussian_instance(self, tmp_path):
         doc = {
@@ -183,6 +197,20 @@ class TestIbmot:
         sol = json.loads((out / "solution.json").read_text())
         assert "mc_check" in sol
         assert sol["duality_gap"] <= 1e-8 * (1 + abs(sol["objective_quantile"]))
+
+    @pytest.mark.parametrize("n_paths", [0, 1])
+    def test_mc_check_with_fewer_than_two_paths_is_config_error(self, tmp_path, capsys,
+                                                                 n_paths):
+        doc = {"mu": [[-1.0, 0.5], [1.0, 0.5]],
+               "nu": [[-2.0, 0.25], [0.0, 0.5], [2.0, 0.25]], "T": 1.0, "seed": 4,
+               "mc_check": {"coupling": {"preset": "binary_pm1"},
+                            "n_paths": n_paths, "steps": 20}}
+        rc, out = _run(tmp_path, "ibmc", doc, "ibmot")
+        assert rc == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "config"
+        assert "at least 2 paths" in err["error"]["message"]
+        assert not (out / "solution.json").exists()
 
     def test_non_converged_exits_numeric(self, tmp_path, capsys):
         doc = {

@@ -19,7 +19,7 @@ from arcadeproc import (
     scaled_bm_driver,
     simulate_driver,
 )
-from arcadeproc.drivers import _TILE, _VAR_FLOOR, simulate_driver_cholesky
+from arcadeproc.drivers import _VAR_FLOOR, simulate_driver_cholesky
 from arcadeproc.streams import stream_rng
 
 from conftest import assert_within_3se
@@ -125,10 +125,10 @@ class TestSimulation:
         brownian_driver(),
     ], ids=["ou", "brownian"])
     def test_matches_scalar_recursion_bitwise(self, driver):
-        # the tiled sampler against the Markov recursion one path and one
-        # node at a time, on the same normal draws
-        p = Partition((0.0, 0.5, 1.5), _TILE // 2 + 7)
-        assert p.grid.size > _TILE
+        # the sampler against the Markov recursion one path and one node at
+        # a time, on the same normal draws
+        p = Partition((0.0, 0.5, 1.5), 71)
+        assert p.grid.size > 128
         seed, block, n_paths = 31, 2, 3
         got = simulate_driver(driver, p, n_paths, seed, block=block).values
         g = p.grid

@@ -29,7 +29,7 @@ from arcadeproc.coupling import (
     gaussian_n01_kernel,
     uniform_mot_kernel,
 )
-from arcadeproc.drivers import _COPY_PATHS, _TILE
+from arcadeproc.drivers import simulate_driver
 
 from conftest import assert_within_3se
 
@@ -360,37 +360,29 @@ class TestIsometry:
 
 
 class TestTiledMarch:
-    """The filter, the innovations and the driver march over tiles of
-    ``_TILE`` nodes and copy blocks of ``_COPY_PATHS`` paths; node counts
-    and path counts that do not divide evenly must give the point filters'
-    values at the tile and block edges."""
+    """The filter, the innovations and the driver march over node rows of
+    time-major path arrays (the class is named after the tiled march these
+    cases were first written for).  Node counts above 128 with one path or
+    with many must give the point filters' values at nodes and paths spread
+    evenly over the arrays."""
 
     @staticmethod
-    def _nodes(trace, cfg):
-        """Interior nodes on both sides of every tile edge, plus the last one."""
-        p = cfg.partition
-        dates = set(int(i) for i in p.date_indices)
-        picks = set()
-        for arc in range(p.n_arcs):
-            start = arc * p.steps_per_arc
-            for edge in range(start, start + p.steps_per_arc + 1, _TILE):
-                picks.update((edge - 1, edge, edge + 1))
-            picks.add(start + p.steps_per_arc - 1)
-        return sorted(k for k in picks if 0 < k < trace.grid.size - 1 and k not in dates)
+    def _nodes(cfg):
+        """Seven interior nodes per arc, evenly spaced, the last one included."""
+        steps = cfg.partition.steps_per_arc
+        return [int(k) for arc in range(cfg.partition.n_arcs)
+                for k in np.linspace(arc * steps + 1, (arc + 1) * steps - 1, 7).round()]
 
     @staticmethod
     def _paths(n_paths):
-        picks = {0, n_paths - 1}
-        for edge in range(_COPY_PATHS, n_paths, _COPY_PATHS):
-            picks.update((edge - 1, edge))
-        return sorted(picks)
+        """Six paths, evenly spaced, the first and the last included."""
+        return np.unique(np.linspace(0, n_paths - 1, 6).round().astype(int)).tolist()
 
-    @pytest.mark.parametrize("n_paths, steps", [(1, _TILE + 1), (777, 333)])
+    @pytest.mark.parametrize("n_paths, steps", [(1, 129), (777, 333)])
     def test_atom_kernel_matches_discrete_filter(self, n_paths, steps):
-        assert steps % _TILE != 0
         cfg = _bridge_rap(Partition((0.0, 1.0), steps), uniform_mot_kernel())
         trace = fam_paths(cfg, n_paths, seed=21)
-        for k in self._nodes(trace, cfg):
+        for k in self._nodes(cfg):
             t = float(trace.grid[k])
             for pidx in self._paths(n_paths):
                 i_t, x_obs = float(trace.i_paths[pidx, k]), [float(trace.x[pidx, 0])]
@@ -399,11 +391,11 @@ class TestTiledMarch:
                 assert trace.vol_paths[pidx, k] == pytest.approx(
                     fam_volatility(cfg, t, i_t, x_obs), rel=1e-9, abs=1e-12)
 
-    @pytest.mark.parametrize("n_paths, steps", [(1, _TILE + 1), (777, 333)])
+    @pytest.mark.parametrize("n_paths, steps", [(1, 129), (777, 333)])
     def test_gaussian_kernel_matches_continuous_filter(self, n_paths, steps):
         cfg = _bridge_rap(Partition((0.0, 1.0), steps), gaussian_n01_kernel())
         trace = fam_paths(cfg, n_paths, seed=22)
-        for k in self._nodes(trace, cfg):
+        for k in self._nodes(cfg):
             t = float(trace.grid[k])
             for pidx in self._paths(n_paths):
                 mean, _ = fam_filter_continuous(cfg, t, float(trace.i_paths[pidx, k]),
@@ -412,9 +404,9 @@ class TestTiledMarch:
 
     @pytest.mark.parametrize("n_paths", [1, 777])
     def test_chain_matches_bruteforce_filter(self, n_paths):
-        cfg = _bridge_rap(Partition((0.0, 1.0, 2.0), _TILE + 1), binary_chain_kernel(2))
+        cfg = _bridge_rap(Partition((0.0, 1.0, 2.0), 129), binary_chain_kernel(2))
         trace = fam_paths(cfg, n_paths, seed=23)
-        for k in self._nodes(trace, cfg):
+        for k in self._nodes(cfg):
             t = float(trace.grid[k])
             arc = cfg.partition.arc_of(t)
             for pidx in self._paths(n_paths):
@@ -422,7 +414,7 @@ class TestTiledMarch:
                                              trace.x[pidx, : arc + 1].tolist())
                 assert trace.m_paths[pidx, k] == pytest.approx(want, abs=1e-10)
 
-    @pytest.mark.parametrize("n_paths, steps", [(1, _TILE + 1), (777, 333)])
+    @pytest.mark.parametrize("n_paths, steps", [(1, 129), (777, 333)])
     def test_innovations_path_reproduces_trace(self, n_paths, steps):
         cfg = _bridge_rap(Partition((0.0, 1.0, 2.0), steps), binary_chain_kernel(2))
         trace = fam_paths(cfg, n_paths, seed=24)
@@ -431,10 +423,20 @@ class TestTiledMarch:
         assert np.all(w[:, 0] == 0.0)
 
     @pytest.mark.parametrize("n_paths", [1, 777])
-    def test_brownian_coupling_innovations_across_tiles(self, n_paths):
-        # W = I - X_0 for the Brownian coupling, so a tile edge that drops
-        # or repeats an increment shows up as a jump
+    def test_brownian_coupling_innovations_match_process(self, n_paths):
+        # W = I - X_0 for the Brownian coupling, so a node that drops or
+        # repeats an increment shows up as a jump
         cfg = _bridge_rap(Partition((0.0, 1.0), 333), brownian_coupling(1.0, 1.0))
         trace = fam_paths(cfg, n_paths, seed=25)
         dev = np.abs(trace.w_paths - (trace.i_paths - trace.x[:, [0]]))
         assert np.max(dev) <= 1e-6
+
+    def test_paths_are_views_of_time_major_buffers(self):
+        # a paths-major copy would double the memory and make node rows strided
+        cfg = _bridge_rap(Partition((0.0, 1.0, 2.0), 129), binary_chain_kernel(2))
+        bundle = simulate_driver(brownian_driver(), cfg.partition, 5, seed=26)
+        trace = fam_paths(cfg, 5, seed=26)
+        for arr in (bundle.values, trace.i_paths, trace.m_paths, trace.vol_paths,
+                    trace.w_paths):
+            assert arr.shape == (5, cfg.partition.grid.size)
+            assert arr.T.flags.c_contiguous and not arr.flags.c_contiguous
