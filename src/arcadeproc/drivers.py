@@ -185,9 +185,10 @@ def driver_preset(name: str, **params) -> GaussMarkovDriver:
 class PathBundle:
     """Monte Carlo ensemble on a grid: one row per path, one column per node.
 
-    The samplers store paths time-major: ``values`` is the ``(paths, nodes)``
-    transposed view of a C-contiguous ``(nodes, paths)`` buffer, so a forward
-    march over the nodes reads and writes one contiguous row per node.
+    ``simulate_driver``, ``build_ap_paths`` and ``build_rap_paths`` store
+    paths time-major: their ``values`` is the ``(paths, nodes)`` transposed
+    view of a C-contiguous ``(nodes, paths)`` buffer, so a forward march over
+    the nodes reads and writes one contiguous row per node.
     """
 
     grid: np.ndarray
