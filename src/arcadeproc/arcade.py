@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .drivers import _VAR_FLOOR, GaussMarkovDriver, PathBundle, config_hash
+from .drivers import _VAR_FLOOR, GaussMarkovDriver, PathBundle, _arc_algebra, config_hash
 from .errors import ConfigError, DegenerateError
 from .partition import (
     CoefficientSet,
@@ -144,73 +144,36 @@ def _closed_form_functions(d: GaussMarkovDriver, p: Partition) -> list[Callable]
     """Per-index callables of the covariance-factorization coefficient family."""
     dates = np.asarray(p.dates)
     h1_d = np.asarray(d.h1(dates), dtype=float)
-    h2_d = np.asarray(d.h2(dates), dtype=float)
-    var_d = h1_d * h2_d
+    var_d = np.asarray(d.variance(dates), dtype=float)
     n = p.n_arcs
-
-    def denom(i: int, j: int) -> float:
-        return h1_d[j] * h2_d[i] - h1_d[i] * h2_d[j]
-
-    def left_piece(i: int):
-        # support [T_{i-1}, T_i]; 1 at T_i
-        den = denom(i - 1, i)
-        if abs(den) < _VAR_FLOOR:
-            if var_d[i - 1] <= _VAR_FLOOR:
-                # degenerate left neighbour: ratio solution H1(x)/H1(T_i)
-                scale = h1_d[i]
-                return lambda x: np.asarray(d.h1(x), dtype=float) / scale
-            raise ConfigError(
-                f"driver factorization is degenerate between T_{i-1} and T_{i}"
-            )
-
-        def f(x):
-            x = np.asarray(x, dtype=float)
-            h1x = np.asarray(d.h1(x), dtype=float)
-            h2x = np.asarray(d.h2(x), dtype=float)
-            return (h1x * h2_d[i - 1] - h1_d[i - 1] * h2x) / den
-
-        return f
-
-    def right_piece(i: int):
-        # support [T_i, T_{i+1}]; 1 at T_i
-        den = denom(i, i + 1)
-        if abs(den) < _VAR_FLOOR:
-            raise ConfigError(
-                f"driver factorization is degenerate between T_{i} and T_{i+1}"
-            )
-
-        def f(x):
-            x = np.asarray(x, dtype=float)
-            h1x = np.asarray(d.h1(x), dtype=float)
-            h2x = np.asarray(d.h2(x), dtype=float)
-            return (h1_d[i + 1] * h2x - h1x * h2_d[i + 1]) / den
-
-        return f
-
+    den = _arc_algebra(d, dates, np.arange(n), dates[:-1]).den
+    # an arc may degenerate only after a date where the driver vanishes
+    bad = np.flatnonzero((np.abs(den) < _VAR_FLOOR) & (var_d[:-1] > _VAR_FLOOR))
+    if bad.size:
+        m = int(bad[0])
+        raise ConfigError(f"driver factorization is degenerate between T_{m} and T_{m + 1}")
     hats = piecewise_linear_coefficients(p)
 
     def make(i: int):
         if var_d[i] <= _VAR_FLOOR:
             # the driver vanishes at this date, any continuous choice works
             return lambda x, i=i: hats.eval(i, x)
-        left = left_piece(i) if i > 0 else None
-        right = right_piece(i) if i < n else None
 
-        def f(x, i=i, left=left, right=right):
+        def f(x, i=i):
             x = np.atleast_1d(np.asarray(x, dtype=float))
             out = np.zeros_like(x)
-            if left is not None:
-                mask = (x >= dates[i - 1]) & (x <= dates[i])
-                out[mask] = np.asarray(left(x[mask]), dtype=float)
-            if right is not None:
-                mask = (x > dates[i]) & (x <= dates[i + 1]) if left is not None \
-                    else (x >= dates[i]) & (x <= dates[i + 1])
-                out[mask] = np.asarray(right(x[mask]), dtype=float)
-            out[x == dates[i]] = 1.0
+            # open supports: the neighbour dates keep exact zeros, T_i gets 1
             if i > 0:
-                out[x == dates[i - 1]] = 0.0
+                mask = (x > dates[i - 1]) & (x < dates[i])
+                if abs(den[i - 1]) < _VAR_FLOOR:
+                    # degenerate left neighbour: ratio solution H1(x)/H1(T_i)
+                    out[mask] = np.asarray(d.h1(x[mask]), dtype=float) / h1_d[i]
+                else:
+                    out[mask] = _arc_algebra(d, dates, i - 1, x[mask]).left / den[i - 1]
             if i < n:
-                out[x == dates[i + 1]] = 0.0
+                mask = (x > dates[i]) & (x < dates[i + 1])
+                out[mask] = _arc_algebra(d, dates, i, x[mask]).right / den[i]
+            out[x == dates[i]] = 1.0
             return out
 
         return f

@@ -18,7 +18,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -94,6 +94,47 @@ class GaussMarkovDriver:
 
     def config_dict(self) -> dict:
         return {"label": self.label, "params": dict(self.params)}
+
+
+class _ArcAlgebra(NamedTuple):
+    """The factorization algebra of an arc ``[a, b] = [T_m, T_{m+1}]`` at ``t``.
+
+    ``right / den`` and ``left / den`` are the standard (Markov) coefficients
+    of ``T_m`` and ``T_{m+1}`` on the arc, ``d_right`` and ``d_left`` the time
+    derivatives of their numerators, ``qv`` the quadratic-variation density.
+    """
+
+    den: np.ndarray       # H1(b) H2(a) - H1(a) H2(b)
+    right: np.ndarray     # H1(b) H2(t) - H1(t) H2(b)
+    left: np.ndarray      # H1(t) H2(a) - H1(a) H2(t)
+    d_right: np.ndarray
+    d_left: np.ndarray
+    qv: np.ndarray
+    d_mean: np.ndarray
+
+
+def _arc_algebra(d: GaussMarkovDriver, dates, arc, t) -> _ArcAlgebra:
+    """:class:`_ArcAlgebra` at times ``t`` on arc index (or index array) ``arc``.
+
+    The arcade coefficients, the martingale volatility and the innovations
+    drift take every factorization quantity from here.
+    """
+    dates = np.asarray(dates, dtype=float)
+    t = np.asarray(t, dtype=float)
+    h1_d, h2_d = np.asarray(d.h1(dates), dtype=float), np.asarray(d.h2(dates), dtype=float)
+    h1a, h2a, h1b, h2b = h1_d[arc], h2_d[arc], h1_d[arc + 1], h2_d[arc + 1]
+    h1t, h2t = np.asarray(d.h1(t), dtype=float), np.asarray(d.h2(t), dtype=float)
+    dh1t = np.asarray(d.h1_deriv(t), dtype=float)
+    dh2t = np.asarray(d.h2_deriv(t), dtype=float)
+    return _ArcAlgebra(
+        den=h1b * h2a - h1a * h2b,
+        right=h1b * h2t - h1t * h2b,
+        left=h1t * h2a - h1a * h2t,
+        d_right=h1b * dh2t - dh1t * h2b,
+        d_left=dh1t * h2a - h1a * dh2t,
+        qv=dh1t * h2t - h1t * dh2t,
+        d_mean=np.asarray(d.mean_deriv(t), dtype=float),
+    )
 
 
 def brownian_driver() -> GaussMarkovDriver:
@@ -256,8 +297,13 @@ def driver_covariance(d: GaussMarkovDriver, s, t, domain: tuple[float, float] | 
     return float(out) if np.isscalar(s) and np.isscalar(t) else out
 
 
-def check_driver_on_grid(d: GaussMarkovDriver, p: Partition) -> None:
-    """Reject drivers whose factorization is not a valid covariance on the grid."""
+def check_driver_on_grid(d: GaussMarkovDriver, p: Partition):
+    """Reject drivers whose factorization is not a valid covariance on the grid.
+
+    Returns the grid mean and variance and, per step ``k-1 -> k``, the slope
+    ``a = K(t_{k-1}, t_k) / Var(t_{k-1})`` (0 where that variance vanishes)
+    and the conditional variance ``max(Var(t_k) - a K(t_{k-1}, t_k), 0)``.
+    """
     g = p.grid
     h2 = np.asarray(d.h2(g), dtype=float)
     if np.any(h2 <= 0.0):
@@ -274,12 +320,13 @@ def check_driver_on_grid(d: GaussMarkovDriver, p: Partition) -> None:
     if np.any(var[interior] + mean[interior] ** 2 <= 0.0):
         raise ConfigError("driver is degenerate at an interior grid node")
     # one-step conditional variances must be non-negative (PSD surrogate)
-    v0, v1 = var[:-1], var[1:]
-    k01 = d.cov(g[:-1], g[1:])
-    ok = v0 <= _VAR_FLOOR
-    cond = np.where(ok, v1, v1 - np.where(ok, 0.0, k01 ** 2) / np.where(ok, 1.0, np.maximum(v0, _VAR_FLOOR)))
+    active = var[:-1] > _VAR_FLOOR
+    kst = np.where(active, d.cov(g[:-1], g[1:]), 0.0)
+    slope = kst / np.where(active, var[:-1], 1.0)
+    cond = var[1:] - slope * kst
     if np.any(cond < -1e-10 * max(1.0, float(np.max(var)))):
         raise ConfigError("driver covariance is not PSD on the grid")
+    return mean, var, slope, np.maximum(cond, 0.0)
 
 
 def simulate_driver(d: GaussMarkovDriver, p: Partition, n_paths: int, seed: int,
@@ -293,10 +340,8 @@ def simulate_driver(d: GaussMarkovDriver, p: Partition, n_paths: int, seed: int,
     """
     if n_paths < 1:
         raise ConfigError("n_paths must be positive")
-    check_driver_on_grid(d, p)
+    mean, var, slope, cond = check_driver_on_grid(d, p)
     g = p.grid
-    mean = np.asarray(d.mean(g), dtype=float)
-    var = np.asarray(d.variance(g), dtype=float)
     rng = stream_rng(seed, "D", block)
     # The normals are drawn in path order, so a path does not depend on the
     # storage layout; their time-major copy is overwritten node by node.
@@ -304,14 +349,11 @@ def simulate_driver(d: GaussMarkovDriver, p: Partition, n_paths: int, seed: int,
     v0 = max(var[0], 0.0)
     vals[0] = mean[0] + (math.sqrt(v0) * vals[0] if v0 > _VAR_FLOOR else 0.0)
     for k in range(1, g.size):
-        vp, vc = var[k - 1], var[k]
-        if vp > _VAR_FLOOR:
-            kst = float(d.cov(g[k - 1], g[k]))
-            a = kst / vp
-            cv = max(vc - a * kst, 0.0)
-            vals[k] = mean[k] + a * (vals[k - 1] - mean[k - 1]) + math.sqrt(cv) * vals[k]
+        cv = cond[k - 1]
+        if var[k - 1] > _VAR_FLOOR:
+            vals[k] = (mean[k] + slope[k - 1] * (vals[k - 1] - mean[k - 1])
+                       + math.sqrt(cv) * vals[k])
         else:
-            cv = max(vc, 0.0)
             vals[k] = mean[k] + (math.sqrt(cv) * vals[k] if cv > _VAR_FLOOR else 0.0)
 
     meta = {

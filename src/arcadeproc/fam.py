@@ -30,9 +30,9 @@ import numpy as np
 
 from .arcade import ap_mean, ap_variance
 from .coupling import GaussianStepKernel, StepKernel
-from .drivers import _VAR_FLOOR
+from .drivers import _VAR_FLOOR, _arc_algebra
 from .errors import ConfigError, DegenerateError, DomainError, NumericError
-from .rap import RapConfig, build_rap_paths
+from .rap import RapConfig, _early_signal_residual, build_rap_paths
 
 __all__ = [
     "FamTrace",
@@ -121,25 +121,11 @@ def _step_posterior(step: StepKernel, x_prev, resid, g_next, var_a):
 # Arc bookkeeping
 # ---------------------------------------------------------------------------
 
-def _h_values(cfg: RapConfig, t: float, arc: int) -> tuple[float, float, float]:
-    """(h1, h2, h3) of the driver factorization for the arc owning ``t``."""
-    d = cfg.arcade.driver
-    t_next = cfg.partition.dates[arc + 1]
-    h1 = float(d.h1_deriv(t) * d.h2(t_next) - d.h1(t_next) * d.h2_deriv(t))
-    h2 = float(d.h1_deriv(t) * d.h2(t) - d.h1(t) * d.h2_deriv(t))
-    h3 = float(d.h1(t_next) * d.h2(t) - d.h1(t) * d.h2(t_next))
-    return h1, h2, h3
-
-
-def _reduction_applies(cfg: RapConfig) -> bool:
-    """True when every ``g_j`` vanishes on ``[T_0, T_{j-1}]`` (grid check)."""
+def _grid_algebra(cfg: RapConfig):
+    """The driver's arc algebra at the nodes ``grid[:-1]`` the marches visit."""
     p = cfg.partition
-    grid = p.grid
-    for j in range(1, p.n_arcs + 1):
-        gj = np.asarray(cfg.signal.eval(j, grid), dtype=float)
-        if np.max(np.abs(gj[grid <= p.dates[j - 1] + 1e-15])) > 1e-12:
-            return False
-    return True
+    arcs = np.repeat(np.arange(p.n_arcs), p.steps_per_arc)
+    return _arc_algebra(cfg.arcade.driver, p.dates, arcs, p.grid[:-1])
 
 
 def _prefix_base(x: np.ndarray, gmat: np.ndarray, k: int, arc: int,
@@ -213,7 +199,7 @@ def fam_paths(cfg: RapConfig, n_paths: int, seed: int, block: int = 0,
         raise ConfigError("innovations require a standard randomized arcade")
 
     rap, x = build_rap_paths(cfg, n_paths, seed, block)
-    reduced = _reduction_applies(cfg)
+    reduced = _early_signal_residual(cfg) <= 1e-12
     if not reduced and any(s.conditional_kind != "atoms" for s in cfg.coupling.steps):
         raise ConfigError(
             "full conditioning needs atom-valued step kernels; "
@@ -244,6 +230,10 @@ def _filter_march(cfg: RapConfig, i_vals: np.ndarray, x: np.ndarray,
     gmat = cfg.signal.grid_matrix()                 # (n+1, K)
     mu_a = np.asarray(ap_mean(cfg.arcade, grid), dtype=float)
     var_a = np.asarray(ap_variance(cfg.arcade, grid), dtype=float)
+    # the volatility is Var[X | .] sqrt(h2) / h3 where h3 > 0 and h2 >= 0, else 0
+    alg = _grid_algebra(cfg)
+    vol_ok = (alg.right > _VAR_FLOOR) & (alg.qv >= 0.0)
+    root_qv = np.sqrt(np.maximum(alg.qv, 0.0))
 
     i_rows = i_vals.T
     m_rows = np.empty(i_rows.shape)
@@ -252,11 +242,10 @@ def _filter_march(cfg: RapConfig, i_vals: np.ndarray, x: np.ndarray,
     for arc in range(n):
         posterior = _arc_posterior(cfg.coupling.steps[arc], x[:, arc]) if reduced else None
         for k in range(arc * steps, (arc + 1) * steps):
-            t = float(grid[k])
             is_date = (k == arc * steps)
             va = 0.0 if is_date else float(var_a[k])
             if not is_date and va <= _VAR_FLOOR:
-                raise DegenerateError(f"zero noise variance at interior node t={t}")
+                raise DegenerateError(f"zero noise variance at interior node t={grid[k]}")
             if reduced:
                 resid = i_rows[k] - _prefix_base(x, gmat, k, arc, float(mu_a[k]))
                 mean, pvar, uf = posterior(resid, float(gmat[arc + 1, k]), va)
@@ -266,11 +255,7 @@ def _filter_march(cfg: RapConfig, i_vals: np.ndarray, x: np.ndarray,
                 )
             underflow += uf
             m_rows[k] = x[:, arc] if is_date else mean
-            _, h2, h3 = _h_values(cfg, t, arc)
-            if h3 > _VAR_FLOOR and h2 >= 0.0:
-                vol_rows[k] = pvar * math.sqrt(max(h2, 0.0)) / h3
-            else:
-                vol_rows[k] = 0.0
+            vol_rows[k] = pvar * root_qv[k] / alg.right[k] if vol_ok[k] else 0.0
     m_rows[-1] = x[:, n]
     vol_rows[-1] = 0.0
     return m_rows.T, vol_rows.T, underflow
@@ -448,7 +433,8 @@ def fam_volatility(cfg: RapConfig, t: float, i_t: float, x_observed) -> float:
     _, pvar, _ = _step_posterior(step, x_obs[m: m + 1],
                                  np.asarray([i_t - base]), g_next, va)
     pv = float(pvar[0])
-    _, h2, h3 = _h_values(cfg, t, m)
+    alg = _arc_algebra(cfg.arcade.driver, p.dates, m, t)
+    h2, h3 = float(alg.qv), float(alg.right)
     if h3 <= _VAR_FLOOR:
         raise DomainError("volatility denominator vanishes at the arc endpoint")
     return pv * math.sqrt(max(h2, 0.0)) / h3
@@ -473,36 +459,33 @@ def innovations_from_arrays(cfg: RapConfig, i_vals: np.ndarray,
     if not cfg.standard:
         raise ConfigError("innovations are defined for standard configurations")
     p = cfg.partition
-    d = cfg.arcade.driver
     grid = p.grid
     steps = p.steps_per_arc
     gmat = cfg.signal.grid_matrix()
     mu_a = np.asarray(ap_mean(cfg.arcade, grid), dtype=float)
-    dates = np.asarray(p.dates)
-    mu_dates = np.asarray(d.mean(dates), dtype=float)
+    alg = _grid_algebra(cfg)
+    if np.any(alg.den == 0.0):
+        raise DegenerateError("driver factorization is degenerate on an arc")
+    if np.any(alg.qv <= 0.0):
+        raise NumericError("driver quadratic-variation density is not positive")
+    # d/dt of f_{arc} (right piece) and f_{arc+1} (left piece), and of mu_A
+    dg_m = alg.d_right / alg.den
+    dg_next = alg.d_left / alg.den
+    mu_dates = np.asarray(cfg.arcade.driver.mean(np.asarray(p.dates)), dtype=float)
+    arcs = np.arange(grid.size - 1) // steps
+    mu_a_deriv = alg.d_mean - dg_m * mu_dates[arcs] - dg_next * mu_dates[arcs + 1]
 
     i_rows, m_rows = i_vals.T, m_vals.T
     w_rows = np.empty(i_rows.shape)
     w_rows[0] = 0.0
     for arc in range(p.n_arcs):
-        t_lo, t_hi = dates[arc], dates[arc + 1]
-        den = float(d.h1(t_hi) * d.h2(t_lo) - d.h1(t_lo) * d.h2(t_hi))
         for k in range(arc * steps, (arc + 1) * steps):
-            t = float(grid[k])
-            h1, h2, h3 = _h_values(cfg, t, arc)
-            # d/dt of f_{arc} (right piece) and f_{arc+1} (left piece) on this arc
-            h1m = float(d.h1_deriv(t) * d.h2(t_lo) - d.h1(t_lo) * d.h2_deriv(t))
-            dg_m = -h1 / den
-            dg_next = h1m / den
-            mu_a_deriv = (float(d.mean_deriv(t)) - dg_m * mu_dates[arc]
-                          - dg_next * mu_dates[arc + 1])
+            h1, h2, h3 = -alg.d_right[k], alg.qv[k], alg.right[k]
             z = i_rows[k] - _prefix_base(x, gmat, k, arc, mu_a[k])
-            j = dg_m * x[:, arc] + mu_a_deriv
+            j = dg_m[k] * x[:, arc] + mu_a_deriv[k]
             drift = (z * h1 - m_rows[k] * h2) / h3 - j
             dt = float(grid[k + 1] - grid[k])
             dn = drift * dt + (i_rows[k + 1] - i_rows[k])
-            if h2 <= 0.0:
-                raise NumericError("driver quadratic-variation density is not positive")
             w_rows[k + 1] = w_rows[k] + dn / math.sqrt(h2)
     return w_rows.T
 
@@ -529,14 +512,18 @@ class IsometryReport:
 
     @property
     def z_score(self) -> float:
-        return abs(self.diff_mean) / self.diff_se if self.diff_se > 0 else 0.0
+        """``|difference| / SE``; infinite for a nonzero difference with zero SE."""
+        if self.diff_se > 0:
+            return abs(self.diff_mean) / self.diff_se
+        return math.inf if self.diff_mean != 0 else 0.0
 
     def as_dict(self) -> dict:
+        z = self.z_score
         return {
             "target_jump_sq": self.lhs_mean, "target_jump_sq_se": self.lhs_se,
             "integrated_vol_sq": self.rhs_mean, "integrated_vol_sq_se": self.rhs_se,
             "difference": self.diff_mean, "difference_se": self.diff_se,
-            "z_score": self.z_score,
+            "z_score": z if math.isfinite(z) else None,
         }
 
 

@@ -41,6 +41,7 @@ from .errors import ConfigError, DegenerateError, DomainError
 from .partition import (
     CoefficientSet,
     Partition,
+    carryover_noise_coefficients,
     piecewise_linear_coefficients,
     validate_coefficient_set,
 )
@@ -111,19 +112,28 @@ class RapConfig:
         }
 
 
-def _standard_signal_residual(cfg: RapConfig) -> float:
-    """Max deviation from g_j = 0 before T_{j-1} and g_j = f_j on its arc."""
+def _early_signal_residual(cfg: RapConfig) -> float:
+    """Max ``|g_j|`` over the grid nodes of ``[T_0, T_{j-1}]``, j = 1..n: zero
+    when every signal coefficient vanishes ahead of its arc."""
     p = cfg.partition
     grid = p.grid
     worst = 0.0
     for j in range(1, p.n_arcs + 1):
         gj = np.asarray(cfg.signal.eval(j, grid), dtype=float)
-        before = grid <= p.dates[j - 1] + 1e-15
-        if np.any(before):
-            worst = max(worst, float(np.max(np.abs(gj[before]))))
-        on_arc = (grid >= p.dates[j - 1]) & (grid <= p.dates[j])
-        fj = np.asarray(cfg.arcade.coeffs.eval(j, grid[on_arc]), dtype=float)
-        worst = max(worst, float(np.max(np.abs(gj[on_arc] - fj))))
+        worst = max(worst, float(np.max(np.abs(gj[grid <= p.dates[j - 1] + 1e-15]))))
+    return worst
+
+
+def _standard_signal_residual(cfg: RapConfig) -> float:
+    """Max deviation from g_j = 0 before T_{j-1} and g_j = f_j on its arc."""
+    p = cfg.partition
+    grid = p.grid
+    worst = _early_signal_residual(cfg)
+    for j in range(1, p.n_arcs + 1):
+        on_arc = grid[(grid >= p.dates[j - 1]) & (grid <= p.dates[j])]
+        gj = np.asarray(cfg.signal.eval(j, on_arc), dtype=float)
+        fj = np.asarray(cfg.arcade.coeffs.eval(j, on_arc), dtype=float)
+        worst = max(worst, float(np.max(np.abs(gj - fj))))
     return worst
 
 
@@ -196,13 +206,9 @@ def nearly_markov_check(cfg: RapConfig, tol: float = 1e-8) -> NearlyMarkovReport
     if markov.passed:
         fact = markov.factorization
         steps = p.steps_per_arc
+        vanish = _early_signal_residual(cfg)
         for j in range(1, p.n_arcs + 1):
-            grid = p.grid
-            gj = np.asarray(cfg.signal.eval(j, grid), dtype=float)
-            before = grid <= p.dates[j - 1] + 1e-15
-            if np.any(before):
-                vanish = max(vanish, float(np.max(np.abs(gj[before]))))
-            nodes = grid[(j - 1) * steps + 1: j * steps]
+            nodes = p.grid[(j - 1) * steps + 1: j * steps]
             a1 = fact.a1[j - 1][1:-1]
             gvals = np.asarray(cfg.signal.eval(j, nodes), dtype=float)
             ref = int(np.argmax(np.abs(gvals)))
@@ -342,25 +348,19 @@ def carryover_signal_coefficients(p: Partition) -> CoefficientSet:
     """Signal coefficients that keep the carryover noise family nearly-Markov.
 
     Pairs with :func:`arcadeproc.partition.carryover_noise_coefficients` on
-    two arcs: ``g_1`` is the hat function, ``g_2`` vanishes on the first arc
-    and on the second arc follows the noise factor ``A1`` (rescaled to reach
-    one at ``T_2``), with a slope break at the arc midpoint; ``g_0`` reuses
-    the carryover noise coefficient.  All pieces are linear with breakpoints
-    on the grid, so the explicit table is exact for even ``steps_per_arc``.
+    two arcs and shares its rows ``g_0`` (the carryover coefficient) and
+    ``g_1`` (the hat function).  ``g_2`` vanishes on the first arc and on the
+    second arc follows the noise factor ``A1`` (rescaled to reach one at
+    ``T_2``), with a slope break at the arc midpoint.  All pieces are linear
+    with breakpoints on the grid, so the explicit table is exact for even
+    ``steps_per_arc``.
     """
-    if p.n_arcs != 2:
-        raise ConfigError("carryover signal family is defined on exactly two arcs")
-    if p.steps_per_arc % 2:
-        raise ConfigError("carryover signal family needs an even steps_per_arc")
+    table = carryover_noise_coefficients(p, "signal").table
     t0, t1, t2 = p.dates
     mid = 0.5 * (t1 + t2)
     g = p.grid
-
-    g0 = np.where(g <= mid, (t1 - g) / (t1 - t0), -(t2 - g) / (t1 - t0))
-    g1 = np.where(g <= t1, (g - t0) / (t1 - t0), (t2 - g) / (t2 - t1))
     lower = (g - t1) / (t2 - t1) + (g - t1) * t0 / (t1 - t0) ** 2
     upper = (g - t1) / (t2 - t1) + (t2 - g) * t0 / (t1 - t0) ** 2
-    g2 = np.where(g <= t1, 0.0, np.where(g <= mid, lower, upper))
-    table = np.vstack([g0, g1, g2])
-    table[:, p.date_indices] = np.eye(3)
+    table[2] = np.where(g <= t1, 0.0, np.where(g <= mid, lower, upper))
+    table[2, p.date_indices] = (0.0, 0.0, 1.0)
     return CoefficientSet(p, "explicit_table", "signal", table=table)

@@ -151,6 +151,34 @@ class TestFam:
         assert err["error"]["type"] == "config"
         assert f"{key!r} must be a JSON object" in err["error"]["message"]
 
+    def test_degenerate_driver_arc_is_numeric_error(self, tmp_path, capsys):
+        # t*B_t from 0 has a zero factorization denominator on the first arc
+        doc = {
+            "partition": {"dates": [0.0, 1.0], "steps_per_arc": 50},
+            "driver": {"preset": "scaled_bm"},
+            "coefficients": {"family": "standard"},
+            "coupling": {"preset": "binary_pm1"},
+            "standard": True,
+            "n_paths": 4,
+            "seed": 11,
+        }
+        rc, _ = _run(tmp_path, "famdeg", doc, "fam")
+        assert rc == EXIT_NUMERIC
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "numeric"
+
+    def test_isometry_with_zero_spread_fails(self, tmp_path):
+        # every path moves 1 -> 2, so the difference is 1 with zero SE
+        doc = json.loads((CONFIGS / "fam_tanh.json").read_text())
+        doc["coupling"] = {"atoms_mu": [[1.0, 1.0]], "values_nu": [2.0], "gamma": [[1.0]]}
+        doc["standard"] = False
+        doc["isometry"] = {"n_paths": 50}
+        rc, out = _run(tmp_path, "famzero", doc, "fam", "--paths", "4")
+        assert rc == EXIT_OK
+        text = (out / "diagnostics.json").read_text()
+        iso = json.loads(text, parse_constant=lambda c: pytest.fail(f"non-JSON {c}"))["isometry"]
+        assert iso["pass"] is False
+        assert iso["z_score"] is None
 
     @pytest.mark.parametrize("n_paths", [0, 1])
     def test_isometry_with_fewer_than_two_paths_is_config_error(self, tmp_path, capsys,

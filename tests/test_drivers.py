@@ -18,8 +18,9 @@ from arcadeproc import (
     ou_driver,
     scaled_bm_driver,
     simulate_driver,
+    standard_coefficients,
 )
-from arcadeproc.drivers import _VAR_FLOOR, simulate_driver_cholesky
+from arcadeproc.drivers import _VAR_FLOOR, _arc_algebra, simulate_driver_cholesky
 from arcadeproc.streams import stream_rng
 
 from conftest import assert_within_3se
@@ -200,3 +201,51 @@ class TestQuadraticVariation:
         p = Partition((0.0, 1.0), 400)
         got = driver_quadratic_variation(d, p, 1.0)
         assert got == pytest.approx(1.0, rel=1e-5)
+
+
+_ALGEBRA_DRIVERS = [
+    brownian_driver,
+    lambda: ou_driver(theta=0.8, sigma=1.1, mu=1.5, d0=-0.5, t_ref=0.2),
+    scaled_bm_driver,
+]
+
+
+class TestArcAlgebra:
+    """The one factorization table behind coefficients, volatility and drift."""
+
+    P = Partition((0.5, 1.3, 2.0, 3.1), 16)
+
+    def _arc_nodes(self, m):
+        steps = self.P.steps_per_arc
+        return self.P.grid[m * steps: (m + 1) * steps + 1]
+
+    @pytest.mark.parametrize("factory", _ALGEBRA_DRIVERS)
+    def test_numerators_over_den_are_standard_coefficients(self, factory):
+        d = factory()
+        cs = standard_coefficients(d, self.P)
+        for m in range(self.P.n_arcs):
+            t = self._arc_nodes(m)
+            alg = _arc_algebra(d, self.P.dates, m, t)
+            assert np.array_equal(alg.right / alg.den, cs.eval(m, t))
+            assert np.array_equal(alg.left / alg.den, cs.eval(m + 1, t))
+
+    @pytest.mark.parametrize("factory", _ALGEBRA_DRIVERS)
+    def test_derivatives_match_central_differences(self, factory):
+        d = factory()
+        cs = standard_coefficients(d, self.P)
+        h = 1e-5
+        for m in range(self.P.n_arcs):
+            t = self._arc_nodes(m)[1:-1]
+            alg = _arc_algebra(d, self.P.dates, m, t)
+            for i, num in ((m, alg.d_right), (m + 1, alg.d_left)):
+                diff = (cs.eval(i, t + h) - cs.eval(i, t - h)) / (2.0 * h)
+                assert np.max(np.abs(num / alg.den - diff)) <= 1e-6
+            diff = (d.mean(t + h) - d.mean(t - h)) / (2.0 * h)
+            assert np.max(np.abs(alg.d_mean - diff)) <= 1e-6
+
+    @pytest.mark.parametrize("factory", _ALGEBRA_DRIVERS)
+    def test_qv_is_the_density(self, factory):
+        d = factory()
+        arcs = np.repeat(np.arange(self.P.n_arcs), self.P.steps_per_arc)
+        t = self.P.grid[:-1]
+        assert np.array_equal(_arc_algebra(d, self.P.dates, arcs, t).qv, d.qv_density(t))

@@ -6,6 +6,7 @@ import pytest
 from arcadeproc import (
     ArcadeConfig,
     ConfigError,
+    DegenerateError,
     DomainError,
     Partition,
     RapConfig,
@@ -19,9 +20,13 @@ from arcadeproc import (
     ito_isometry_check,
     ou_driver,
     piecewise_linear_coefficients,
+    scaled_bm_driver,
     standard_coefficients,
 )
 from arcadeproc.coupling import (
+    CouplingKernel,
+    DegenerateMarginal,
+    DeterministicAffineKernel,
     binary_chain_kernel,
     binary_pm1_kernel,
     brownian_coupling,
@@ -330,6 +335,16 @@ class TestInnovations:
         assert_within_3se(sq.mean(), dt, sq.std(ddof=1) / np.sqrt(sq.size),
                           "drift Var[dW]")
 
+    def test_degenerate_first_arc_is_rejected(self):
+        # t*B_t from 0: H1(T_1) H2(0) - H1(0) H2(T_1) = 0, so the drift of
+        # arc 0 has no finite coefficients
+        p = Partition((0.0, 1.0), 50)
+        f = standard_coefficients(scaled_bm_driver(), p)
+        cfg = RapConfig(ArcadeConfig(scaled_bm_driver(), f), f.with_role("signal"),
+                        binary_pm1_kernel(), standard=True)
+        with pytest.raises(DegenerateError):
+            fam_paths(cfg, 4, seed=19)
+
     def test_requires_standard(self, unit_partition):
         cfg = _bridge_rap(unit_partition, binary_pm1_kernel(), standard=False)
         trace = fam_paths(cfg, 10, seed=14, with_innovations=False)
@@ -357,6 +372,18 @@ class TestIsometry:
         rep = ito_isometry_check(cfg, 2_000, seed=17)
         assert rep.lhs_mean == 0.0
         assert rep.rhs_mean == 0.0
+
+    def test_nonzero_difference_with_zero_se_fails(self):
+        # X_0 = 1, X_1 = 2 on every path: the sides differ by exactly 1 with
+        # no spread, which must not read as a z-score of 0
+        hats = piecewise_linear_coefficients(Partition((0.0, 1.0), 20))
+        kernel = CouplingKernel(DegenerateMarginal(1.0), (DeterministicAffineKernel(2.0),))
+        cfg = RapConfig(ArcadeConfig(brownian_driver(), hats), hats.with_role("signal"),
+                        kernel)
+        rep = ito_isometry_check(cfg, 10, seed=20)
+        assert (rep.diff_mean, rep.diff_se) == (1.0, 0.0)
+        assert rep.z_score == np.inf
+        assert rep.as_dict()["z_score"] is None
 
 
 class TestTiledMarch:

@@ -132,6 +132,11 @@ class TestNearlyMarkov:
         rep = nearly_markov_check(cfg, tol=1e-9)
         assert rep.passed
 
+    def test_carryover_signal_shares_noise_rows(self):
+        p = Partition((0.5, 2.0, 3.5), 16)
+        signal = carryover_signal_coefficients(p).table
+        assert np.array_equal(signal[:2], carryover_noise_coefficients(p).table[:2])
+
     def test_signal_active_too_early_fails(self):
         # a g_2 with support inside [T_0, T_1] violates the vanishing condition
         p = Partition((0.5, 2.0, 3.5), 16)
