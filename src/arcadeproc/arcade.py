@@ -21,7 +21,14 @@ from typing import Callable
 
 import numpy as np
 
-from .drivers import _VAR_FLOOR, GaussMarkovDriver, PathBundle, _arc_algebra, config_hash
+from .drivers import (
+    _PATH_BLOCK,
+    _VAR_FLOOR,
+    GaussMarkovDriver,
+    PathBundle,
+    _arc_coefficients,
+    config_hash,
+)
 from .errors import ConfigError, DegenerateError
 from .partition import (
     CoefficientSet,
@@ -81,19 +88,36 @@ def build_ap_paths(cfg: ArcadeConfig, driver_paths: PathBundle) -> PathBundle:
 
     The construction is anticipative: each path uses its own driver values at
     all dates.  With node-exact coefficients the result is exactly zero at
-    every date.
+    every date.  ``driver_paths`` is left unchanged.
     """
     p = cfg.partition
     if driver_paths.grid.shape != p.grid.shape or not np.allclose(
         driver_paths.grid, p.grid, rtol=0.0, atol=1e-12
     ):
         raise ConfigError("driver paths were simulated on a different grid")
-    fmat = cfg.coeffs.grid_matrix()                  # (n+1, K)
-    d_rows = driver_paths.values.T                   # (K, P)
-    values = d_rows - fmat.T @ d_rows[p.date_indices]
+    rows = driver_paths.values.T.copy()              # (K, P)
+    _assemble_in_place(rows, cfg.coeffs.grid_matrix(), p.date_indices)
     meta = {"kind": "ap", "config": cfg.config_dict()}
     meta["config_hash"] = config_hash(meta)
-    return PathBundle(grid=p.grid, values=values.T, seed=driver_paths.seed, meta=meta)
+    return PathBundle(grid=p.grid, values=rows.T, seed=driver_paths.seed, meta=meta)
+
+
+def _assemble_in_place(rows: np.ndarray, fmat: np.ndarray, date_indices,
+                       gmat: np.ndarray | None = None, x: np.ndarray | None = None) -> None:
+    """Turn time-major driver rows ``D`` (nodes, paths) into ``D - F^T D_dates``,
+    plus the signal ``G^T X^T`` when ``gmat`` and the targets ``x`` (paths,
+    n+1) are given.
+
+    Runs in column blocks of :data:`_PATH_BLOCK` paths, so the scratch is one
+    block of products; each block's products equal the columns of the
+    full-size products bit for bit.
+    """
+    d_dates = rows[date_indices]                     # a copy: the date rows change
+    for s in range(0, rows.shape[1], _PATH_BLOCK):
+        e = min(s + _PATH_BLOCK, rows.shape[1])
+        rows[:, s:e] -= fmat.T @ d_dates[:, s:e]
+        if gmat is not None:
+            rows[:, s:e] += gmat.T @ x.T[:, s:e]
 
 
 def ap_mean(cfg: ArcadeConfig, t):
@@ -146,7 +170,7 @@ def _closed_form_functions(d: GaussMarkovDriver, p: Partition) -> list[Callable]
     h1_d = np.asarray(d.h1(dates), dtype=float)
     var_d = np.asarray(d.variance(dates), dtype=float)
     n = p.n_arcs
-    den = _arc_algebra(d, dates, np.arange(n), dates[:-1]).den
+    den = _arc_coefficients(d, dates, np.arange(n), dates[:-1]).den
     # an arc may degenerate only after a date where the driver vanishes
     bad = np.flatnonzero((np.abs(den) < _VAR_FLOOR) & (var_d[:-1] > _VAR_FLOOR))
     if bad.size:
@@ -169,10 +193,10 @@ def _closed_form_functions(d: GaussMarkovDriver, p: Partition) -> list[Callable]
                     # degenerate left neighbour: ratio solution H1(x)/H1(T_i)
                     out[mask] = np.asarray(d.h1(x[mask]), dtype=float) / h1_d[i]
                 else:
-                    out[mask] = _arc_algebra(d, dates, i - 1, x[mask]).left / den[i - 1]
+                    out[mask] = _arc_coefficients(d, dates, i - 1, x[mask]).left / den[i - 1]
             if i < n:
                 mask = (x > dates[i]) & (x < dates[i + 1])
-                out[mask] = _arc_algebra(d, dates, i, x[mask]).right / den[i]
+                out[mask] = _arc_coefficients(d, dates, i, x[mask]).right / den[i]
             out[x == dates[i]] = 1.0
             return out
 

@@ -42,6 +42,10 @@ __all__ = [
 # arcade, rap and fam import it from here.
 _VAR_FLOOR = 1e-14
 
+# Paths per column block when a time-major (nodes, paths) buffer is filled
+# or transformed block by block: the scratch of one block is (nodes, 256).
+_PATH_BLOCK = 256
+
 
 # ---------------------------------------------------------------------------
 # Driver type and presets
@@ -96,40 +100,66 @@ class GaussMarkovDriver:
         return {"label": self.label, "params": dict(self.params)}
 
 
-class _ArcAlgebra(NamedTuple):
-    """The factorization algebra of an arc ``[a, b] = [T_m, T_{m+1}]`` at ``t``.
-
-    ``right / den`` and ``left / den`` are the standard (Markov) coefficients
-    of ``T_m`` and ``T_{m+1}`` on the arc, ``d_right`` and ``d_left`` the time
-    derivatives of their numerators, ``qv`` the quadratic-variation density.
-    """
+class _ArcCoefficients(NamedTuple):
+    """The standard (Markov) coefficients of an arc ``[a, b] = [T_m, T_{m+1}]``
+    at ``t``: ``right / den`` for ``T_m`` and ``left / den`` for ``T_{m+1}``."""
 
     den: np.ndarray       # H1(b) H2(a) - H1(a) H2(b)
     right: np.ndarray     # H1(b) H2(t) - H1(t) H2(b)
     left: np.ndarray      # H1(t) H2(a) - H1(a) H2(t)
+
+
+class _ArcAlgebra(NamedTuple):
+    """:class:`_ArcCoefficients` plus ``d_right`` and ``d_left``, the time
+    derivatives of the numerators, the quadratic-variation density ``qv`` and
+    the driver mean's derivative ``d_mean``."""
+
+    den: np.ndarray
+    right: np.ndarray
+    left: np.ndarray
     d_right: np.ndarray
     d_left: np.ndarray
     qv: np.ndarray
     d_mean: np.ndarray
 
 
-def _arc_algebra(d: GaussMarkovDriver, dates, arc, t) -> _ArcAlgebra:
-    """:class:`_ArcAlgebra` at times ``t`` on arc index (or index array) ``arc``.
-
-    The arcade coefficients, the martingale volatility and the innovations
-    drift take every factorization quantity from here.
-    """
+def _arc_factors(d: GaussMarkovDriver, dates, arc, t) -> tuple[np.ndarray, ...]:
+    """``H1(a), H2(a), H1(b), H2(b), H1(t), H2(t)`` on arc index (or index
+    array) ``arc``."""
     dates = np.asarray(dates, dtype=float)
     t = np.asarray(t, dtype=float)
     h1_d, h2_d = np.asarray(d.h1(dates), dtype=float), np.asarray(d.h2(dates), dtype=float)
-    h1a, h2a, h1b, h2b = h1_d[arc], h2_d[arc], h1_d[arc + 1], h2_d[arc + 1]
-    h1t, h2t = np.asarray(d.h1(t), dtype=float), np.asarray(d.h2(t), dtype=float)
-    dh1t = np.asarray(d.h1_deriv(t), dtype=float)
-    dh2t = np.asarray(d.h2_deriv(t), dtype=float)
-    return _ArcAlgebra(
+    return (h1_d[arc], h2_d[arc], h1_d[arc + 1], h2_d[arc + 1],
+            np.asarray(d.h1(t), dtype=float), np.asarray(d.h2(t), dtype=float))
+
+
+def _arc_coefficients(d: GaussMarkovDriver, dates, arc, t,
+                      factors: tuple | None = None) -> _ArcCoefficients:
+    """:class:`_ArcCoefficients` at times ``t`` on arc index (or index array)
+    ``arc``; evaluates no derivative.  ``factors`` are the
+    :func:`_arc_factors` values when the caller already has them."""
+    h1a, h2a, h1b, h2b, h1t, h2t = factors or _arc_factors(d, dates, arc, t)
+    return _ArcCoefficients(
         den=h1b * h2a - h1a * h2b,
         right=h1b * h2t - h1t * h2b,
         left=h1t * h2a - h1a * h2t,
+    )
+
+
+def _arc_algebra(d: GaussMarkovDriver, dates, arc, t) -> _ArcAlgebra:
+    """:class:`_ArcAlgebra` at times ``t`` on arc index (or index array) ``arc``.
+
+    The martingale volatility and the innovations drift take every
+    factorization quantity from here, the arcade coefficients the
+    :func:`_arc_coefficients` part.
+    """
+    factors = _arc_factors(d, dates, arc, t)
+    h1a, h2a, h1b, h2b, h1t, h2t = factors
+    t = np.asarray(t, dtype=float)
+    dh1t = np.asarray(d.h1_deriv(t), dtype=float)
+    dh2t = np.asarray(d.h2_deriv(t), dtype=float)
+    return _ArcAlgebra(
+        *_arc_coefficients(d, dates, arc, t, factors),
         d_right=h1b * dh2t - dh1t * h2b,
         d_left=dh1t * h2a - h1a * dh2t,
         qv=dh1t * h2t - h1t * dh2t,
@@ -329,6 +359,21 @@ def check_driver_on_grid(d: GaussMarkovDriver, p: Partition):
     return mean, var, slope, np.maximum(cond, 0.0)
 
 
+def _time_major_normals(rng: np.random.Generator, n_paths: int, n_nodes: int) -> np.ndarray:
+    """``rng.standard_normal((n_paths, n_nodes)).T`` as a C-contiguous
+    ``(n_nodes, n_paths)`` array.
+
+    The normals are drawn in path order, so a path does not depend on the
+    storage layout; drawing :data:`_PATH_BLOCK` paths at a time consumes the
+    stream in the same order without a second full-size array.
+    """
+    out = np.empty((n_nodes, n_paths))
+    for s in range(0, n_paths, _PATH_BLOCK):
+        e = min(s + _PATH_BLOCK, n_paths)
+        out[:, s:e] = rng.standard_normal((e - s, n_nodes)).T
+    return out
+
+
 def simulate_driver(d: GaussMarkovDriver, p: Partition, n_paths: int, seed: int,
                     block: int = 0) -> PathBundle:
     """Exact-law sequential sampling of the driver on the partition grid.
@@ -342,10 +387,7 @@ def simulate_driver(d: GaussMarkovDriver, p: Partition, n_paths: int, seed: int,
         raise ConfigError("n_paths must be positive")
     mean, var, slope, cond = check_driver_on_grid(d, p)
     g = p.grid
-    rng = stream_rng(seed, "D", block)
-    # The normals are drawn in path order, so a path does not depend on the
-    # storage layout; their time-major copy is overwritten node by node.
-    vals = rng.standard_normal((n_paths, g.size)).T.copy()
+    vals = _time_major_normals(stream_rng(seed, "D", block), n_paths, g.size)
     v0 = max(var[0], 0.0)
     vals[0] = mean[0] + (math.sqrt(v0) * vals[0] if v0 > _VAR_FLOOR else 0.0)
     for k in range(1, g.size):

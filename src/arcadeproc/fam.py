@@ -13,11 +13,16 @@ the innovations Brownian motion recovered from the paths, and a Monte Carlo
 isometry check tying ``E[(X_n - X_0)^2]`` to the integrated squared
 volatility.
 
-Along simulated paths the filter, like the innovations reconstruction and
-the driver sampler, is one forward march over the grid nodes.  The paths are
-stored time-major (see :class:`FamTrace`), so each node reads and writes one
-contiguous row.  What is constant on an arc (the conditional atoms of the
-next target and their log prior weights) is evaluated once per arc.
+Along simulated paths the filter and the innovations reconstruction are one
+forward march over the grid nodes (:func:`_march`).  It reads one contiguous
+row of the time-major ``I`` buffer (see :class:`FamTrace`) per node and
+yields that node's rows of ``M``, the volatility and, for standard
+configurations, ``W``; its state between nodes is the running ``W`` row.
+What is constant on an arc (the conditional atoms of the next target and
+their log prior weights) is evaluated once per arc.  :func:`fam_paths`
+stores the rows as whole paths; the isometry check, like the Monte Carlo
+objective in :mod:`arcadeproc.ibmot`, keeps only per-path running sums, so
+an operation holds one ``(nodes, paths)`` array, the ``I`` buffer.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -192,41 +198,62 @@ def fam_paths(cfg: RapConfig, n_paths: int, seed: int, block: int = 0,
     to the next target only; other configurations fall back to full
     conditioning over the chain's remaining atoms.
     """
-    p = cfg.partition
     if with_innovations is None:
         with_innovations = cfg.standard
     if with_innovations and not cfg.standard:
         raise ConfigError("innovations require a standard randomized arcade")
 
     rap, x = build_rap_paths(cfg, n_paths, seed, block)
+    i_rows = rap.values.T
+    m_rows = np.empty(i_rows.shape)
+    vol_rows = np.empty(i_rows.shape)
+    w_rows = np.empty(i_rows.shape) if with_innovations else None
+    underflow = 0
+    for k, node in enumerate(_march(cfg, i_rows, x, with_innovations)):
+        m_rows[k] = node.m
+        vol_rows[k] = node.vol
+        if w_rows is not None:
+            w_rows[k] = node.w
+        underflow += node.underflow
+    return FamTrace(grid=cfg.partition.grid, i_paths=rap.values, m_paths=m_rows.T,
+                    vol_paths=vol_rows.T, x=x,
+                    w_paths=None if w_rows is None else w_rows.T, underflow_count=underflow,
+                    meta={"config": cfg.config_dict(), "block": block, "seed": seed})
+
+
+class _NodeRows(NamedTuple):
+    """One node of :func:`_march`: the rows of ``M``, the volatility and
+    ``W`` (``None`` without innovations), each (paths,) or broadcastable to
+    it, and the node's count of posterior-underflow fallbacks.  The node's
+    ``I`` row is the caller's: row ``k`` of the buffer the march reads."""
+
+    m: np.ndarray
+    vol: np.ndarray
+    w: np.ndarray | None
+    underflow: int
+
+
+def _march(cfg: RapConfig, i_rows: np.ndarray, x: np.ndarray,
+           with_innovations: bool) -> Iterator[_NodeRows]:
+    """The filter and the innovations as one forward march over the nodes.
+
+    ``i_rows`` is the time-major (nodes, paths) ``I`` buffer and ``x`` the
+    targets (paths, n+1).  Per node the residual ``Z = I - base`` of the
+    revealed signal is computed once and feeds both the posterior of the next
+    target and the innovations drift; the prior of the next target is
+    evaluated once per arc.  Yields one :class:`_NodeRows` per grid node.
+    The yielded rows are not overwritten later, so a consumer may keep them.
+    """
+    p = cfg.partition
+    grid = p.grid
+    steps = p.steps_per_arc
+    n = p.n_arcs
     reduced = _early_signal_residual(cfg) <= 1e-12
     if not reduced and any(s.conditional_kind != "atoms" for s in cfg.coupling.steps):
         raise ConfigError(
             "full conditioning needs atom-valued step kernels; "
             "the signal activates targets ahead of their arc"
         )
-
-    i_vals = rap.values
-    m_vals, vol, underflow = _filter_march(cfg, i_vals, x, reduced)
-    w_vals = innovations_from_arrays(cfg, i_vals, m_vals, x) if with_innovations else None
-    return FamTrace(grid=p.grid, i_paths=i_vals, m_paths=m_vals, vol_paths=vol,
-                    x=x, w_paths=w_vals, underflow_count=underflow,
-                    meta={"config": cfg.config_dict(), "block": block, "seed": seed})
-
-
-def _filter_march(cfg: RapConfig, i_vals: np.ndarray, x: np.ndarray,
-                  reduced: bool) -> tuple[np.ndarray, np.ndarray, int]:
-    """Martingale and volatility paths by one forward march over the nodes.
-
-    Each node computes one row of ``M`` and of the volatility from the row of
-    ``I``; the prior of the next target is evaluated once per arc.  Takes
-    and returns (paths, nodes) views of time-major buffers.  Returns
-    ``(m_vals, vol, underflow_count)``.
-    """
-    p = cfg.partition
-    grid = p.grid
-    steps = p.steps_per_arc
-    n = p.n_arcs
     gmat = cfg.signal.grid_matrix()                 # (n+1, K)
     mu_a = np.asarray(ap_mean(cfg.arcade, grid), dtype=float)
     var_a = np.asarray(ap_variance(cfg.arcade, grid), dtype=float)
@@ -234,11 +261,9 @@ def _filter_march(cfg: RapConfig, i_vals: np.ndarray, x: np.ndarray,
     alg = _grid_algebra(cfg)
     vol_ok = (alg.right > _VAR_FLOOR) & (alg.qv >= 0.0)
     root_qv = np.sqrt(np.maximum(alg.qv, 0.0))
+    innovation = _innovations_step(cfg, alg) if with_innovations else None
+    w = np.zeros(x.shape[0]) if with_innovations else None
 
-    i_rows = i_vals.T
-    m_rows = np.empty(i_rows.shape)
-    vol_rows = np.empty(i_rows.shape)
-    underflow = 0
     for arc in range(n):
         posterior = _arc_posterior(cfg.coupling.steps[arc], x[:, arc]) if reduced else None
         for k in range(arc * steps, (arc + 1) * steps):
@@ -246,19 +271,20 @@ def _filter_march(cfg: RapConfig, i_vals: np.ndarray, x: np.ndarray,
             va = 0.0 if is_date else float(var_a[k])
             if not is_date and va <= _VAR_FLOOR:
                 raise DegenerateError(f"zero noise variance at interior node t={grid[k]}")
+            if reduced or innovation is not None:
+                z = i_rows[k] - _prefix_base(x, gmat, k, arc, float(mu_a[k]))
             if reduced:
-                resid = i_rows[k] - _prefix_base(x, gmat, k, arc, float(mu_a[k]))
-                mean, pvar, uf = posterior(resid, float(gmat[arc + 1, k]), va)
+                mean, pvar, uf = posterior(z, float(gmat[arc + 1, k]), va)
             else:
                 mean, pvar, uf = _full_conditioning_posterior(
                     cfg, k, arc, x, i_rows[k], float(mu_a[k]), va, gmat
                 )
-            underflow += uf
-            m_rows[k] = x[:, arc] if is_date else mean
-            vol_rows[k] = pvar * root_qv[k] / alg.right[k] if vol_ok[k] else 0.0
-    m_rows[-1] = x[:, n]
-    vol_rows[-1] = 0.0
-    return m_rows.T, vol_rows.T, underflow
+            m = x[:, arc] if is_date else mean
+            vol = pvar * root_qv[k] / alg.right[k] if vol_ok[k] else np.zeros(x.shape[0])
+            yield _NodeRows(m, vol, w, uf)
+            if innovation is not None:
+                w = w + innovation(k, z, m, x[:, arc], i_rows[k + 1] - i_rows[k])
+    yield _NodeRows(x[:, n], np.zeros(x.shape[0]), w, 0)
 
 
 def _full_conditioning_posterior(cfg, k, arc, x, i_col, mu_a, va, gmat):
@@ -444,49 +470,61 @@ def fam_volatility(cfg: RapConfig, t: float, i_t: float, x_observed) -> float:
 # Innovations
 # ---------------------------------------------------------------------------
 
-def innovations_from_arrays(cfg: RapConfig, i_vals: np.ndarray,
-                            m_vals: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Left-point Euler reconstruction of the innovations Brownian motion.
+def _innovations_step(cfg: RapConfig, alg):
+    """The innovations increment ``(k, Z, M, X_m, dI) -> W_{k+1} - W_k`` of
+    the node ``k`` on arc ``m``, from the driver algebra ``alg`` at the nodes.
 
     ``dW = h2^{-1/2} [ ((Z h1 - M h2)/h3 - J) dt + dI ]`` with
     ``Z = I - sum_{i<=m} g_i X_i - mu_A`` and ``J`` the time derivative of
-    the revealed-signal-plus-mean term.  Requires a standard configuration
-    (the drift formulas come from the driver factorization).  Runs as a
-    forward march over the node rows of ``I`` and ``M``, given as (paths,
-    nodes) arrays; the rows are contiguous for the time-major views that
-    :func:`fam_paths` returns, and ``W`` is returned as such a view.
+    the revealed-signal-plus-mean term (left-point Euler).
     """
-    if not cfg.standard:
-        raise ConfigError("innovations are defined for standard configurations")
-    p = cfg.partition
-    grid = p.grid
-    steps = p.steps_per_arc
-    gmat = cfg.signal.grid_matrix()
-    mu_a = np.asarray(ap_mean(cfg.arcade, grid), dtype=float)
-    alg = _grid_algebra(cfg)
     if np.any(alg.den == 0.0):
         raise DegenerateError("driver factorization is degenerate on an arc")
     if np.any(alg.qv <= 0.0):
         raise NumericError("driver quadratic-variation density is not positive")
+    p = cfg.partition
+    grid = p.grid
     # d/dt of f_{arc} (right piece) and f_{arc+1} (left piece), and of mu_A
     dg_m = alg.d_right / alg.den
     dg_next = alg.d_left / alg.den
     mu_dates = np.asarray(cfg.arcade.driver.mean(np.asarray(p.dates)), dtype=float)
-    arcs = np.arange(grid.size - 1) // steps
+    arcs = np.arange(grid.size - 1) // p.steps_per_arc
     mu_a_deriv = alg.d_mean - dg_m * mu_dates[arcs] - dg_next * mu_dates[arcs + 1]
 
+    def step(k, z, m, x_arc, di):
+        h1, h2, h3 = -alg.d_right[k], alg.qv[k], alg.right[k]
+        j = dg_m[k] * x_arc + mu_a_deriv[k]
+        drift = (z * h1 - m * h2) / h3 - j
+        dn = drift * float(grid[k + 1] - grid[k]) + di
+        return dn / math.sqrt(h2)
+
+    return step
+
+
+def innovations_from_arrays(cfg: RapConfig, i_vals: np.ndarray,
+                            m_vals: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Left-point Euler reconstruction of the innovations Brownian motion.
+
+    Takes whole ``I`` and ``M`` paths, given as (paths, nodes) arrays, and
+    applies the increment :func:`fam_paths` marches with
+    (:func:`_innovations_step`).  Requires a standard configuration (the
+    drift formulas come from the driver factorization).  ``W`` is returned
+    as the (paths, nodes) view of a time-major buffer.
+    """
+    if not cfg.standard:
+        raise ConfigError("innovations are defined for standard configurations")
+    p = cfg.partition
+    steps = p.steps_per_arc
+    gmat = cfg.signal.grid_matrix()
+    mu_a = np.asarray(ap_mean(cfg.arcade, p.grid), dtype=float)
+    step = _innovations_step(cfg, _grid_algebra(cfg))
     i_rows, m_rows = i_vals.T, m_vals.T
     w_rows = np.empty(i_rows.shape)
     w_rows[0] = 0.0
-    for arc in range(p.n_arcs):
-        for k in range(arc * steps, (arc + 1) * steps):
-            h1, h2, h3 = -alg.d_right[k], alg.qv[k], alg.right[k]
-            z = i_rows[k] - _prefix_base(x, gmat, k, arc, mu_a[k])
-            j = dg_m[k] * x[:, arc] + mu_a_deriv[k]
-            drift = (z * h1 - m_rows[k] * h2) / h3 - j
-            dt = float(grid[k + 1] - grid[k])
-            dn = drift * dt + (i_rows[k + 1] - i_rows[k])
-            w_rows[k + 1] = w_rows[k] + dn / math.sqrt(h2)
+    for k in range(p.grid.size - 1):
+        arc = k // steps
+        z = i_rows[k] - _prefix_base(x, gmat, k, arc, float(mu_a[k]))
+        w_rows[k + 1] = w_rows[k] + step(k, z, m_rows[k], x[:, arc], i_rows[k + 1] - i_rows[k])
     return w_rows.T
 
 
@@ -533,29 +571,13 @@ def ito_isometry_check(cfg: RapConfig, n_paths: int, seed: int,
 
     The squared volatility is integrated by the trapezoid rule (the
     volatility is zero at the final date, so the last cell is a half
-    rectangle), accumulated node row by node row.  Both sides are evaluated
-    on the same paths, so the difference carries a paired standard error,
-    which needs at least two paths.
+    rectangle), accumulated node row by node row as the march yields them.
+    Both sides are evaluated on the same paths, so the difference carries a
+    paired standard error, which needs at least two paths.
     """
     if n_paths < 2:
         raise ConfigError("the isometry check needs at least 2 paths")
-    dt = np.diff(cfg.partition.grid)
-    weights = 0.5 * (np.append(dt, 0.0) + np.insert(dt, 0, 0.0))
-    lhs_parts, rhs_parts = [], []
-    done = 0
-    block = 0
-    while done < n_paths:
-        count = min(block_size, n_paths - done)
-        trace = fam_paths(cfg, count, seed, block=block, with_innovations=False)
-        rhs = np.zeros(count)
-        for wk, vol in zip(weights, trace.vol_paths.T):
-            rhs += wk * (vol * vol)
-        lhs_parts.append((trace.x[:, -1] - trace.x[:, 0]) ** 2)
-        rhs_parts.append(rhs)
-        done += count
-        block += 1
-    lhs = np.concatenate(lhs_parts)
-    rhs = np.concatenate(rhs_parts)
+    lhs, rhs = _isometry_sums(cfg, n_paths, seed, block_size)
     diff = lhs - rhs
     root_n = math.sqrt(lhs.size)
     return IsometryReport(
@@ -563,3 +585,21 @@ def ito_isometry_check(cfg: RapConfig, n_paths: int, seed: int,
         float(rhs.mean()), float(rhs.std(ddof=1)) / root_n,
         float(diff.mean()), float(diff.std(ddof=1)) / root_n,
     )
+
+
+def _isometry_sums(cfg: RapConfig, n_paths: int, seed: int,
+                   block_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-path ``(X_n - X_0)^2`` and trapezoid ``int vol^2 dt``; path block
+    ``b`` of at most ``block_size`` paths is simulated with ``block=b``."""
+    dt = np.diff(cfg.partition.grid)
+    weights = 0.5 * (np.append(dt, 0.0) + np.insert(dt, 0, 0.0))
+    lhs_parts, rhs_parts = [], []
+    for block, start in enumerate(range(0, n_paths, block_size)):
+        count = min(block_size, n_paths - start)
+        rap, x = build_rap_paths(cfg, count, seed, block)
+        rhs = np.zeros(count)
+        for wk, node in zip(weights, _march(cfg, rap.values.T, x, with_innovations=False)):
+            rhs += wk * (node.vol * node.vol)
+        lhs_parts.append((x[:, -1] - x[:, 0]) ** 2)
+        rhs_parts.append(rhs)
+    return np.concatenate(lhs_parts), np.concatenate(rhs_parts)

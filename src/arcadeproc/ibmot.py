@@ -860,50 +860,13 @@ def ibmot_objective_mc(kernel: CouplingKernel, horizon: float, n_paths: int,
     the final step where the weight diverges); estimator two evaluates
     ``X_1 W_{T_1}`` from the innovations endpoint.  Both use the same paths,
     so their difference carries a paired standard error, which needs at
-    least two paths.  The time integral is accumulated node row by node
-    row, so no temporary spans all paths and nodes.
+    least two paths.  Both are reduced node row by node row as the path
+    march yields them, so no ``M`` or ``W`` array is kept.
     """
     if n_paths < 2:
         raise ConfigError("the Monte Carlo objective needs at least 2 paths")
-    from .arcade import ArcadeConfig
-    from .drivers import brownian_driver
-    from .fam import fam_paths
-    from .partition import Partition, piecewise_linear_coefficients
-    from .rap import RapConfig
-
-    p = Partition((t0, t0 + horizon), steps_per_arc=steps)
-    coeffs = piecewise_linear_coefficients(p)
-    cfg = RapConfig(
-        arcade=ArcadeConfig(brownian_driver(), coeffs),
-        signal=coeffs.with_role("signal"),
-        coupling=kernel,
-        standard=True,
-    )
-    grid = p.grid
-    t_hi = p.dates[-1]
-    dt = np.diff(grid)
-    # Trapezoid on all but the last step, left rectangle on the final one,
-    # times sqrt(h2)/h3 = 1/(T_1 - t) of the Brownian bridge.
-    weights = 0.5 * (np.append(dt[:-1], 0.0) + np.insert(dt[:-1], 0, 0.0))
-    weights[-1] += dt[-1]
-    weights /= t_hi - grid[:-1]
-
-    time_parts, end_parts = [], []
-    done, block = 0, 0
-    while done < n_paths:
-        count = min(block_size, n_paths - done)
-        trace = fam_paths(cfg, count, seed, block=block, with_innovations=True)
-        x_end = trace.x[:, -1]
-        part = np.zeros(count)
-        for wk, m in zip(weights, trace.m_paths.T[:-1]):
-            err = x_end - m
-            part += wk * (err * err)
-        time_parts.append(part)
-        end_parts.append(x_end * trace.w_paths[:, -1])
-        done += count
-        block += 1
-    ti = np.concatenate(time_parts)
-    ep = np.concatenate(end_parts)
+    ti, ep = _mc_path_estimators(_bridge_config(kernel, horizon, steps, t0),
+                                 n_paths, seed, block_size)
     diff = ti - ep
     root_n = math.sqrt(ti.size)
     return McObjective(
@@ -912,3 +875,52 @@ def ibmot_objective_mc(kernel: CouplingKernel, horizon: float, n_paths: int,
         float(diff.mean()), float(diff.std(ddof=1)) / root_n,
         int(ti.size),
     )
+
+
+def _bridge_config(kernel: CouplingKernel, horizon: float, steps: int, t0: float):
+    """The standard randomized Brownian bridge on ``[t0, t0 + horizon]``."""
+    from .arcade import ArcadeConfig
+    from .drivers import brownian_driver
+    from .partition import Partition, piecewise_linear_coefficients
+    from .rap import RapConfig
+
+    coeffs = piecewise_linear_coefficients(Partition((t0, t0 + horizon), steps_per_arc=steps))
+    return RapConfig(
+        arcade=ArcadeConfig(brownian_driver(), coeffs),
+        signal=coeffs.with_role("signal"),
+        coupling=kernel,
+        standard=True,
+    )
+
+
+def _mc_path_estimators(cfg, n_paths: int, seed: int,
+                        block_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-path time-integral and endpoint estimators on the one-arc bridge
+    ``cfg``; path block ``b`` of at most ``block_size`` paths is simulated
+    with ``block=b``."""
+    # build_rap_paths as fam binds it: perfbench/tracing.py wraps that binding
+    from .fam import _march, build_rap_paths
+
+    p = cfg.partition
+    grid = p.grid
+    dt = np.diff(grid)
+    # Trapezoid on all but the last step, left rectangle on the final one,
+    # times sqrt(h2)/h3 = 1/(T_1 - t) of the Brownian bridge.
+    weights = 0.5 * (np.append(dt[:-1], 0.0) + np.insert(dt[:-1], 0, 0.0))
+    weights[-1] += dt[-1]
+    weights /= p.tn - grid[:-1]
+
+    time_parts, end_parts = [], []
+    for block, start in enumerate(range(0, n_paths, block_size)):
+        count = min(block_size, n_paths - start)
+        rap, x = build_rap_paths(cfg, count, seed, block)
+        x_end = x[:, -1]
+        part = np.zeros(count)
+        nodes = _march(cfg, rap.values.T, x, with_innovations=True)
+        # zip takes a weight first, so it stops before the final node
+        for wk, node in zip(weights, nodes):
+            err = x_end - node.m
+            part += wk * (err * err)
+        time_parts.append(part)
+        end_parts.append(x_end * next(nodes).w)
+    return np.concatenate(time_parts), np.concatenate(end_parts)

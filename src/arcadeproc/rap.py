@@ -23,6 +23,7 @@ import numpy as np
 from .arcade import (
     ArcadeConfig,
     MarkovCheckReport,
+    _assemble_in_place,
     ap_cov,
     ap_mean,
     build_ap_paths,
@@ -147,17 +148,17 @@ def build_rap_paths(cfg: RapConfig, n_paths: int, seed: int,
 
     Returns the path bundle together with the sampled target matrix
     ``X`` of shape (paths, n+1).  Driver noise uses stream "D", targets
-    stream "X", so the two are independent.
+    stream "X", so the two are independent.  The driver's time-major buffer
+    becomes the bundle's: the arcade and the signal are assembled in it.
     """
     p = cfg.partition
-    driver_paths = simulate_driver(cfg.arcade.driver, p, n_paths, seed, block)
-    ap = build_ap_paths(cfg.arcade, driver_paths)
+    rows = simulate_driver(cfg.arcade.driver, p, n_paths, seed, block).values.T
     x = cfg.coupling.sample(n_paths, seed, block)
-    gmat = cfg.signal.grid_matrix()
-    values = ap.values.T + gmat.T @ x.T              # (K, P)
+    _assemble_in_place(rows, cfg.arcade.coeffs.grid_matrix(), p.date_indices,
+                       cfg.signal.grid_matrix(), x)
     meta = {"kind": "rap", "config": cfg.config_dict(), "block": block}
     meta["config_hash"] = config_hash(meta)
-    return PathBundle(grid=p.grid, values=values.T, seed=seed, meta=meta), x
+    return PathBundle(grid=p.grid, values=rows.T, seed=seed, meta=meta), x
 
 
 # ---------------------------------------------------------------------------

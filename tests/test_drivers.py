@@ -20,7 +20,13 @@ from arcadeproc import (
     simulate_driver,
     standard_coefficients,
 )
-from arcadeproc.drivers import _VAR_FLOOR, _arc_algebra, simulate_driver_cholesky
+from arcadeproc.drivers import (
+    _PATH_BLOCK,
+    _VAR_FLOOR,
+    _arc_algebra,
+    _time_major_normals,
+    simulate_driver_cholesky,
+)
 from arcadeproc.streams import stream_rng
 
 from conftest import assert_within_3se
@@ -152,6 +158,17 @@ class TestSimulation:
                     want[i, k] = mean[k] + (math.sqrt(cv) * z[i, k] if cv > _VAR_FLOOR else 0.0)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("n_paths", [1, 255, 256, 257, 777])
+    def test_blocked_draw_matches_one_piece_draw(self, n_paths):
+        # the normals are drawn _PATH_BLOCK paths at a time: the tail block,
+        # an exact multiple and a single path must consume the stream in the
+        # order of one (paths, nodes) draw
+        assert _PATH_BLOCK == 256
+        got = _time_major_normals(stream_rng(41, "D", 3), n_paths, 143)
+        want = stream_rng(41, "D", 3).standard_normal((n_paths, 143)).T
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
     def test_csv_round_trip(self):
         p = Partition((0.0, 1.0), 3)
         bundle = simulate_driver(brownian_driver(), p, 4, seed=11)
@@ -249,3 +266,15 @@ class TestArcAlgebra:
         arcs = np.repeat(np.arange(self.P.n_arcs), self.P.steps_per_arc)
         t = self.P.grid[:-1]
         assert np.array_equal(_arc_algebra(d, self.P.dates, arcs, t).qv, d.qv_density(t))
+
+    def test_coefficients_evaluate_no_derivative(self):
+        # the coefficients need H1 and H2 only; a driver whose derivative
+        # callables raise must give the same table as its analytic twin
+        def boom(t):
+            raise AssertionError("a derivative was evaluated")
+
+        d = _ALGEBRA_DRIVERS[1]()
+        no_derivs = GaussMarkovDriver(h1=d.h1, h2=d.h2, mean=d.mean, label=d.label,
+                                      dh1=boom, dh2=boom, dmean=boom, params=d.params)
+        assert np.array_equal(standard_coefficients(no_derivs, self.P).grid_matrix(),
+                              standard_coefficients(d, self.P).grid_matrix())

@@ -467,3 +467,120 @@ class TestTiledMarch:
                     trace.w_paths):
             assert arr.shape == (5, cfg.partition.grid.size)
             assert arr.T.flags.c_contiguous and not arr.flags.c_contiguous
+
+
+class TestStreamedReducers:
+    """The Monte Carlo reducers consume the node march without storing M, vol
+    or W.  The references below apply the node-row formulas to whole
+    ``fam_paths`` traces, one trace per path block, and must agree bit for
+    bit on every path (777 paths in blocks of 500, 333 nodes)."""
+
+    N_PATHS, BLOCK, SEED = 777, 500, 27
+
+    def _traces(self, cfg):
+        sizes = (self.BLOCK, self.N_PATHS - self.BLOCK)
+        return [fam_paths(cfg, n, self.SEED, block=b) for b, n in enumerate(sizes)]
+
+    def test_objective_sums_match_trace_reference(self):
+        from arcadeproc.ibmot import _bridge_config, _mc_path_estimators, ibmot_objective_mc
+
+        kernel = uniform_mot_kernel()
+        cfg = _bridge_config(kernel, 1.0, 332, 0.0)
+        grid = cfg.partition.grid
+        assert grid.size == 333
+        dt = np.diff(grid)
+        weights = 0.5 * (np.append(dt[:-1], 0.0) + np.insert(dt[:-1], 0, 0.0))
+        weights[-1] += dt[-1]
+        weights /= 1.0 - grid[:-1]
+        ti_parts, ep_parts = [], []
+        for trace in self._traces(cfg):
+            x_end = trace.x[:, -1]
+            part = np.zeros(trace.n_paths)
+            for wk, m in zip(weights, trace.m_paths.T[:-1]):
+                err = x_end - m
+                part += wk * (err * err)
+            ti_parts.append(part)
+            ep_parts.append(x_end * trace.w_paths[:, -1])
+        ti_ref, ep_ref = np.concatenate(ti_parts), np.concatenate(ep_parts)
+
+        ti, ep = _mc_path_estimators(cfg, self.N_PATHS, self.SEED, self.BLOCK)
+        assert np.array_equal(ti, ti_ref)
+        assert np.array_equal(ep, ep_ref)
+        mc = ibmot_objective_mc(kernel, 1.0, self.N_PATHS, self.SEED, steps=332,
+                                block_size=self.BLOCK)
+        root_n = np.sqrt(self.N_PATHS)
+        diff = ti_ref - ep_ref
+        assert (mc.k_i_time, mc.se_time) == (float(ti_ref.mean()),
+                                             float(ti_ref.std(ddof=1)) / root_n)
+        assert (mc.k_i_endpoint, mc.se_endpoint) == (float(ep_ref.mean()),
+                                                     float(ep_ref.std(ddof=1)) / root_n)
+        assert (mc.diff, mc.diff_se) == (float(diff.mean()), float(diff.std(ddof=1)) / root_n)
+
+    def test_isometry_sums_match_trace_reference(self):
+        from arcadeproc.fam import _isometry_sums
+
+        cfg = _bridge_rap(Partition((0.0, 1.0, 2.0), 166), binary_chain_kernel(2))
+        assert cfg.partition.grid.size == 333
+        dt = np.diff(cfg.partition.grid)
+        weights = 0.5 * (np.append(dt, 0.0) + np.insert(dt, 0, 0.0))
+        lhs_parts, rhs_parts = [], []
+        for trace in self._traces(cfg):
+            rhs = np.zeros(trace.n_paths)
+            for wk, vol in zip(weights, trace.vol_paths.T):
+                rhs += wk * (vol * vol)
+            lhs_parts.append((trace.x[:, -1] - trace.x[:, 0]) ** 2)
+            rhs_parts.append(rhs)
+        lhs_ref, rhs_ref = np.concatenate(lhs_parts), np.concatenate(rhs_parts)
+
+        lhs, rhs = _isometry_sums(cfg, self.N_PATHS, self.SEED, self.BLOCK)
+        assert np.array_equal(lhs, lhs_ref)
+        assert np.array_equal(rhs, rhs_ref)
+        rep = ito_isometry_check(cfg, self.N_PATHS, self.SEED, block_size=self.BLOCK)
+        root_n = np.sqrt(self.N_PATHS)
+        diff = lhs_ref - rhs_ref
+        assert (rep.rhs_mean, rep.rhs_se) == (float(rhs_ref.mean()),
+                                              float(rhs_ref.std(ddof=1)) / root_n)
+        assert (rep.diff_mean, rep.diff_se) == (float(diff.mean()),
+                                                float(diff.std(ddof=1)) / root_n)
+
+    def test_assembly_in_the_driver_buffer(self):
+        # the RAP is assembled in place in its own driver buffer, the arcade
+        # in a copy of the caller's; both in 256-path blocks (777 = 3 + tail)
+        from arcadeproc import build_ap_paths, build_rap_paths
+
+        cfg = _bridge_rap(Partition((0.0, 1.0, 2.0), 166), binary_chain_kernel(2))
+        driver_paths = simulate_driver(brownian_driver(), cfg.partition, self.N_PATHS, self.SEED)
+        before = driver_paths.values.copy()
+        ap = build_ap_paths(cfg.arcade, driver_paths)
+        assert np.array_equal(driver_paths.values, before)
+        fmat = cfg.arcade.coeffs.grid_matrix()
+        d_rows = before.T
+        want = d_rows - fmat.T @ d_rows[cfg.partition.date_indices]
+        assert np.array_equal(ap.values, want.T)
+
+        rap, x = build_rap_paths(cfg, self.N_PATHS, self.SEED)
+        assert np.array_equal(rap.values, (want + cfg.signal.grid_matrix().T @ x.T).T)
+        assert np.array_equal(fam_paths(cfg, self.N_PATHS, self.SEED).i_paths, rap.values)
+
+    @pytest.mark.parametrize("reducer", ["objective", "isometry"])
+    def test_reducers_hold_one_path_array(self, reducer):
+        # numpy reports its buffers to tracemalloc; an operation may hold the
+        # I buffer plus block-sized scratch, well below a second array
+        import tracemalloc
+
+        from arcadeproc.ibmot import ibmot_objective_mc
+
+        n_paths, steps = 4000, 1000
+        kernel = uniform_mot_kernel()
+        cfg = _bridge_rap(Partition((0.0, 1.0), steps), kernel)
+        one_array = n_paths * (steps + 1) * 8
+        tracemalloc.start()
+        try:
+            if reducer == "objective":
+                ibmot_objective_mc(kernel, 1.0, n_paths, seed=28, steps=steps)
+            else:
+                ito_isometry_check(cfg, n_paths, seed=28)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * one_array, f"peak {peak / one_array:.2f} path arrays"
