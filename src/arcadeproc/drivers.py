@@ -272,7 +272,11 @@ class PathBundle:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 2 or vals.shape[1] != grid.size:
             raise ConfigError("values must be (paths, nodes) matching the grid")
-        if not np.all(np.isfinite(vals)):
+        # np.isfinite over row blocks of about 2^17 values along the
+        # memory-major axis: one pass, without a full-size mask
+        rows = vals.T if vals.flags.f_contiguous else vals
+        step = max(1, (1 << 17) // max(rows.shape[1], 1))
+        if not all(np.isfinite(rows[s:s + step]).all() for s in range(0, rows.shape[0], step)):
             raise ConfigError("path values contain NaN/Inf")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", vals)

@@ -16,13 +16,18 @@ volatility.
 Along simulated paths the filter and the innovations reconstruction are one
 forward march over the grid nodes (:func:`_march`).  It reads one contiguous
 row of the time-major ``I`` buffer (see :class:`FamTrace`) per node and
-yields that node's rows of ``M``, the volatility and, for standard
-configurations, ``W``; its state between nodes is the running ``W`` row.
-What is constant on an arc (the conditional atoms of the next target and
-their log prior weights) is evaluated once per arc.  :func:`fam_paths`
-stores the rows as whole paths; the isometry check, like the Monte Carlo
-objective in :mod:`arcadeproc.ibmot`, keeps only per-path running sums, so
-an operation holds one ``(nodes, paths)`` array, the ``I`` buffer.
+yields that node's rows of ``M``, the volatility (where a consumer reads it)
+and, for standard configurations, ``W``; its state between nodes is the
+running ``W`` row.  What is constant on an arc (the conditional atoms of the
+next target, their log prior weights and the posterior's scratch buffers) is
+set up once per arc, and the per-node kernels write into those buffers with
+``out=`` ufuncs in the operand order of the plain formulas, so the march
+allocates no array per node and its results are bit-identical to them.  A
+yielded row is valid only until the next node is requested.
+:func:`fam_paths` copies the rows into whole paths; the isometry check, like
+the Monte Carlo objective in :mod:`arcadeproc.ibmot`, keeps only per-path
+running sums, so an operation holds one ``(nodes, paths)`` array, the ``I``
+buffer.
 """
 
 from __future__ import annotations
@@ -70,15 +75,25 @@ def _atoms_prior(step: StepKernel, x_prev) -> tuple[np.ndarray, np.ndarray]:
     return y, np.where(w > 0.0, np.log(np.where(w > 0.0, w, 1.0)), -np.inf)
 
 
-def _posterior_from_atoms(y, logw, resid, g_next, var_a):
+def _posterior_from_atoms(y, logw, work, resid, g_next, var_a, with_variance=True):
     """Posterior mean/variance over atoms given Gaussian evidence.
 
-    ``y, logw``: candidate values and log prior weights, shape
-    (atoms, paths), from :func:`_atoms_prior`; ``resid``: observation minus
+    ``y, logw``: candidate values and log prior weights, C-contiguous of
+    shape (atoms, paths), from :func:`_atoms_prior`; ``resid``: observation minus
     base signal, shape (paths,); evidence has mean ``g_next * y`` and
     variance ``var_a``.  Weights are normalized in log space; when every
     weight underflows the max-shift keeps the nearest atom, counted in the
-    returned tally.
+    returned tally.  Without ``with_variance`` the variance is skipped and
+    returned as ``None``.
+
+    ``work`` is the scratch of :func:`_atom_scratch`: two (atoms, paths) and
+    two (paths,) buffers, which every call overwrites.  The returned mean and
+    variance are two of those buffers, so they are valid until the next call
+    with the same ``work``.  Each ufunc writes its ``out=`` buffer in the
+    operand order of the plain expressions (``0.5 * z * z / var_a`` is
+    ``((0.5 * z) * z) / var_a``, ``wts * y * y`` is ``(wts * y) * y`` with
+    ``wts * y`` formed once for the mean), so the results are bit-identical
+    to them.
 
     The reductions run over axis 0, so numpy adds the atom rows one after
     another.  A (paths, atoms) layout summed along axis 1 instead, which
@@ -87,36 +102,74 @@ def _posterior_from_atoms(y, logw, resid, g_next, var_a):
     bit-identical results for up to 7 atoms per row; with 8 or more the
     sums, and so the posterior, may differ in the last bits.
     """
+    atoms_a, atoms_b, mean, var = work
     if var_a > _VAR_FLOOR:
-        z = resid - g_next * y
-        logw = logw - 0.5 * z * z / var_a
-    peak = np.max(logw, axis=0)
+        z = np.multiply(y, g_next, out=atoms_a)
+        np.subtract(resid, z, out=z)
+        penalty = np.multiply(z, 0.5, out=atoms_b)
+        np.multiply(penalty, z, out=penalty)
+        np.divide(penalty, var_a, out=penalty)
+        logw = np.subtract(logw, penalty, out=penalty)
+    peak = np.max(logw, axis=0, out=mean)
     underflow = int(np.count_nonzero(peak < _LOG_UNDERFLOW))
-    wts = np.exp(logw - peak)
-    wts /= np.sum(wts, axis=0)
-    mean = np.sum(wts * y, axis=0)
-    var = np.sum(wts * y * y, axis=0) - mean * mean
-    return mean, np.clip(var, 0.0, None), underflow
+    wts = np.subtract(logw, peak, out=atoms_a)
+    np.exp(wts, out=wts)
+    np.divide(wts, np.sum(wts, axis=0, out=var), out=wts)
+    wy = np.multiply(wts, y, out=wts)
+    np.sum(wy, axis=0, out=mean)
+    if not with_variance:
+        return mean, None, underflow
+    np.multiply(wy, y, out=wy)
+    np.sum(wy, axis=0, out=var)
+    mean_sq = np.multiply(mean, mean, out=atoms_b[0])
+    np.subtract(var, mean_sq, out=var)
+    return mean, np.clip(var, 0.0, None, out=var), underflow
 
 
-def _posterior_gaussian(m0, v0, resid, g_next, var_a):
+def _atom_scratch(y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The scratch of :func:`_posterior_from_atoms` for candidates ``y``."""
+    return np.empty(y.shape), np.empty(y.shape), np.empty(y.shape[1]), np.empty(y.shape[1])
+
+
+def _posterior_gaussian(m0, v0, work, resid, g_next, var_a, with_variance=True):
     """Conjugate normal update for ``X' ~ N(m0, v0)`` observed through
-    ``I = g_next X' + base + noise(var_a)``; ``resid = I - base``."""
+    ``I = g_next X' + base + noise(var_a)``; ``resid = I - base``.
+
+    ``work`` is two (paths,) buffers that every call overwrites; the mean
+    (unless it is ``m0`` itself, when the evidence carries no information)
+    and the variance are returned in them, and the variance is ``None``
+    without ``with_variance``.
+    """
+    mean, var_row = work
     if var_a <= _VAR_FLOOR or g_next == 0.0:
-        return m0, np.full_like(np.asarray(m0, dtype=float), v0), 0
-    prec = 1.0 / v0 + g_next * g_next / var_a
-    var = 1.0 / prec
-    mean = var * (m0 / v0 + g_next * resid / var_a)
-    return mean, np.full_like(np.asarray(mean, dtype=float), var), 0
+        mean, var = m0, v0
+    else:
+        var = 1.0 / (1.0 / v0 + g_next * g_next / var_a)
+        evidence = np.multiply(resid, g_next, out=var_row)
+        np.divide(evidence, var_a, out=evidence)
+        np.divide(m0, v0, out=mean)
+        np.add(mean, evidence, out=mean)
+        np.multiply(mean, var, out=mean)
+    if not with_variance:
+        return mean, None, 0
+    var_row.fill(var)
+    return mean, var_row, 0
 
 
-def _arc_posterior(step: StepKernel, x_prev):
+def _arc_posterior(step: StepKernel, x_prev, with_variance: bool = True):
     """The posterior ``(resid, g_next, var_a) -> (mean, var, underflows)``
-    of the next target, with the prior given ``x_prev`` evaluated once."""
+    of the next target, with the prior given ``x_prev`` and the posterior's
+    scratch allocated once; the returned rows are valid until the next
+    call."""
     x_prev = np.asarray(x_prev, dtype=float)
     if step.conditional_kind == "gaussian":
-        return functools.partial(_posterior_gaussian, *step.gaussian_given(x_prev))
-    return functools.partial(_posterior_from_atoms, *_atoms_prior(step, x_prev))
+        m0, v0 = step.gaussian_given(x_prev)
+        work = (np.empty(x_prev.shape), np.empty(x_prev.shape))
+        return functools.partial(_posterior_gaussian, m0, v0, work,
+                                 with_variance=with_variance)
+    y, logw = _atoms_prior(step, x_prev)
+    return functools.partial(_posterior_from_atoms, y, logw, _atom_scratch(y),
+                             with_variance=with_variance)
 
 
 def _step_posterior(step: StepKernel, x_prev, resid, g_next, var_a):
@@ -222,27 +275,39 @@ def fam_paths(cfg: RapConfig, n_paths: int, seed: int, block: int = 0,
 
 
 class _NodeRows(NamedTuple):
-    """One node of :func:`_march`: the rows of ``M``, the volatility and
-    ``W`` (``None`` without innovations), each (paths,) or broadcastable to
-    it, and the node's count of posterior-underflow fallbacks.  The node's
-    ``I`` row is the caller's: row ``k`` of the buffer the march reads."""
+    """One node of :func:`_march`: the (paths,) rows of ``M``, the volatility
+    (``None`` without volatility) and ``W`` (``None`` without innovations),
+    and the node's count of posterior-underflow fallbacks.  The node's ``I``
+    row is the caller's: row ``k`` of the buffer the march reads.
+
+    The rows are the march's scratch or views of the targets: each is valid
+    only until the next node is requested, so a consumer that keeps a row
+    copies it."""
 
     m: np.ndarray
-    vol: np.ndarray
+    vol: np.ndarray | None
     w: np.ndarray | None
     underflow: int
 
 
 def _march(cfg: RapConfig, i_rows: np.ndarray, x: np.ndarray,
-           with_innovations: bool) -> Iterator[_NodeRows]:
+           with_innovations: bool, with_volatility: bool = True) -> Iterator[_NodeRows]:
     """The filter and the innovations as one forward march over the nodes.
 
     ``i_rows`` is the time-major (nodes, paths) ``I`` buffer and ``x`` the
     targets (paths, n+1).  Per node the residual ``Z = I - base`` of the
     revealed signal is computed once and feeds both the posterior of the next
-    target and the innovations drift; the prior of the next target is
-    evaluated once per arc.  Yields one :class:`_NodeRows` per grid node.
-    The yielded rows are not overwritten later, so a consumer may keep them.
+    target and the innovations drift; the prior of the next target and the
+    posterior's scratch are set up once per arc.  Without
+    ``with_volatility`` the posterior stops at the mean, and neither the
+    posterior variance nor the volatility is computed.  Yields one
+    :class:`_NodeRows` per grid node.
+
+    The march allocates no row per node: ``Z``, the volatility, the
+    posterior's output and the innovations increment live in buffers that
+    every node overwrites, and ``W`` is updated in place after the node is
+    yielded.  A yielded row is therefore valid only until the next node is
+    requested.
     """
     p = cfg.partition
     grid = p.grid
@@ -261,18 +326,22 @@ def _march(cfg: RapConfig, i_rows: np.ndarray, x: np.ndarray,
     alg = _grid_algebra(cfg)
     vol_ok = (alg.right > _VAR_FLOOR) & (alg.qv >= 0.0)
     root_qv = np.sqrt(np.maximum(alg.qv, 0.0))
-    innovation = _innovations_step(cfg, alg) if with_innovations else None
-    w = np.zeros(x.shape[0]) if with_innovations else None
+    n_paths = x.shape[0]
+    z = np.empty(n_paths)
+    vol = np.empty(n_paths) if with_volatility else None
+    innovation = _innovations_step(cfg, alg, n_paths) if with_innovations else None
+    w = np.zeros(n_paths) if with_innovations else None
 
     for arc in range(n):
-        posterior = _arc_posterior(cfg.coupling.steps[arc], x[:, arc]) if reduced else None
+        posterior = (_arc_posterior(cfg.coupling.steps[arc], x[:, arc], with_volatility)
+                     if reduced else None)
         for k in range(arc * steps, (arc + 1) * steps):
             is_date = (k == arc * steps)
             va = 0.0 if is_date else float(var_a[k])
             if not is_date and va <= _VAR_FLOOR:
                 raise DegenerateError(f"zero noise variance at interior node t={grid[k]}")
             if reduced or innovation is not None:
-                z = i_rows[k] - _prefix_base(x, gmat, k, arc, float(mu_a[k]))
+                np.subtract(i_rows[k], _prefix_base(x, gmat, k, arc, float(mu_a[k])), out=z)
             if reduced:
                 mean, pvar, uf = posterior(z, float(gmat[arc + 1, k]), va)
             else:
@@ -280,11 +349,18 @@ def _march(cfg: RapConfig, i_rows: np.ndarray, x: np.ndarray,
                     cfg, k, arc, x, i_rows[k], float(mu_a[k]), va, gmat
                 )
             m = x[:, arc] if is_date else mean
-            vol = pvar * root_qv[k] / alg.right[k] if vol_ok[k] else np.zeros(x.shape[0])
+            if vol is not None:
+                if vol_ok[k]:
+                    np.multiply(pvar, root_qv[k], out=vol)
+                    np.divide(vol, alg.right[k], out=vol)
+                else:
+                    vol.fill(0.0)
             yield _NodeRows(m, vol, w, uf)
             if innovation is not None:
-                w = w + innovation(k, z, m, x[:, arc], i_rows[k + 1] - i_rows[k])
-    yield _NodeRows(x[:, n], np.zeros(x.shape[0]), w, 0)
+                np.add(w, innovation(k, z, m, x[:, arc], i_rows[k], i_rows[k + 1]), out=w)
+    if vol is not None:
+        vol.fill(0.0)
+    yield _NodeRows(x[:, n], vol, w, 0)
 
 
 def _full_conditioning_posterior(cfg, k, arc, x, i_col, mu_a, va, gmat):
@@ -470,13 +546,15 @@ def fam_volatility(cfg: RapConfig, t: float, i_t: float, x_observed) -> float:
 # Innovations
 # ---------------------------------------------------------------------------
 
-def _innovations_step(cfg: RapConfig, alg):
-    """The innovations increment ``(k, Z, M, X_m, dI) -> W_{k+1} - W_k`` of
-    the node ``k`` on arc ``m``, from the driver algebra ``alg`` at the nodes.
+def _innovations_step(cfg: RapConfig, alg, n_paths: int):
+    """The innovations increment ``(k, Z, M, X_m, I_k, I_{k+1}) -> W_{k+1} - W_k``
+    of the node ``k`` on arc ``m``, from the driver algebra ``alg`` at the
+    nodes, for rows of ``n_paths`` paths.
 
     ``dW = h2^{-1/2} [ ((Z h1 - M h2)/h3 - J) dt + dI ]`` with
     ``Z = I - sum_{i<=m} g_i X_i - mu_A`` and ``J`` the time derivative of
-    the revealed-signal-plus-mean term (left-point Euler).
+    the revealed-signal-plus-mean term (left-point Euler).  The increment is
+    written into the step's own scratch row and is valid until the next call.
     """
     if np.any(alg.den == 0.0):
         raise DegenerateError("driver factorization is degenerate on an arc")
@@ -490,13 +568,20 @@ def _innovations_step(cfg: RapConfig, alg):
     mu_dates = np.asarray(cfg.arcade.driver.mean(np.asarray(p.dates)), dtype=float)
     arcs = np.arange(grid.size - 1) // p.steps_per_arc
     mu_a_deriv = alg.d_mean - dg_m * mu_dates[arcs] - dg_next * mu_dates[arcs + 1]
+    dn = np.empty(n_paths)
+    tmp = np.empty(n_paths)
 
-    def step(k, z, m, x_arc, di):
+    def step(k, z, m, x_arc, i_now, i_next):
         h1, h2, h3 = -alg.d_right[k], alg.qv[k], alg.right[k]
-        j = dg_m[k] * x_arc + mu_a_deriv[k]
-        drift = (z * h1 - m * h2) / h3 - j
-        dn = drift * float(grid[k + 1] - grid[k]) + di
-        return dn / math.sqrt(h2)
+        np.multiply(z, h1, out=dn)
+        np.subtract(dn, np.multiply(m, h2, out=tmp), out=dn)
+        np.divide(dn, h3, out=dn)
+        j = np.multiply(x_arc, dg_m[k], out=tmp)
+        np.add(j, mu_a_deriv[k], out=j)
+        np.subtract(dn, j, out=dn)                  # the drift
+        np.multiply(dn, float(grid[k + 1] - grid[k]), out=dn)
+        np.add(dn, np.subtract(i_next, i_now, out=tmp), out=dn)
+        return np.divide(dn, math.sqrt(h2), out=dn)
 
     return step
 
@@ -517,14 +602,16 @@ def innovations_from_arrays(cfg: RapConfig, i_vals: np.ndarray,
     steps = p.steps_per_arc
     gmat = cfg.signal.grid_matrix()
     mu_a = np.asarray(ap_mean(cfg.arcade, p.grid), dtype=float)
-    step = _innovations_step(cfg, _grid_algebra(cfg))
     i_rows, m_rows = i_vals.T, m_vals.T
+    step = _innovations_step(cfg, _grid_algebra(cfg), i_rows.shape[1])
+    z = np.empty(i_rows.shape[1])
     w_rows = np.empty(i_rows.shape)
     w_rows[0] = 0.0
     for k in range(p.grid.size - 1):
         arc = k // steps
-        z = i_rows[k] - _prefix_base(x, gmat, k, arc, float(mu_a[k]))
-        w_rows[k + 1] = w_rows[k] + step(k, z, m_rows[k], x[:, arc], i_rows[k + 1] - i_rows[k])
+        np.subtract(i_rows[k], _prefix_base(x, gmat, k, arc, float(mu_a[k])), out=z)
+        dw = step(k, z, m_rows[k], x[:, arc], i_rows[k], i_rows[k + 1])
+        np.add(w_rows[k], dw, out=w_rows[k + 1])
     return w_rows.T
 
 
@@ -577,6 +664,8 @@ def ito_isometry_check(cfg: RapConfig, n_paths: int, seed: int,
     """
     if n_paths < 2:
         raise ConfigError("the isometry check needs at least 2 paths")
+    if block_size < 1:
+        raise ConfigError(f"block_size must be at least 1, got {block_size}")
     lhs, rhs = _isometry_sums(cfg, n_paths, seed, block_size)
     diff = lhs - rhs
     root_n = math.sqrt(lhs.size)
@@ -598,8 +687,10 @@ def _isometry_sums(cfg: RapConfig, n_paths: int, seed: int,
         count = min(block_size, n_paths - start)
         rap, x = build_rap_paths(cfg, count, seed, block)
         rhs = np.zeros(count)
+        term = np.empty(count)
         for wk, node in zip(weights, _march(cfg, rap.values.T, x, with_innovations=False)):
-            rhs += wk * (node.vol * node.vol)
+            np.multiply(node.vol, node.vol, out=term)
+            rhs += np.multiply(term, wk, out=term)
         lhs_parts.append((x[:, -1] - x[:, 0]) ** 2)
         rhs_parts.append(rhs)
     return np.concatenate(lhs_parts), np.concatenate(rhs_parts)

@@ -865,6 +865,8 @@ def ibmot_objective_mc(kernel: CouplingKernel, horizon: float, n_paths: int,
     """
     if n_paths < 2:
         raise ConfigError("the Monte Carlo objective needs at least 2 paths")
+    if block_size < 1:
+        raise ConfigError(f"block_size must be at least 1, got {block_size}")
     ti, ep = _mc_path_estimators(_bridge_config(kernel, horizon, steps, t0),
                                  n_paths, seed, block_size)
     diff = ti - ep
@@ -916,11 +918,13 @@ def _mc_path_estimators(cfg, n_paths: int, seed: int,
         rap, x = build_rap_paths(cfg, count, seed, block)
         x_end = x[:, -1]
         part = np.zeros(count)
-        nodes = _march(cfg, rap.values.T, x, with_innovations=True)
+        err = np.empty(count)
+        nodes = _march(cfg, rap.values.T, x, with_innovations=True, with_volatility=False)
         # zip takes a weight first, so it stops before the final node
         for wk, node in zip(weights, nodes):
-            err = x_end - node.m
-            part += wk * (err * err)
+            np.subtract(x_end, node.m, out=err)
+            np.multiply(err, err, out=err)
+            part += np.multiply(err, wk, out=err)
         time_parts.append(part)
         end_parts.append(x_end * next(nodes).w)
     return np.concatenate(time_parts), np.concatenate(end_parts)

@@ -23,6 +23,7 @@ from arcadeproc import (
 from arcadeproc.drivers import (
     _PATH_BLOCK,
     _VAR_FLOOR,
+    PathBundle,
     _arc_algebra,
     _time_major_normals,
     simulate_driver_cholesky,
@@ -278,3 +279,34 @@ class TestArcAlgebra:
                                       dh1=boom, dh2=boom, dmean=boom, params=d.params)
         assert np.array_equal(standard_coefficients(no_derivs, self.P).grid_matrix(),
                               standard_coefficients(d, self.P).grid_matrix())
+
+
+class TestPathBundle:
+    GRID = np.linspace(0.0, 1.0, 1001)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("time_major", [True, False])
+    def test_rejects_nonfinite_last_value(self, bad, time_major):
+        # the check runs over row blocks; the last node of the last path sits
+        # in the final, partial block of either layout
+        rows = np.zeros((self.GRID.size, 300))
+        vals = rows.T if time_major else np.ascontiguousarray(rows.T)
+        vals[-1, -1] = bad
+        with pytest.raises(ConfigError, match="path values contain NaN/Inf"):
+            PathBundle(self.GRID, vals, seed=0)
+
+    def test_empty_bundle_is_accepted(self):
+        assert PathBundle(self.GRID, np.zeros((0, self.GRID.size)), seed=0).n_paths == 0
+
+    def test_check_allocates_no_full_mask(self):
+        # np.isfinite(values) would allocate an eighth of the path array
+        import tracemalloc
+
+        vals = np.zeros((self.GRID.size, 4000)).T
+        tracemalloc.start()
+        try:
+            PathBundle(self.GRID, vals, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < vals.nbytes / 32, f"peak {peak / vals.nbytes:.3f} path arrays"

@@ -34,7 +34,15 @@ from arcadeproc.coupling import (
     gaussian_n01_kernel,
     uniform_mot_kernel,
 )
-from arcadeproc.drivers import simulate_driver
+from arcadeproc.drivers import _VAR_FLOOR, simulate_driver
+from arcadeproc.fam import (
+    _LOG_UNDERFLOW,
+    _atom_scratch,
+    _march,
+    _posterior_from_atoms,
+    _posterior_gaussian,
+)
+from arcadeproc.rap import build_rap_paths
 
 from conftest import assert_within_3se
 
@@ -373,6 +381,12 @@ class TestIsometry:
         assert rep.lhs_mean == 0.0
         assert rep.rhs_mean == 0.0
 
+    @pytest.mark.parametrize("block_size", [0, -1])
+    def test_block_size_below_one_is_a_config_error(self, unit_partition, block_size):
+        cfg = _bridge_rap(unit_partition, binary_pm1_kernel())
+        with pytest.raises(ConfigError, match="block_size"):
+            ito_isometry_check(cfg, 10, seed=19, block_size=block_size)
+
     def test_nonzero_difference_with_zero_se_fails(self):
         # X_0 = 1, X_1 = 2 on every path: the sides differ by exactly 1 with
         # no spread, which must not read as a z-score of 0
@@ -584,3 +598,100 @@ class TestStreamedReducers:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * one_array, f"peak {peak / one_array:.2f} path arrays"
+
+
+def _posterior_from_atoms_plain(y, logw, resid, g_next, var_a):
+    """The atom posterior as plain expressions, a new array per operation."""
+    if var_a > _VAR_FLOOR:
+        z = resid - g_next * y
+        logw = logw - 0.5 * z * z / var_a
+    peak = np.max(logw, axis=0)
+    underflow = int(np.count_nonzero(peak < _LOG_UNDERFLOW))
+    wts = np.exp(logw - peak)
+    wts /= np.sum(wts, axis=0)
+    mean = np.sum(wts * y, axis=0)
+    var = np.sum(wts * y * y, axis=0) - mean * mean
+    return mean, np.clip(var, 0.0, None), underflow
+
+
+def _posterior_gaussian_plain(m0, v0, resid, g_next, var_a):
+    """The conjugate normal update as plain expressions."""
+    if var_a <= _VAR_FLOOR or g_next == 0.0:
+        return m0, np.full_like(np.asarray(m0, dtype=float), v0), 0
+    prec = 1.0 / v0 + g_next * g_next / var_a
+    var = 1.0 / prec
+    mean = var * (m0 / v0 + g_next * resid / var_a)
+    return mean, np.full_like(np.asarray(mean, dtype=float), var), 0
+
+
+class TestInPlaceKernels:
+    """The posterior kernels write into scratch buffers and the march skips
+    the volatility where no one reads it; both must leave every bit of the
+    plain-expression results unchanged."""
+
+    N_PATHS = 1001
+
+    def _atoms(self, atoms, seed):
+        rng = np.random.default_rng(seed)
+        y = rng.normal(size=(atoms, self.N_PATHS))
+        # C-contiguous (atoms, paths), as _atoms_prior lays the prior out
+        w = np.ascontiguousarray(rng.dirichlet(np.ones(atoms), size=self.N_PATHS).T)
+        if atoms > 2:
+            w[1, ::3] = 0.0                 # an impossible atom on some rows
+        logw = np.where(w > 0.0, np.log(np.where(w > 0.0, w, 1.0)), -np.inf)
+        resid = 2.0 * rng.normal(size=self.N_PATHS)
+        resid[-1] = 1e4                     # every weight of this row underflows
+        return y, logw, resid
+
+    @pytest.mark.parametrize("atoms", [1, 2, 7, 8, 9])
+    @pytest.mark.parametrize("var_a", [0.3, _VAR_FLOOR, 0.5 * _VAR_FLOOR])
+    def test_atom_posterior_matches_plain_expressions(self, atoms, var_a):
+        y, logw, resid = self._atoms(atoms, seed=atoms)
+        work = _atom_scratch(y)
+        # the second call reuses the scratch the first one filled
+        for shift in (0.0, 0.25):
+            want = _posterior_from_atoms_plain(y, logw, resid + shift, 0.7, var_a)
+            mean, var, uf = _posterior_from_atoms(y, logw, work, resid + shift, 0.7, var_a)
+            assert np.array_equal(mean, want[0])
+            assert np.array_equal(var, want[1])
+            assert uf == want[2]
+            if var_a > _VAR_FLOOR:
+                assert uf >= 1
+            mean, var, uf = _posterior_from_atoms(y, logw, work, resid + shift, 0.7, var_a,
+                                                  with_variance=False)
+            assert np.array_equal(mean, want[0]) and var is None and uf == want[2]
+
+    @pytest.mark.parametrize("g_next", [0.0, 0.6])
+    @pytest.mark.parametrize("var_a", [0.3, _VAR_FLOOR])
+    def test_gaussian_posterior_matches_plain_expressions(self, g_next, var_a):
+        rng = np.random.default_rng(5)
+        m0, resid = rng.normal(size=self.N_PATHS), rng.normal(size=self.N_PATHS)
+        work = (np.empty(self.N_PATHS), np.empty(self.N_PATHS))
+        want = _posterior_gaussian_plain(m0, 0.8, resid, g_next, var_a)
+        got = _posterior_gaussian(m0, 0.8, work, resid, g_next, var_a)
+        assert np.array_equal(got[0], want[0])
+        assert got[1].shape == want[1].shape and np.array_equal(got[1], want[1])
+        assert got[2] == want[2] == 0
+        mean, var, _ = _posterior_gaussian(m0, 0.8, work, resid, g_next, var_a,
+                                           with_variance=False)
+        assert np.array_equal(mean, want[0]) and var is None
+
+    @pytest.mark.parametrize("kernel", ["uniform", "chain"])
+    def test_march_without_volatility_keeps_m_and_w(self, kernel):
+        if kernel == "uniform":
+            cfg = _bridge_rap(Partition((0.0, 1.0), 332), uniform_mot_kernel())
+        else:
+            cfg = _bridge_rap(Partition((0.0, 1.0, 2.0), 166), binary_chain_kernel(2))
+        assert cfg.partition.grid.size == 333
+        rap, x = build_rap_paths(cfg, 777, seed=29)
+        # a yielded row lives until the next node, so each one is copied
+        on = [(n.m.copy(), n.w.copy(), n.vol.copy())
+              for n in _march(cfg, rap.values.T, x, with_innovations=True)]
+        off = [(n.m.copy(), n.w.copy(), n.vol)
+               for n in _march(cfg, rap.values.T, x, with_innovations=True,
+                               with_volatility=False)]
+        assert len(on) == len(off) == 333
+        for (m_on, w_on, _), (m_off, w_off, vol_off) in zip(on, off):
+            assert np.array_equal(m_on, m_off)
+            assert np.array_equal(w_on, w_off)
+            assert vol_off is None

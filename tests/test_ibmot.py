@@ -571,6 +571,12 @@ class TestMcCrossChecks:
         assert abs(mc.k_i_time - 1.0) <= 3.0 * mc.se_time
         assert abs(mc.k_i_endpoint - 1.0) <= 3.0 * mc.se_endpoint
 
+    @pytest.mark.parametrize("block_size", [0, -1])
+    def test_block_size_below_one_is_a_config_error(self, block_size):
+        with pytest.raises(ConfigError, match="block_size"):
+            ibmot_objective_mc(uniform_mot_kernel(), 1.0, 10, seed=5, steps=20,
+                               block_size=block_size)
+
     def test_time_integral_matches_unblocked_reduction(self):
         # the estimator is reduced in path blocks; the per-path arithmetic is
         # that of one reduction over the whole (paths, nodes) array, so the
