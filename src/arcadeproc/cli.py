@@ -101,6 +101,13 @@ def _config_stage(fn):
     return wrapped
 
 
+def _whole(value) -> int:
+    """An integer option: a fractional number is rejected, not truncated."""
+    if not isinstance(value, int) and not float(value).is_integer():
+        raise ValueError(f"expected a whole number, got {value!r}")
+    return int(value)
+
+
 def _require(doc: dict, key: str, context: str):
     if key not in doc:
         raise ConfigError(f"missing {key!r} in {context}")
@@ -125,7 +132,7 @@ def _section(doc: dict, key: str, default=None) -> dict:
 def _build_partition(doc: dict) -> Partition:
     sub = _section(doc, "partition")
     return Partition(tuple(_require(sub, "dates", "partition")),
-                     int(sub.get("steps_per_arc", 50)))
+                     _whole(sub.get("steps_per_arc", 50)))
 
 
 @_config_stage
@@ -167,7 +174,7 @@ def _build_marginal(doc, context: str) -> tuple[DiscreteMarginal, float | None]:
     if isinstance(doc, list):
         return DiscreteMarginal.from_pairs(doc), None
     dist = _require(doc, "dist", context)
-    atoms = int(doc.get("atoms", 15))
+    atoms = _whole(doc.get("atoms", 15))
     method = doc.get("method", "cell_mean")
     if dist == "normal":
         law = GaussianMarginal(float(doc.get("mean", 0.0)), float(_require(doc, "var", context)))
@@ -198,7 +205,7 @@ def _resolve_seed(doc: dict, args) -> int:
         return int(args.seed)
     if "seed" not in doc:
         raise ConfigError("config must carry a seed (or pass --seed)")
-    return int(doc["seed"])
+    return _whole(doc["seed"])
 
 
 @_config_stage
@@ -220,7 +227,7 @@ def _ibmot_options(doc: dict) -> IbmotOptions:
         raise ConfigError(f"unknown ibmot options {unknown}; known: 'gap', 'max_iter'")
     return IbmotOptions(
         gap_tol=float(opt_doc.get("gap", 1e-7)),
-        max_iter=int(opt_doc.get("max_iter", 5000)),
+        max_iter=_whole(opt_doc.get("max_iter", 5000)),
     )
 
 
@@ -243,7 +250,7 @@ def _se_band_checks(values: np.ndarray, target: float, n: int) -> dict:
 def _cmd_simulate(doc: dict, args) -> int:
     kind = doc.get("kind", "ap")
     seed = _resolve_seed(doc, args)
-    n_paths = args.paths or _option(doc, "n_paths", 10, int)
+    n_paths = args.paths or _option(doc, "n_paths", 10, _whole)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     p = _build_partition(doc)
@@ -289,7 +296,7 @@ def _cmd_simulate(doc: dict, args) -> int:
 
 def _cmd_fam(doc: dict, args) -> int:
     seed = _resolve_seed(doc, args)
-    n_paths = args.paths or _option(doc, "n_paths", 128, int)
+    n_paths = args.paths or _option(doc, "n_paths", 128, _whole)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cfg = _rap_config(doc)
@@ -322,11 +329,11 @@ def _cmd_fam(doc: dict, args) -> int:
 
     iso_doc = _section(doc, "isometry", {})
     if iso_doc:
-        report = ito_isometry_check(cfg, _option(iso_doc, "n_paths", 20000, int), seed)
+        report = ito_isometry_check(cfg, _option(iso_doc, "n_paths", 20000, _whole), seed)
         diag["isometry"] = report.as_dict()
         diag["isometry"]["pass"] = bool(report.z_score <= 3.0)
 
-    files = trace.to_csv_files(out, max_paths=_option(doc, "max_path_files", 16, int))
+    files = trace.to_csv_files(out, max_paths=_option(doc, "max_path_files", 16, _whole))
     diag["path_files"] = [Path(f).name for f in files]
     _write_json(out / "diagnostics.json", diag)
     if not args.quiet:
@@ -352,8 +359,8 @@ def _cmd_ibmot(doc: dict, args) -> int:
     if mc_doc:
         kernel = _build_kernel(mc_doc, "mc_check")
         mc = ibmot_objective_mc(kernel, horizon,
-                                _option(mc_doc, "n_paths", 20000, int), seed,
-                                steps=_option(mc_doc, "steps", 500, int))
+                                _option(mc_doc, "n_paths", 20000, _whole), seed,
+                                steps=_option(mc_doc, "steps", 500, _whole))
         payload["mc_check"] = mc.as_dict()
 
     _write_json(out / "solution.json", payload)

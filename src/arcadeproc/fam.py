@@ -1,11 +1,16 @@
 """Filtered arcade martingales: Bayesian interpolation along randomized arcades.
 
-The martingale is the posterior mean of the next target given the revealed
-targets and the current process value.  For Gaussian noise the observation
-likelihood is normal with mean ``sum_i g_i(t) X_i + mu_A(t)`` and variance
-``sigma_A^2(t)``, so the filter is a weighted average over the coupling's
-conditional atoms (discrete targets), a conjugate normal update (Gaussian
-targets), or an adaptive quadrature (generic continuous densities).
+The martingale is a conditional expectation given the arcade filtration:
+on arc ``m``, the posterior mean of the last of the targets
+``(X_{m+1}, ..., X_{m+L})`` that the observation reveals, given the revealed
+targets and the current process value.  Where every later signal
+coefficient vanishes on the arc, ``L = 1``: the nearly-Markov (reduced)
+filter is full conditioning with a one-target suffix.  Elsewhere
+``L = n - m``.  For Gaussian noise the observation likelihood is normal with
+mean ``sum_i g_i(t) X_i + mu_A(t)`` and variance ``sigma_A^2(t)``, so the
+filter is a weighted average over the suffix hypotheses (discrete targets),
+a conjugate normal update (Gaussian targets, one-target suffixes), or an
+adaptive quadrature (generic continuous densities).
 
 The module also produces the martingale's volatility coefficient
 ``Var[X | .] * sqrt(H1' H2 - H1 H2') / (H1(T_{m+1}) H2(t) - H1(t) H2(T_{m+1}))``,
@@ -18,32 +23,33 @@ forward march over the grid nodes (:func:`_march`).  It reads one contiguous
 row of the time-major ``I`` buffer (see :class:`FamTrace`) per node and
 yields that node's rows of ``M``, the volatility (where a consumer reads it)
 and, for standard configurations, ``W``; its state between nodes is the
-running ``W`` row.  What is constant on an arc (the conditional atoms of the
-next target, their log prior weights and the posterior's scratch buffers) is
-set up once per arc, and the per-node kernels write into those buffers with
-``out=`` ufuncs in the operand order of the plain formulas, so the march
-allocates no array per node and its results are bit-identical to them.  A
-yielded row is valid only until the next node is requested.
-:func:`fam_paths` copies the rows into whole paths; the isometry check, like
-the Monte Carlo objective in :mod:`arcadeproc.ibmot`, keeps only per-path
-running sums, so an operation holds one ``(nodes, paths)`` array, the ``I``
-buffer.
+running ``W`` row.  What is constant on an arc (the suffix hypotheses, their
+log prior weights and the posterior's scratch buffers) is set up once per
+arc, and the per-node kernels write into those buffers with ``out=`` ufuncs
+in the operand order of the plain formulas, so the march allocates no array
+per node and its results are bit-identical to them.  A yielded row is valid
+only until the next node is requested.
+:func:`fam_paths` copies the rows into whole paths; the isometry check and
+the Monte Carlo objective in :mod:`arcadeproc.ibmot` share one loop over path
+blocks (:func:`_paired_path_sums`) that keeps only per-path running sums, so
+an operation holds one ``(nodes, paths)`` array, the ``I`` buffer.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .arcade import ap_mean, ap_variance
-from .coupling import GaussianStepKernel, StepKernel
+from .coupling import GaussianStepKernel
 from .drivers import _VAR_FLOOR, _arc_algebra
 from .errors import ConfigError, DegenerateError, DomainError, NumericError
-from .rap import RapConfig, _early_signal_residual, build_rap_paths
+from .rap import RapConfig, build_rap_paths
 
 __all__ = [
     "FamTrace",
@@ -64,47 +70,54 @@ _LOG_UNDERFLOW = -700.0
 # Posterior cores
 # ---------------------------------------------------------------------------
 
-def _atoms_prior(step: StepKernel, x_prev) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate values and log prior weights, each shaped (atoms, paths).
-
-    Both depend only on the current target, so they are constant on an arc.
+def _suffix_prior(steps, x_prev) -> tuple[np.ndarray, np.ndarray]:
+    """The hypotheses ``(X_{m+1}, ..., X_{m+L})`` of the ``L`` atom-valued
+    step kernels ``steps`` given ``X_m = x_prev``, constant on an arc: their
+    values (L, hypotheses, paths) and log prior weights (hypotheses, paths),
+    both C-contiguous.  For ``L = 1`` they are the next step's atoms.
     """
-    y, w = step.atoms_given(np.asarray(x_prev, dtype=float))
-    y = np.ascontiguousarray(y.T)
-    w = np.ascontiguousarray(w.T)
-    return y, np.where(w > 0.0, np.log(np.where(w > 0.0, w, 1.0)), -np.inf)
+    x_prev = np.asarray(x_prev, dtype=float)
+    values, prob = [x_prev[None]], np.ones((1, x_prev.size))
+    for step in steps:
+        y, w = step.atoms_given(values[-1].reshape(-1))
+        # hypothesis (j, h): hypothesis h continued by atom j of this step
+        shape = (y.shape[-1],) + prob.shape
+        values = [np.broadcast_to(v, shape).reshape(-1, x_prev.size) for v in values]
+        values.append(y.T.reshape(-1, x_prev.size))
+        prob = (prob * w.T.reshape(shape)).reshape(-1, x_prev.size)
+    logw = np.where(prob > 0.0, np.log(np.where(prob > 0.0, prob, 1.0)), -np.inf)
+    return np.stack(values[1:]), logw
 
 
-def _posterior_from_atoms(y, logw, work, resid, g_next, var_a, with_variance=True):
-    """Posterior mean/variance over atoms given Gaussian evidence.
+def _posterior_from_atoms(s, logw, work, resid, g, var_a, with_variance=True):
+    """Posterior mean/variance of the last suffix target given Gaussian evidence.
 
-    ``y, logw``: candidate values and log prior weights, C-contiguous of
-    shape (atoms, paths), from :func:`_atoms_prior`; ``resid``: observation minus
-    base signal, shape (paths,); evidence has mean ``g_next * y`` and
-    variance ``var_a``.  Weights are normalized in log space; when every
-    weight underflows the max-shift keeps the nearest atom, counted in the
-    returned tally.  Without ``with_variance`` the variance is skipped and
-    returned as ``None``.
+    ``s, logw``: suffix hypotheses and their log prior weights from
+    :func:`_suffix_prior`; ``resid``: observation minus revealed signal,
+    shape (paths,); evidence has mean ``sum_l g[l] * s[l]`` and variance
+    ``var_a``; the estimate is ``s[-1]``.  Weights are normalized in log
+    space; when every weight underflows the max-shift keeps the nearest
+    hypothesis, counted in the returned tally.  Without ``with_variance``
+    the variance is skipped and returned as ``None``.
 
-    ``work`` is the scratch of :func:`_atom_scratch`: two (atoms, paths) and
-    two (paths,) buffers, which every call overwrites.  The returned mean and
-    variance are two of those buffers, so they are valid until the next call
-    with the same ``work``.  Each ufunc writes its ``out=`` buffer in the
-    operand order of the plain expressions (``0.5 * z * z / var_a`` is
+    ``work`` is two (hypotheses, paths) and two (paths,) scratch buffers,
+    which every call overwrites.  The returned mean and variance are two of
+    those buffers, so they are valid until the next call with the same
+    ``work``.  Each ufunc writes its ``out=`` buffer in the operand order of
+    the plain expressions (``0.5 * z * z / var_a`` is
     ``((0.5 * z) * z) / var_a``, ``wts * y * y`` is ``(wts * y) * y`` with
     ``wts * y`` formed once for the mean), so the results are bit-identical
     to them.
 
-    The reductions run over axis 0, so numpy adds the atom rows one after
-    another.  A (paths, atoms) layout summed along axis 1 instead, which
-    numpy does sequentially for rows of up to 7 atoms and with eight partial
-    sums (pairwise) from 8 atoms on.  The two layouts therefore give
-    bit-identical results for up to 7 atoms per row; with 8 or more the
-    sums, and so the posterior, may differ in the last bits.
+    The reductions run over axis 0, so numpy adds the hypothesis rows one
+    after another, for any number of hypotheses.
     """
     atoms_a, atoms_b, mean, var = work
+    y = s[-1]
     if var_a > _VAR_FLOOR:
-        z = np.multiply(y, g_next, out=atoms_a)
+        z = np.multiply(s[0], g[0], out=atoms_a)
+        for s_l, g_l in zip(s[1:], g[1:]):
+            np.add(z, np.multiply(s_l, g_l, out=atoms_b), out=z)
         np.subtract(resid, z, out=z)
         penalty = np.multiply(z, 0.5, out=atoms_b)
         np.multiply(penalty, z, out=penalty)
@@ -126,20 +139,17 @@ def _posterior_from_atoms(y, logw, work, resid, g_next, var_a, with_variance=Tru
     return mean, np.clip(var, 0.0, None, out=var), underflow
 
 
-def _atom_scratch(y: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The scratch of :func:`_posterior_from_atoms` for candidates ``y``."""
-    return np.empty(y.shape), np.empty(y.shape), np.empty(y.shape[1]), np.empty(y.shape[1])
-
-
-def _posterior_gaussian(m0, v0, work, resid, g_next, var_a, with_variance=True):
+def _posterior_gaussian(m0, v0, work, resid, g, var_a, with_variance=True):
     """Conjugate normal update for ``X' ~ N(m0, v0)`` observed through
-    ``I = g_next X' + base + noise(var_a)``; ``resid = I - base``.
+    ``I = g_next X' + base + noise(var_a)`` with ``g = (g_next,)``;
+    ``resid = I - base``.
 
     ``work`` is two (paths,) buffers that every call overwrites; the mean
     (unless it is ``m0`` itself, when the evidence carries no information)
     and the variance are returned in them, and the variance is ``None``
     without ``with_variance``.
     """
+    (g_next,) = g
     mean, var_row = work
     if var_a <= _VAR_FLOOR or g_next == 0.0:
         mean, var = m0, v0
@@ -156,24 +166,26 @@ def _posterior_gaussian(m0, v0, work, resid, g_next, var_a, with_variance=True):
     return mean, var_row, 0
 
 
-def _arc_posterior(step: StepKernel, x_prev, with_variance: bool = True):
-    """The posterior ``(resid, g_next, var_a) -> (mean, var, underflows)``
-    of the next target, with the prior given ``x_prev`` and the posterior's
-    scratch allocated once; the returned rows are valid until the next
-    call."""
+def _arc_posterior(steps, x_prev, with_variance: bool = True):
+    """The posterior ``(resid, g, var_a) -> (mean, var, underflows)`` of the
+    last target of the suffix whose step kernels are ``steps``, with ``g``
+    the signal coefficients of the suffix targets at the node.  The prior
+    given ``x_prev`` and the posterior's scratch are allocated once; the
+    returned rows are valid until the next call.  A Gaussian step kernel
+    takes a one-target suffix."""
+    if len(steps) > 1 and any(s.conditional_kind != "atoms" for s in steps):
+        raise ConfigError("full conditioning needs atom-valued step kernels; "
+                          "the signal activates targets ahead of their arc")
     x_prev = np.asarray(x_prev, dtype=float)
-    if step.conditional_kind == "gaussian":
-        m0, v0 = step.gaussian_given(x_prev)
+    if steps[0].conditional_kind == "gaussian":
+        m0, v0 = steps[0].gaussian_given(x_prev)
         work = (np.empty(x_prev.shape), np.empty(x_prev.shape))
         return functools.partial(_posterior_gaussian, m0, v0, work,
                                  with_variance=with_variance)
-    y, logw = _atoms_prior(step, x_prev)
-    return functools.partial(_posterior_from_atoms, y, logw, _atom_scratch(y),
-                             with_variance=with_variance)
-
-
-def _step_posterior(step: StepKernel, x_prev, resid, g_next, var_a):
-    return _arc_posterior(step, x_prev)(resid, g_next, var_a)
+    s, logw = _suffix_prior(steps, x_prev)
+    work = (np.empty(logw.shape), np.empty(logw.shape), np.empty(x_prev.shape),
+            np.empty(x_prev.shape))
+    return functools.partial(_posterior_from_atoms, s, logw, work, with_variance=with_variance)
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +199,15 @@ def _grid_algebra(cfg: RapConfig):
     return _arc_algebra(cfg.arcade.driver, p.dates, arcs, p.grid[:-1])
 
 
-def _prefix_base(x: np.ndarray, gmat: np.ndarray, k: int, arc: int,
-                 mu_a: float) -> np.ndarray:
-    """Revealed signal plus arcade mean at node ``k`` of arc ``arc``, from the
-    targets ``x`` (paths, n+1), of which ``X_0..X_arc`` are revealed."""
-    return gmat[: arc + 1, k] @ x.T[: arc + 1] + mu_a
+def _signal_residual(i_row, x, g_revealed, mu_a, z, tmp) -> np.ndarray:
+    """``Z = I - sum_{i<=m} g_i X_i - mu_A`` at one node, written into ``z``
+    column by column from the targets ``x`` (paths, n+1) and the node's
+    ``g_revealed = g_0..g_m``; ``tmp`` is a (paths,) scratch row."""
+    np.multiply(x[:, 0], g_revealed[0], out=z)
+    for x_i, g_i in zip(x.T[1:], g_revealed[1:]):
+        np.add(z, np.multiply(x_i, g_i, out=tmp), out=z)
+    np.add(z, mu_a, out=z)
+    return np.subtract(i_row, z, out=z)
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +263,10 @@ def fam_paths(cfg: RapConfig, n_paths: int, seed: int, block: int = 0,
 
     At the dates the martingale is pinned to the targets; at interior nodes
     the filter conditions on the revealed targets and the current value.
-    For couplings whose signal vanishes ahead of each arc the filter reduces
-    to the next target only; other configurations fall back to full
-    conditioning over the chain's remaining atoms.
+    On an arc where every later signal coefficient vanishes the posterior is
+    over the next target only; elsewhere it is over the chain's remaining
+    targets (atom-valued kernels only), and the martingale is the posterior
+    mean of the last one.
     """
     if with_innovations is None:
         with_innovations = cfg.standard
@@ -296,11 +313,12 @@ def _march(cfg: RapConfig, i_rows: np.ndarray, x: np.ndarray,
 
     ``i_rows`` is the time-major (nodes, paths) ``I`` buffer and ``x`` the
     targets (paths, n+1).  Per node the residual ``Z = I - base`` of the
-    revealed signal is computed once and feeds both the posterior of the next
-    target and the innovations drift; the prior of the next target and the
-    posterior's scratch are set up once per arc.  Without
-    ``with_volatility`` the posterior stops at the mean, and neither the
-    posterior variance nor the volatility is computed.  Yields one
+    revealed signal is computed once and feeds both the posterior and the
+    innovations drift.  On arc ``m`` the posterior is over the suffixes
+    ``(X_{m+1}, ..., X_{m+L})`` of the targets its observation reveals;
+    their prior and the posterior's scratch are set up once per arc.
+    Without ``with_volatility`` the posterior stops at the mean, and neither
+    the posterior variance nor the volatility is computed.  Yields one
     :class:`_NodeRows` per grid node.
 
     The march allocates no row per node: ``Z``, the volatility, the
@@ -313,13 +331,10 @@ def _march(cfg: RapConfig, i_rows: np.ndarray, x: np.ndarray,
     grid = p.grid
     steps = p.steps_per_arc
     n = p.n_arcs
-    reduced = _early_signal_residual(cfg) <= 1e-12
-    if not reduced and any(s.conditional_kind != "atoms" for s in cfg.coupling.steps):
-        raise ConfigError(
-            "full conditioning needs atom-valued step kernels; "
-            "the signal activates targets ahead of their arc"
-        )
     gmat = cfg.signal.grid_matrix()                 # (n+1, K)
+    # L = 1 on an arc where g_{m+2}, ..., g_n vanish at every node, else n - m
+    lengths = [1 if np.all(np.abs(gmat[arc + 2:, arc * steps:(arc + 1) * steps]) <= 1e-12)
+               else n - arc for arc in range(n)]
     mu_a = np.asarray(ap_mean(cfg.arcade, grid), dtype=float)
     var_a = np.asarray(ap_variance(cfg.arcade, grid), dtype=float)
     # the volatility is Var[X | .] sqrt(h2) / h3 where h3 > 0 and h2 >= 0, else 0
@@ -328,26 +343,21 @@ def _march(cfg: RapConfig, i_rows: np.ndarray, x: np.ndarray,
     root_qv = np.sqrt(np.maximum(alg.qv, 0.0))
     n_paths = x.shape[0]
     z = np.empty(n_paths)
+    tmp = np.empty(n_paths)
     vol = np.empty(n_paths) if with_volatility else None
     innovation = _innovations_step(cfg, alg, n_paths) if with_innovations else None
     w = np.zeros(n_paths) if with_innovations else None
 
-    for arc in range(n):
-        posterior = (_arc_posterior(cfg.coupling.steps[arc], x[:, arc], with_volatility)
-                     if reduced else None)
+    for arc, length in enumerate(lengths):
+        posterior = _arc_posterior(cfg.coupling.steps[arc: arc + length], x[:, arc],
+                                   with_volatility)
         for k in range(arc * steps, (arc + 1) * steps):
             is_date = (k == arc * steps)
             va = 0.0 if is_date else float(var_a[k])
             if not is_date and va <= _VAR_FLOOR:
                 raise DegenerateError(f"zero noise variance at interior node t={grid[k]}")
-            if reduced or innovation is not None:
-                np.subtract(i_rows[k], _prefix_base(x, gmat, k, arc, float(mu_a[k])), out=z)
-            if reduced:
-                mean, pvar, uf = posterior(z, float(gmat[arc + 1, k]), va)
-            else:
-                mean, pvar, uf = _full_conditioning_posterior(
-                    cfg, k, arc, x, i_rows[k], float(mu_a[k]), va, gmat
-                )
+            _signal_residual(i_rows[k], x, gmat[: arc + 1, k], float(mu_a[k]), z, tmp)
+            mean, pvar, uf = posterior(z, gmat[arc + 1: arc + 1 + length, k], va)
             m = x[:, arc] if is_date else mean
             if vol is not None:
                 if vol_ok[k]:
@@ -363,57 +373,41 @@ def _march(cfg: RapConfig, i_rows: np.ndarray, x: np.ndarray,
     yield _NodeRows(x[:, n], vol, w, 0)
 
 
-def _full_conditioning_posterior(cfg, k, arc, x, i_col, mu_a, va, gmat):
-    """Posterior mean/variance of X_n by enumerating chain suffixes.
-
-    Used when some later signal coefficient is active before its arc, so
-    conditioning cannot be reduced to the next target.  Only atom-valued
-    chains are supported.
-    """
-    p = cfg.partition
-    n = p.n_arcs
-    means = np.empty(x.shape[0])
-    varis = np.empty(x.shape[0])
-    uf = 0
-    prefix_vals = np.unique(x[:, arc])
-    t = p.grid[k]
-    for xv in prefix_vals:
-        rows = np.where(np.abs(x[:, arc] - xv) < 1e-12)[0]
-        paths, probs = cfg.coupling.enumerate_suffixes(arc, float(xv))
-        gsuf = np.asarray(
-            [cfg.signal.eval(j, float(t)) for j in range(arc + 1, n + 1)]
-        )
-        mean_shift = paths @ gsuf                      # (n_suffix,)
-        y_last = paths[:, -1]
-        base_rows = x[rows, : arc + 1] @ gmat[: arc + 1, k] + mu_a
-        resid = i_col[rows] - base_rows
-        if va <= _VAR_FLOOR:
-            logw = np.broadcast_to(np.log(probs)[None, :], (rows.size, probs.size)).copy()
-        else:
-            logw = np.log(probs)[None, :] - 0.5 * (resid[:, None] - mean_shift) ** 2 / va
-        peak = logw.max(axis=1, keepdims=True)
-        uf += int(np.sum(peak[:, 0] < _LOG_UNDERFLOW))
-        wts = np.exp(logw - peak)
-        wts /= wts.sum(axis=1, keepdims=True)
-        means[rows] = wts @ y_last
-        varis[rows] = wts @ (y_last * y_last) - means[rows] ** 2
-    return means, np.clip(varis, 0.0, None), uf
-
-
 # ---------------------------------------------------------------------------
 # Point filters (desk-scale API)
 # ---------------------------------------------------------------------------
 
-def _filter_context(cfg: RapConfig, t: float, x_observed) -> tuple[int, np.ndarray, float, float]:
+def _filter_context(cfg: RapConfig, t: float, x_observed):
+    """``(m, pinned, x_m, base, g, va)`` of a point filter at ``t`` given the
+    revealed targets: the arc ``m`` and, at a date, the target ``pinned``
+    there (the rest ``None``).  Inside the arc ``pinned`` is ``None``,
+    ``x_m`` the current target, ``base`` the revealed signal plus arcade
+    mean, ``g = (g_{m+1}(t), ..., g_n(t))`` and ``va`` the noise variance,
+    which must be positive."""
     p = cfg.partition
-    p.check_domain(t)
     x_obs = np.asarray(x_observed, dtype=float)
-    m = p.arc_of(t) if t < p.tn else p.n_arcs - 1
+    m = p.arc_of(t)
     if x_obs.size < m + 1:
         raise ConfigError(f"need the {m + 1} revealed targets up to T_{m}")
-    mu = float(ap_mean(cfg.arcade, t))
+    for i, date in enumerate(p.dates):
+        if t == date:
+            if x_obs.size < i + 1:
+                raise ConfigError("revealed targets do not cover this date")
+            return m, float(x_obs[i]), None, None, None, None
     va = float(ap_variance(cfg.arcade, t))
-    return m, x_obs, mu, va
+    if va <= _VAR_FLOOR:
+        raise DegenerateError(f"zero noise variance at interior t={t}")
+    mu = float(ap_mean(cfg.arcade, t))
+    base = sum(cfg.signal.eval(i, t) * x_obs[i] for i in range(m + 1)) + mu
+    g = np.asarray([cfg.signal.eval(j, t) for j in range(m + 1, p.n_arcs + 1)], dtype=float)
+    return m, None, float(x_obs[m]), base, g, va
+
+
+def _next_target_posterior(cfg: RapConfig, m: int, x_m: float, resid: float, g, va: float):
+    """Posterior mean and variance of ``X_{m+1}`` at one point inside arc ``m``."""
+    posterior = _arc_posterior(cfg.coupling.steps[m: m + 1], [x_m])
+    mean, var, _ = posterior(np.asarray([resid]), g[:1], va)
+    return float(mean[0]), float(var[0])
 
 
 def fam_filter_discrete(cfg: RapConfig, t: float, i_t: float, x_observed) -> float:
@@ -422,42 +416,25 @@ def fam_filter_discrete(cfg: RapConfig, t: float, i_t: float, x_observed) -> flo
     At a date the martingale equals the matching target exactly (boundary
     convention).  Interior evaluation requires positive noise variance.
     """
-    p = cfg.partition
-    m, x_obs, mu, va = _filter_context(cfg, t, x_observed)
-    for i, date in enumerate(p.dates):
-        if t == date:
-            if x_obs.size < i + 1:
-                raise ConfigError("revealed targets do not cover this date")
-            return float(x_obs[i])
-    if va <= _VAR_FLOOR:
-        raise DegenerateError(f"zero noise variance at interior t={t}")
-    step = cfg.coupling.steps[m]
-    if step.conditional_kind != "atoms":
+    m, pinned, x_m, base, g, va = _filter_context(cfg, t, x_observed)
+    if pinned is not None:
+        return pinned
+    if cfg.coupling.steps[m].conditional_kind != "atoms":
         raise ConfigError("discrete filter needs an atom-valued step kernel")
-    base = sum(cfg.signal.eval(i, t) * x_obs[i] for i in range(m + 1)) + mu
-    g_next = float(cfg.signal.eval(m + 1, t))
-    mean, _, _ = _step_posterior(step, x_obs[m: m + 1], np.asarray([i_t - base]),
-                                 g_next, va)
-    return float(mean[0])
+    return _next_target_posterior(cfg, m, x_m, i_t - base, g, va)[0]
 
 
 def fam_filter_bruteforce(cfg: RapConfig, t: float, i_t: float, x_observed) -> float:
     """Full conditional mean of the terminal target over all chain suffixes.
 
-    Independent of the reduced filter; conditions jointly on every remaining
-    target using the complete signal sum.
+    Independent of the march's posterior; conditions jointly on every
+    remaining target using the complete signal sum.
     """
-    p = cfg.partition
-    m, x_obs, mu, va = _filter_context(cfg, t, x_observed)
-    for i, date in enumerate(p.dates):
-        if t == date:
-            return float(x_obs[i])
-    if va <= _VAR_FLOOR:
-        raise DegenerateError(f"zero noise variance at interior t={t}")
-    paths, probs = cfg.coupling.enumerate_suffixes(m, float(x_obs[m]))
-    gsuf = np.asarray([cfg.signal.eval(j, t) for j in range(m + 1, p.n_arcs + 1)])
-    base = sum(cfg.signal.eval(i, t) * x_obs[i] for i in range(m + 1)) + mu
-    resid = i_t - base - paths @ gsuf
+    m, pinned, x_m, base, g, va = _filter_context(cfg, t, x_observed)
+    if pinned is not None:
+        return pinned
+    paths, probs = cfg.coupling.enumerate_suffixes(m, x_m)
+    resid = i_t - base - paths @ g
     logw = np.log(probs) - 0.5 * resid * resid / va
     wts = np.exp(logw - logw.max())
     wts /= wts.sum()
@@ -474,19 +451,14 @@ def fam_filter_continuous(cfg: RapConfig, t: float, i_t: float, x_observed,
     the panel count doubles until successive estimates agree to ``rel_tol``.
     Returns ``(mean, variance)``.
     """
-    p = cfg.partition
-    m, x_obs, mu, va = _filter_context(cfg, t, x_observed)
-    for i, date in enumerate(p.dates):
-        if t == date:
-            return float(x_obs[i]), 0.0
-    if va <= _VAR_FLOOR:
-        raise DegenerateError(f"zero noise variance at interior t={t}")
+    m, pinned, x_m, base, g, va = _filter_context(cfg, t, x_observed)
+    if pinned is not None:
+        return pinned, 0.0
     step = cfg.coupling.steps[m]
     if not isinstance(step, GaussianStepKernel):
         raise ConfigError("continuous filter needs a density-backed step kernel")
-    pdf, m0, v0 = step.density_given(float(x_obs[m]))
-    base = sum(cfg.signal.eval(i, t) * x_obs[i] for i in range(m + 1)) + mu
-    g_next = float(cfg.signal.eval(m + 1, t))
+    pdf, m0, v0 = step.density_given(x_m)
+    g_next = float(g[0])
     sd_like = math.sqrt(va) / abs(g_next) if abs(g_next) > 1e-300 else math.inf
     center_like = (i_t - base) / g_next if np.isfinite(sd_like) else m0
     sd0 = math.sqrt(v0)
@@ -525,21 +497,15 @@ def fam_filter_continuous(cfg: RapConfig, t: float, i_t: float, x_observed,
 
 def fam_volatility(cfg: RapConfig, t: float, i_t: float, x_observed) -> float:
     """Volatility coefficient ``Var[X | .] sqrt(h2(t)) / h3(t)`` at interior t."""
-    p = cfg.partition
-    if any(t == date for date in p.dates):
+    m, pinned, x_m, base, g, va = _filter_context(cfg, t, x_observed)
+    if pinned is not None:
         raise DomainError("volatility formula is undefined at the dates")
-    m, x_obs, mu, va = _filter_context(cfg, t, x_observed)
-    step = cfg.coupling.steps[m]
-    base = sum(cfg.signal.eval(i, t) * x_obs[i] for i in range(m + 1)) + mu
-    g_next = float(cfg.signal.eval(m + 1, t))
-    _, pvar, _ = _step_posterior(step, x_obs[m: m + 1],
-                                 np.asarray([i_t - base]), g_next, va)
-    pv = float(pvar[0])
-    alg = _arc_algebra(cfg.arcade.driver, p.dates, m, t)
+    alg = _arc_algebra(cfg.arcade.driver, cfg.partition.dates, m, t)
     h2, h3 = float(alg.qv), float(alg.right)
     if h3 <= _VAR_FLOOR:
         raise DomainError("volatility denominator vanishes at the arc endpoint")
-    return pv * math.sqrt(max(h2, 0.0)) / h3
+    pvar = _next_target_posterior(cfg, m, x_m, i_t - base, g, va)[1]
+    return pvar * math.sqrt(max(h2, 0.0)) / h3
 
 
 # ---------------------------------------------------------------------------
@@ -604,12 +570,12 @@ def innovations_from_arrays(cfg: RapConfig, i_vals: np.ndarray,
     mu_a = np.asarray(ap_mean(cfg.arcade, p.grid), dtype=float)
     i_rows, m_rows = i_vals.T, m_vals.T
     step = _innovations_step(cfg, _grid_algebra(cfg), i_rows.shape[1])
-    z = np.empty(i_rows.shape[1])
+    z, tmp = np.empty(i_rows.shape[1]), np.empty(i_rows.shape[1])
     w_rows = np.empty(i_rows.shape)
     w_rows[0] = 0.0
     for k in range(p.grid.size - 1):
         arc = k // steps
-        np.subtract(i_rows[k], _prefix_base(x, gmat, k, arc, float(mu_a[k])), out=z)
+        _signal_residual(i_rows[k], x, gmat[: arc + 1, k], float(mu_a[k]), z, tmp)
         dw = step(k, z, m_rows[k], x[:, arc], i_rows[k], i_rows[k + 1])
         np.add(w_rows[k], dw, out=w_rows[k + 1])
     return w_rows.T
@@ -623,7 +589,7 @@ def innovations_path(cfg: RapConfig, trace: FamTrace) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Isometry check
+# Monte Carlo reductions over path blocks: the isometry check
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -662,35 +628,54 @@ def ito_isometry_check(cfg: RapConfig, n_paths: int, seed: int,
     Both sides are evaluated on the same paths, so the difference carries a
     paired standard error, which needs at least two paths.
     """
-    if n_paths < 2:
-        raise ConfigError("the isometry check needs at least 2 paths")
-    if block_size < 1:
-        raise ConfigError(f"block_size must be at least 1, got {block_size}")
-    lhs, rhs = _isometry_sums(cfg, n_paths, seed, block_size)
-    diff = lhs - rhs
-    root_n = math.sqrt(lhs.size)
-    return IsometryReport(
-        float(lhs.mean()), float(lhs.std(ddof=1)) / root_n,
-        float(rhs.mean()), float(rhs.std(ddof=1)) / root_n,
-        float(diff.mean()), float(diff.std(ddof=1)) / root_n,
-    )
+    return IsometryReport(*_paired_mean_se(*_isometry_sums(cfg, n_paths, seed, block_size)))
 
 
 def _isometry_sums(cfg: RapConfig, n_paths: int, seed: int,
                    block_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-path ``(X_n - X_0)^2`` and trapezoid ``int vol^2 dt``; path block
-    ``b`` of at most ``block_size`` paths is simulated with ``block=b``."""
+    """Per-path ``(X_n - X_0)^2`` and trapezoid ``int vol^2 dt``, from
+    :func:`_paired_path_sums`."""
     dt = np.diff(cfg.partition.grid)
     weights = 0.5 * (np.append(dt, 0.0) + np.insert(dt, 0, 0.0))
-    lhs_parts, rhs_parts = [], []
-    for block, start in enumerate(range(0, n_paths, block_size)):
-        count = min(block_size, n_paths - start)
-        rap, x = build_rap_paths(cfg, count, seed, block)
-        rhs = np.zeros(count)
-        term = np.empty(count)
-        for wk, node in zip(weights, _march(cfg, rap.values.T, x, with_innovations=False)):
+
+    def reduce(x, nodes):
+        rhs = np.zeros(x.shape[0])
+        term = np.empty(x.shape[0])
+        for wk, node in zip(weights, nodes):
             np.multiply(node.vol, node.vol, out=term)
             rhs += np.multiply(term, wk, out=term)
-        lhs_parts.append((x[:, -1] - x[:, 0]) ** 2)
-        rhs_parts.append(rhs)
-    return np.concatenate(lhs_parts), np.concatenate(rhs_parts)
+        return (x[:, -1] - x[:, 0]) ** 2, rhs
+
+    return _paired_path_sums(cfg, n_paths, seed, block_size, reduce, with_innovations=False)
+
+
+def _paired_path_sums(cfg: RapConfig, n_paths: int, seed: int, block_size: int,
+                      reduce, **march_options) -> tuple[np.ndarray, np.ndarray]:
+    """Two per-path sums for a paired Monte Carlo estimate.
+
+    Path block ``b`` of at most ``block_size`` paths is simulated with
+    ``block=b``; ``reduce(x, nodes)`` maps its targets and its :func:`_march`
+    (with ``march_options``) to the block's two (paths,) sums.
+    """
+    for name, value in (("n_paths", n_paths), ("block_size", block_size)):
+        if not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if n_paths < 2:
+        raise ConfigError(f"a paired standard error needs at least 2 paths, got {n_paths}")
+    if block_size < 1:
+        raise ConfigError(f"block_size must be at least 1, got {block_size}")
+    def block_sums(block, start):
+        # the block's I buffer is freed on return, before the next is built
+        rap, x = build_rap_paths(cfg, min(block_size, n_paths - start), seed, block)
+        return reduce(x, _march(cfg, rap.values.T, x, **march_options))
+
+    blocks = enumerate(range(0, n_paths, block_size))
+    firsts, seconds = zip(*(block_sums(block, start) for block, start in blocks))
+    return np.concatenate(firsts), np.concatenate(seconds)
+
+
+def _paired_mean_se(a: np.ndarray, b: np.ndarray) -> tuple[float, ...]:
+    """Mean and standard error of ``a``, ``b`` and the paired ``a - b``."""
+    root_n = math.sqrt(a.size)
+    return tuple(v for arr in (a, b, a - b)
+                 for v in (float(arr.mean()), float(arr.std(ddof=1)) / root_n))

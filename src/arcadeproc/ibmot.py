@@ -36,13 +36,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
+from .arcade import ArcadeConfig
 from .coupling import (
     AffineBranchKernel,
     CouplingKernel,
     DiscreteMarginal,
     convex_order_report,
 )
+from .drivers import brownian_driver
 from .errors import ConfigError, InfeasibleError, NumericError
+from .fam import _paired_mean_se, _paired_path_sums
+from .partition import Partition, piecewise_linear_coefficients
+from .rap import RapConfig
 from .simplex import linprog_simplex
 
 __all__ = [
@@ -863,29 +868,13 @@ def ibmot_objective_mc(kernel: CouplingKernel, horizon: float, n_paths: int,
     least two paths.  Both are reduced node row by node row as the path
     march yields them, so no ``M`` or ``W`` array is kept.
     """
-    if n_paths < 2:
-        raise ConfigError("the Monte Carlo objective needs at least 2 paths")
-    if block_size < 1:
-        raise ConfigError(f"block_size must be at least 1, got {block_size}")
     ti, ep = _mc_path_estimators(_bridge_config(kernel, horizon, steps, t0),
                                  n_paths, seed, block_size)
-    diff = ti - ep
-    root_n = math.sqrt(ti.size)
-    return McObjective(
-        float(ti.mean()), float(ti.std(ddof=1)) / root_n,
-        float(ep.mean()), float(ep.std(ddof=1)) / root_n,
-        float(diff.mean()), float(diff.std(ddof=1)) / root_n,
-        int(ti.size),
-    )
+    return McObjective(*_paired_mean_se(ti, ep), int(ti.size))
 
 
 def _bridge_config(kernel: CouplingKernel, horizon: float, steps: int, t0: float):
     """The standard randomized Brownian bridge on ``[t0, t0 + horizon]``."""
-    from .arcade import ArcadeConfig
-    from .drivers import brownian_driver
-    from .partition import Partition, piecewise_linear_coefficients
-    from .rap import RapConfig
-
     coeffs = piecewise_linear_coefficients(Partition((t0, t0 + horizon), steps_per_arc=steps))
     return RapConfig(
         arcade=ArcadeConfig(brownian_driver(), coeffs),
@@ -898,11 +887,7 @@ def _bridge_config(kernel: CouplingKernel, horizon: float, steps: int, t0: float
 def _mc_path_estimators(cfg, n_paths: int, seed: int,
                         block_size: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-path time-integral and endpoint estimators on the one-arc bridge
-    ``cfg``; path block ``b`` of at most ``block_size`` paths is simulated
-    with ``block=b``."""
-    # build_rap_paths as fam binds it: perfbench/tracing.py wraps that binding
-    from .fam import _march, build_rap_paths
-
+    ``cfg``, from :func:`arcadeproc.fam._paired_path_sums`."""
     p = cfg.partition
     grid = p.grid
     dt = np.diff(grid)
@@ -912,19 +897,16 @@ def _mc_path_estimators(cfg, n_paths: int, seed: int,
     weights[-1] += dt[-1]
     weights /= p.tn - grid[:-1]
 
-    time_parts, end_parts = [], []
-    for block, start in enumerate(range(0, n_paths, block_size)):
-        count = min(block_size, n_paths - start)
-        rap, x = build_rap_paths(cfg, count, seed, block)
+    def reduce(x, nodes):
         x_end = x[:, -1]
-        part = np.zeros(count)
-        err = np.empty(count)
-        nodes = _march(cfg, rap.values.T, x, with_innovations=True, with_volatility=False)
+        part = np.zeros(x_end.size)
+        err = np.empty(x_end.size)
         # zip takes a weight first, so it stops before the final node
         for wk, node in zip(weights, nodes):
             np.subtract(x_end, node.m, out=err)
             np.multiply(err, err, out=err)
             part += np.multiply(err, wk, out=err)
-        time_parts.append(part)
-        end_parts.append(x_end * next(nodes).w)
-    return np.concatenate(time_parts), np.concatenate(end_parts)
+        return part, x_end * next(nodes).w
+
+    return _paired_path_sums(cfg, n_paths, seed, block_size, reduce,
+                             with_innovations=True, with_volatility=False)

@@ -340,6 +340,54 @@ class TestCheck:
         assert rc == EXIT_CONFIG
 
 
+class TestIntegerOptions:
+    """A fractional value of an integer option is a config error (exit 2),
+    not truncated to the integer below it."""
+
+    BASES = {
+        "simulate": BASE_AP,
+        "fam": {**json.loads((CONFIGS / "fam_tanh.json").read_text()),
+                "n_paths": 8, "isometry": {"n_paths": 50}, "max_path_files": 2},
+        "ibmot": {"mu": {"dist": "normal", "mean": 0, "var": 1, "atoms": 5},
+                  "nu": {"dist": "normal", "mean": 0, "var": 2, "atoms": 5},
+                  "T": 1.0, "seed": 4, "options": {"max_iter": 50},
+                  "mc_check": {"coupling": {"preset": "binary_pm1"},
+                               "n_paths": 40, "steps": 20}},
+    }
+
+    @pytest.mark.parametrize("command, key", [
+        ("simulate", "n_paths"),
+        ("simulate", "seed"),
+        ("simulate", "partition.steps_per_arc"),
+        ("fam", "n_paths"),
+        ("fam", "isometry.n_paths"),
+        ("fam", "max_path_files"),
+        ("ibmot", "mu.atoms"),
+        ("ibmot", "options.max_iter"),
+        ("ibmot", "mc_check.n_paths"),
+        ("ibmot", "mc_check.steps"),
+    ])
+    def test_fractional_value_is_config_error(self, tmp_path, capsys, command, key):
+        doc = json.loads(json.dumps(self.BASES[command]))
+        *parents, key = key.split(".")
+        section = doc
+        for name in parents:
+            section = section[name]
+        section[key] += 0.5
+        rc, _ = _run(tmp_path, "frac", doc, command)
+        assert rc == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "config"
+        assert "whole number" in err["error"]["message"]
+
+    def test_integral_values_still_run(self, tmp_path):
+        # a JSON number with a zero fraction is the same count
+        doc = dict(BASE_AP, n_paths=10.0)
+        rc, out = _run(tmp_path, "whole", doc, "simulate")
+        assert rc == EXIT_OK
+        assert json.loads((out / "summary.json").read_text())["n_paths"] == 10
+
+
 class TestRerunsByteIdentical:
     """Two runs with the same config and seed write byte-identical result files."""
 

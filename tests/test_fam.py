@@ -37,7 +37,6 @@ from arcadeproc.coupling import (
 from arcadeproc.drivers import _VAR_FLOOR, simulate_driver
 from arcadeproc.fam import (
     _LOG_UNDERFLOW,
-    _atom_scratch,
     _march,
     _posterior_from_atoms,
     _posterior_gaussian,
@@ -171,6 +170,28 @@ class TestVolatility:
         with pytest.raises(DomainError):
             fam_volatility(tanh_cfg, 1.0, 0.0, [1.0, 2.0])
 
+    def test_zero_interior_noise_is_degenerate(self):
+        # the driver and f_1 vanish on [0, 0.5], so the arcade has no noise
+        # there; the volatility must refuse like the filter and the march
+        from arcadeproc import table_coefficients
+        from arcadeproc.drivers import GaussMarkovDriver
+
+        def ones(t):
+            return np.ones_like(np.asarray(t, dtype=float))
+
+        p = Partition((0.0, 1.0), 20)
+        driver = GaussMarkovDriver(h1=lambda t: np.maximum(np.asarray(t) - 0.5, 0.0) ** 2,
+                                   h2=ones, mean=ones)
+        noise = table_coefficients(p, np.stack([1.0 - p.grid,
+                                                np.maximum(2.0 * p.grid - 1.0, 0.0)]))
+        cfg = RapConfig(ArcadeConfig(driver, noise), noise.with_role("signal"),
+                        binary_pm1_kernel())
+        for point_filter in (fam_filter_discrete, fam_volatility):
+            with pytest.raises(DegenerateError, match="zero noise variance"):
+                point_filter(cfg, 0.25, 0.3, [1.0])
+        with pytest.raises(DegenerateError, match="zero noise variance"):
+            fam_paths(cfg, 4, seed=1)
+
 
 def _discrete_posterior(cfg, t, i_t, x0):
     from arcadeproc import ap_cov
@@ -277,6 +298,29 @@ class TestFamPaths:
                                          [float(trace.x[pidx, 0])])
             assert trace.m_paths[pidx, k] == pytest.approx(want, abs=1e-12)
 
+    def test_full_conditioning_over_three_target_suffixes(self):
+        # g_2 leaks onto arc 0 and g_3 onto arcs 0 and 1, so the march
+        # conditions on suffixes of 3, 2 and 1 targets on the three arcs; the
+        # targets are independent, so E[X_3 | .] differs from E[X_{m+1} | .]
+        from arcadeproc import table_coefficients
+        from arcadeproc.coupling import independent_pm1_chain
+        p = Partition((0.0, 1.0, 2.0, 3.0), 20)
+        hats = piecewise_linear_coefficients(p)
+        table = hats.grid_matrix().copy()
+        g = p.grid
+        table[2] = table[2] + np.where(g <= 1.0, 0.3 * np.sin(np.pi * g) ** 2, 0.0)
+        table[3] = table[3] + np.where(g <= 2.0, 0.2 * np.sin(np.pi * g) ** 2, 0.0)
+        signal = table_coefficients(p, table, role="signal")
+        cfg = RapConfig(ArcadeConfig(brownian_driver(), hats), signal, independent_pm1_chain(3))
+        trace = fam_paths(cfg, 64, seed=30)
+        for k in TestTiledMarch._nodes(cfg):
+            t = float(p.grid[k])
+            arc = p.arc_of(t)
+            for pidx in TestTiledMarch._paths(64):
+                want = fam_filter_bruteforce(cfg, t, float(trace.i_paths[pidx, k]),
+                                             trace.x[pidx, : arc + 1].tolist())
+                assert trace.m_paths[pidx, k] == pytest.approx(want, abs=1e-12)
+
 
 class TestInnovations:
     def test_starts_at_zero(self, tanh_cfg):
@@ -381,11 +425,17 @@ class TestIsometry:
         assert rep.lhs_mean == 0.0
         assert rep.rhs_mean == 0.0
 
-    @pytest.mark.parametrize("block_size", [0, -1])
+    @pytest.mark.parametrize("block_size", [0, -1, 2.5])
     def test_block_size_below_one_is_a_config_error(self, unit_partition, block_size):
+        # a fractional size is a config error as well
         cfg = _bridge_rap(unit_partition, binary_pm1_kernel())
         with pytest.raises(ConfigError, match="block_size"):
             ito_isometry_check(cfg, 10, seed=19, block_size=block_size)
+
+    def test_fractional_path_count_is_a_config_error(self, unit_partition):
+        cfg = _bridge_rap(unit_partition, binary_pm1_kernel())
+        with pytest.raises(ConfigError, match="n_paths"):
+            ito_isometry_check(cfg, 2.5, seed=19)
 
     def test_nonzero_difference_with_zero_se_fails(self):
         # X_0 = 1, X_1 = 2 on every path: the sides differ by exactly 1 with
@@ -599,6 +649,28 @@ class TestStreamedReducers:
             tracemalloc.stop()
         assert peak < 1.5 * one_array, f"peak {peak / one_array:.2f} path arrays"
 
+    @pytest.mark.parametrize("reducer", ["objective", "isometry"])
+    def test_blocked_reducers_hold_one_block_array(self, reducer):
+        # a block's I buffer is freed before the next block is simulated
+        import tracemalloc
+
+        from arcadeproc.ibmot import ibmot_objective_mc
+
+        n_paths, steps, block = 4000, 1000, 1000
+        kernel = uniform_mot_kernel()
+        cfg = _bridge_rap(Partition((0.0, 1.0), steps), kernel)
+        block_array = block * (steps + 1) * 8
+        tracemalloc.start()
+        try:
+            if reducer == "objective":
+                ibmot_objective_mc(kernel, 1.0, n_paths, seed=28, steps=steps, block_size=block)
+            else:
+                ito_isometry_check(cfg, n_paths, seed=28, block_size=block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * block_array, f"peak {peak / block_array:.2f} block arrays"
+
 
 def _posterior_from_atoms_plain(y, logw, resid, g_next, var_a):
     """The atom posterior as plain expressions, a new array per operation."""
@@ -634,7 +706,7 @@ class TestInPlaceKernels:
     def _atoms(self, atoms, seed):
         rng = np.random.default_rng(seed)
         y = rng.normal(size=(atoms, self.N_PATHS))
-        # C-contiguous (atoms, paths), as _atoms_prior lays the prior out
+        # C-contiguous (atoms, paths), as _suffix_prior lays a one-target prior out
         w = np.ascontiguousarray(rng.dirichlet(np.ones(atoms), size=self.N_PATHS).T)
         if atoms > 2:
             w[1, ::3] = 0.0                 # an impossible atom on some rows
@@ -647,18 +719,20 @@ class TestInPlaceKernels:
     @pytest.mark.parametrize("var_a", [0.3, _VAR_FLOOR, 0.5 * _VAR_FLOOR])
     def test_atom_posterior_matches_plain_expressions(self, atoms, var_a):
         y, logw, resid = self._atoms(atoms, seed=atoms)
-        work = _atom_scratch(y)
-        # the second call reuses the scratch the first one filled
+        # a one-target suffix; the second call reuses the scratch the first one filled
+        work = (np.empty(y.shape), np.empty(y.shape), np.empty(self.N_PATHS),
+                np.empty(self.N_PATHS))
         for shift in (0.0, 0.25):
             want = _posterior_from_atoms_plain(y, logw, resid + shift, 0.7, var_a)
-            mean, var, uf = _posterior_from_atoms(y, logw, work, resid + shift, 0.7, var_a)
+            mean, var, uf = _posterior_from_atoms(y[None], logw, work, resid + shift, (0.7,),
+                                                  var_a)
             assert np.array_equal(mean, want[0])
             assert np.array_equal(var, want[1])
             assert uf == want[2]
             if var_a > _VAR_FLOOR:
                 assert uf >= 1
-            mean, var, uf = _posterior_from_atoms(y, logw, work, resid + shift, 0.7, var_a,
-                                                  with_variance=False)
+            mean, var, uf = _posterior_from_atoms(y[None], logw, work, resid + shift, (0.7,),
+                                                  var_a, with_variance=False)
             assert np.array_equal(mean, want[0]) and var is None and uf == want[2]
 
     @pytest.mark.parametrize("g_next", [0.0, 0.6])
@@ -668,11 +742,11 @@ class TestInPlaceKernels:
         m0, resid = rng.normal(size=self.N_PATHS), rng.normal(size=self.N_PATHS)
         work = (np.empty(self.N_PATHS), np.empty(self.N_PATHS))
         want = _posterior_gaussian_plain(m0, 0.8, resid, g_next, var_a)
-        got = _posterior_gaussian(m0, 0.8, work, resid, g_next, var_a)
+        got = _posterior_gaussian(m0, 0.8, work, resid, (g_next,), var_a)
         assert np.array_equal(got[0], want[0])
         assert got[1].shape == want[1].shape and np.array_equal(got[1], want[1])
         assert got[2] == want[2] == 0
-        mean, var, _ = _posterior_gaussian(m0, 0.8, work, resid, g_next, var_a,
+        mean, var, _ = _posterior_gaussian(m0, 0.8, work, resid, (g_next,), var_a,
                                            with_variance=False)
         assert np.array_equal(mean, want[0]) and var is None
 

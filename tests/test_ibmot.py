@@ -571,11 +571,16 @@ class TestMcCrossChecks:
         assert abs(mc.k_i_time - 1.0) <= 3.0 * mc.se_time
         assert abs(mc.k_i_endpoint - 1.0) <= 3.0 * mc.se_endpoint
 
-    @pytest.mark.parametrize("block_size", [0, -1])
+    @pytest.mark.parametrize("block_size", [0, -1, 2.5])
     def test_block_size_below_one_is_a_config_error(self, block_size):
+        # a fractional size is a config error as well
         with pytest.raises(ConfigError, match="block_size"):
             ibmot_objective_mc(uniform_mot_kernel(), 1.0, 10, seed=5, steps=20,
                                block_size=block_size)
+
+    def test_fractional_path_count_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="n_paths"):
+            ibmot_objective_mc(uniform_mot_kernel(), 1.0, 2.5, seed=5, steps=20)
 
     def test_time_integral_matches_unblocked_reduction(self):
         # the estimator is reduced in path blocks; the per-path arithmetic is
