@@ -22,11 +22,11 @@ from typing import Callable
 import numpy as np
 
 from .drivers import (
-    _PATH_BLOCK,
     _VAR_FLOOR,
     GaussMarkovDriver,
     PathBundle,
     _arc_coefficients,
+    _stack_rows,
     config_hash,
 )
 from .errors import ConfigError, DegenerateError
@@ -95,29 +95,34 @@ def build_ap_paths(cfg: ArcadeConfig, driver_paths: PathBundle) -> PathBundle:
         driver_paths.grid, p.grid, rtol=0.0, atol=1e-12
     ):
         raise ConfigError("driver paths were simulated on a different grid")
-    rows = driver_paths.values.T.copy()              # (K, P)
-    _assemble_in_place(rows, cfg.coeffs.grid_matrix(), p.date_indices)
+    d_rows = driver_paths.values.T                   # (K, P)
+    rows = _assembled_rows(cfg.coeffs.grid_matrix(), d_rows[p.date_indices], d_rows)
     meta = {"kind": "ap", "config": cfg.config_dict()}
     meta["config_hash"] = config_hash(meta)
-    return PathBundle(grid=p.grid, values=rows.T, seed=driver_paths.seed, meta=meta)
+    return PathBundle(grid=p.grid, values=_stack_rows(rows, d_rows.shape).T,
+                      seed=driver_paths.seed, meta=meta)
 
 
-def _assemble_in_place(rows: np.ndarray, fmat: np.ndarray, date_indices,
-                       gmat: np.ndarray | None = None, x: np.ndarray | None = None) -> None:
-    """Turn time-major driver rows ``D`` (nodes, paths) into ``D - F^T D_dates``,
-    plus the signal ``G^T X^T`` when ``gmat`` and the targets ``x`` (paths,
-    n+1) are given.
-
-    Runs in column blocks of :data:`_PATH_BLOCK` paths, so the scratch is one
-    block of products; each block's products equal the columns of the
-    full-size products bit for bit.
-    """
-    d_dates = rows[date_indices]                     # a copy: the date rows change
-    for s in range(0, rows.shape[1], _PATH_BLOCK):
-        e = min(s + _PATH_BLOCK, rows.shape[1])
-        rows[:, s:e] -= fmat.T @ d_dates[:, s:e]
-        if gmat is not None:
-            rows[:, s:e] += gmat.T @ x.T[:, s:e]
+def _assembled_rows(fmat: np.ndarray, d_dates: np.ndarray, d_rows,
+                    gmat: np.ndarray | None = None, x: np.ndarray | None = None):
+    """Per driver row ``D_k``, the arcade row ``D_k - sum_i f_i(t_k) D_{T_i}``
+    (``d_dates``: the driver at the dates, (n+1, paths)) plus, given
+    ``gmat`` and the targets ``x`` (paths, n+1), the signal
+    ``sum_i g_i(t_k) X_i``: nonzero terms only, in index order.  A row is
+    valid until the row after next is requested."""
+    terms = [(list(d_dates), fmat, np.subtract)]
+    if gmat is not None:
+        terms.append((list(np.ascontiguousarray(x.T)), gmat, np.add))
+    buffers = np.empty((2, d_dates.shape[1]))
+    tmp = np.empty(d_dates.shape[1])
+    for k, d_row in enumerate(d_rows):
+        row = buffers[k % 2]
+        np.copyto(row, d_row)
+        for sources, coefs, op in terms:
+            for source, c in zip(sources, coefs[:, k].tolist()):
+                if c != 0.0:
+                    op(row, np.multiply(source, c, out=tmp), out=row)
+        yield row
 
 
 def ap_mean(cfg: ArcadeConfig, t):

@@ -2,8 +2,9 @@
 
 A driver is a Gaussian process whose covariance separates as
 ``K(s, t) = H1(min(s, t)) * H2(max(s, t))``.  That factorization makes the
-process Markov, gives exact sequential sampling through the one-step
-conditional law, and yields the quadratic variation
+process Markov, gives exact date-first sampling (the Markov recursion over
+the dates, then each arc's nodes from the exact bridge law between the
+previous node and the arc's end date), and yields the quadratic variation
 ``[D]_t = int H2 dH1 - int H1 dH2``.
 
 Presets cover the three drivers used throughout the package: standard
@@ -16,9 +17,8 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -41,10 +41,6 @@ __all__ = [
 # Variance at or below which a Gaussian quantity is treated as deterministic;
 # arcade, rap and fam import it from here.
 _VAR_FLOOR = 1e-14
-
-# Paths per column block when a time-major (nodes, paths) buffer is filled
-# or transformed block by block: the scratch of one block is (nodes, 256).
-_PATH_BLOCK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +104,12 @@ class _ArcCoefficients(NamedTuple):
     right: np.ndarray     # H1(b) H2(t) - H1(t) H2(b)
     left: np.ndarray      # H1(t) H2(a) - H1(a) H2(t)
 
+    @classmethod
+    def of(cls, h1a, h2a, h1b, h2b, h1t, h2t) -> "_ArcCoefficients":
+        """From ``H1`` and ``H2`` at ``a``, ``b`` and ``t``, any anchors."""
+        return cls(den=h1b * h2a - h1a * h2b, right=h1b * h2t - h1t * h2b,
+                   left=h1t * h2a - h1a * h2t)
+
 
 class _ArcAlgebra(NamedTuple):
     """:class:`_ArcCoefficients` plus ``d_right`` and ``d_left``, the time
@@ -133,17 +135,10 @@ def _arc_factors(d: GaussMarkovDriver, dates, arc, t) -> tuple[np.ndarray, ...]:
             np.asarray(d.h1(t), dtype=float), np.asarray(d.h2(t), dtype=float))
 
 
-def _arc_coefficients(d: GaussMarkovDriver, dates, arc, t,
-                      factors: tuple | None = None) -> _ArcCoefficients:
+def _arc_coefficients(d: GaussMarkovDriver, dates, arc, t) -> _ArcCoefficients:
     """:class:`_ArcCoefficients` at times ``t`` on arc index (or index array)
-    ``arc``; evaluates no derivative.  ``factors`` are the
-    :func:`_arc_factors` values when the caller already has them."""
-    h1a, h2a, h1b, h2b, h1t, h2t = factors or _arc_factors(d, dates, arc, t)
-    return _ArcCoefficients(
-        den=h1b * h2a - h1a * h2b,
-        right=h1b * h2t - h1t * h2b,
-        left=h1t * h2a - h1a * h2t,
-    )
+    ``arc``; evaluates no derivative."""
+    return _ArcCoefficients.of(*_arc_factors(d, dates, arc, t))
 
 
 def _arc_algebra(d: GaussMarkovDriver, dates, arc, t) -> _ArcAlgebra:
@@ -159,7 +154,7 @@ def _arc_algebra(d: GaussMarkovDriver, dates, arc, t) -> _ArcAlgebra:
     dh1t = np.asarray(d.h1_deriv(t), dtype=float)
     dh2t = np.asarray(d.h2_deriv(t), dtype=float)
     return _ArcAlgebra(
-        *_arc_coefficients(d, dates, arc, t, factors),
+        *_ArcCoefficients.of(*factors),
         d_right=h1b * dh2t - dh1t * h2b,
         d_left=dh1t * h2a - h1a * dh2t,
         qv=dh1t * h2t - h1t * dh2t,
@@ -256,10 +251,10 @@ def driver_preset(name: str, **params) -> GaussMarkovDriver:
 class PathBundle:
     """Monte Carlo ensemble on a grid: one row per path, one column per node.
 
-    ``simulate_driver``, ``build_ap_paths`` and ``build_rap_paths`` store
-    paths time-major: their ``values`` is the ``(paths, nodes)`` transposed
-    view of a C-contiguous ``(nodes, paths)`` buffer, so a forward march over
-    the nodes reads and writes one contiguous row per node.
+    ``simulate_driver``, ``build_ap_paths`` and ``build_rap_paths`` store the
+    node rows of the date-first sampler (:func:`_driver_rows`) time-major:
+    their ``values`` is the ``(paths, nodes)`` transposed view of a
+    C-contiguous ``(nodes, paths)`` buffer with one row per grid node.
     """
 
     grid: np.ndarray
@@ -331,77 +326,115 @@ def driver_covariance(d: GaussMarkovDriver, s, t, domain: tuple[float, float] | 
     return float(out) if np.isscalar(s) and np.isscalar(t) else out
 
 
-def check_driver_on_grid(d: GaussMarkovDriver, p: Partition):
-    """Reject drivers whose factorization is not a valid covariance on the grid.
+def _sampling_law(d: GaussMarkovDriver, p: Partition):
+    """Per grid node ``k``, the arrays ``(sd, near, far, const)`` of the exact
+    law ``D_k = sd * eps + near * D_s + far * D_b + const`` (``const`` is
+    ``None`` for a zero-mean driver); rejects a driver whose factorization
+    is not a valid covariance on the grid.
 
-    Returns the grid mean and variance and, per step ``k-1 -> k``, the slope
-    ``a = K(t_{k-1}, t_k) / Var(t_{k-1})`` (0 where that variance vanishes)
-    and the conditional variance ``max(Var(t_k) - a K(t_{k-1}, t_k), 0)``.
+    A date takes the Markov step from the previous date ``s`` (the marginal
+    at ``T_0``, ``far = 0``).  An interior node of arc ``m`` is conditioned
+    on ``s = t_{k-1}`` and ``b = T_{m+1}``: by Doob's representation a
+    Brownian bridge in ``H1/H2`` time, with slopes ``right/den``,
+    ``left/den`` and variance ``right * left / den`` of
+    :class:`_ArcCoefficients` on ``(s, b)``.  Without variance at ``s`` it
+    is conditioned on ``b`` alone (slope ``H1(t)/H1(b)``, variance
+    ``right * H1(t)/H1(b)``); without variance at ``b`` either, it is its mean.
     """
-    g = p.grid
-    h2 = np.asarray(d.h2(g), dtype=float)
-    if np.any(h2 <= 0.0):
-        # H2 may vanish at an isolated degenerate start (e.g. t*B_t at 0)
-        if np.any(h2[1:] <= 0.0):
-            raise ConfigError("driver H2 must be positive on the grid")
-    var = np.asarray(d.variance(g), dtype=float)
+    g, steps = p.grid, p.steps_per_arc
+    h1, h2 = np.asarray(d.h1(g), dtype=float), np.asarray(d.h2(g), dtype=float)
+    mean, var = np.asarray(d.mean(g), dtype=float), h1 * h2
+    # H2 may vanish at an isolated degenerate start (e.g. t*B_t at 0)
+    if np.any(h2[1:] <= 0.0):
+        raise ConfigError("driver H2 must be positive on the grid")
     if np.any(var < -1e-12):
         raise ConfigError("driver variance is negative on the grid")
+    k = np.arange(g.size)
+    at_date = k % steps == 0
     # interior nodes must carry signal: Var + mean^2 > 0
-    mean = np.asarray(d.mean(g), dtype=float)
-    interior = np.ones(g.size, dtype=bool)
-    interior[p.date_indices] = False
-    if np.any(var[interior] + mean[interior] ** 2 <= 0.0):
+    if np.any(var[~at_date] + mean[~at_date] ** 2 <= 0.0):
         raise ConfigError("driver is degenerate at an interior grid node")
     # one-step conditional variances must be non-negative (PSD surrogate)
     active = var[:-1] > _VAR_FLOOR
-    kst = np.where(active, d.cov(g[:-1], g[1:]), 0.0)
-    slope = kst / np.where(active, var[:-1], 1.0)
-    cond = var[1:] - slope * kst
-    if np.any(cond < -1e-10 * max(1.0, float(np.max(var)))):
+    step_cov = np.where(active, h1[:-1] * h2[1:], 0.0)
+    if np.any(var[1:] - step_cov / np.where(active, var[:-1], 1.0) * step_cov
+              < -1e-10 * max(1.0, float(np.max(var)))):
         raise ConfigError("driver covariance is not PSD on the grid")
-    return mean, var, slope, np.maximum(cond, 0.0)
+
+    s = np.maximum(k - np.where(at_date, steps, 1), 0)
+    b = np.minimum(k - k % steps + steps, g.size - 1)
+    c = _ArcCoefficients.of(h1[s], h2[s], h1[b], h2[b], h1, h2)
+    markov = at_date & (k > 0) & (var[s] > _VAR_FLOOR)
+    bridge = ~at_date & (var[s] > _VAR_FLOOR) & (c.den > _VAR_FLOOR)
+    far_only = ~at_date & ~bridge & (var[b] > _VAR_FLOOR)
+    kst, var_s = h1[s] * h2, np.where(markov, var[s], 1.0)
+    den, h1_b = np.where(bridge, c.den, 1.0), np.where(far_only, h1[b], 1.0)
+    near = np.where(bridge, c.right / den, np.where(markov, kst / var_s, 0.0))
+    far = np.where(bridge, c.left / den, np.where(far_only, h1 / h1_b, 0.0))
+    cond = np.where(bridge, c.right * c.left / den, np.where(
+        far_only, c.right * h1 / h1_b, np.where(at_date, var - near * kst, 0.0)))
+    const = mean - near * mean[s] - far * mean[b]
+    return np.sqrt(np.maximum(cond, 0.0)), near, far, const if np.any(const) else None
 
 
-def _time_major_normals(rng: np.random.Generator, n_paths: int, n_nodes: int) -> np.ndarray:
-    """``rng.standard_normal((n_paths, n_nodes)).T`` as a C-contiguous
-    ``(n_nodes, n_paths)`` array.
+def _driver_rows(d: GaussMarkovDriver, p: Partition, n_paths: int, seed: int,
+                 block: int = 0) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """Date-first exact sampling of the driver: its values at the dates,
+    shape (n+1, paths), and an iterator over the (paths,) rows of the grid
+    nodes, a row valid until the row after next is requested.
 
-    The normals are drawn in path order, so a path does not depend on the
-    storage layout; drawing :data:`_PATH_BLOCK` paths at a time consumes the
-    stream in the same order without a second full-size array.
+    Stream ``"D"`` of ``block`` is consumed as ``n+1`` date rows, then one
+    row per interior node in grid order, each ``n_paths`` wide.  Each row
+    follows its :func:`_sampling_law`, computed as
+    ``((sd * eps + near * D_s) + far * D_b) + const``.
     """
-    out = np.empty((n_nodes, n_paths))
-    for s in range(0, n_paths, _PATH_BLOCK):
-        e = min(s + _PATH_BLOCK, n_paths)
-        out[:, s:e] = rng.standard_normal((e - s, n_nodes)).T
-    return out
+    if n_paths < 1:
+        raise ConfigError("n_paths must be positive")
+    sd, near, far, const = _sampling_law(d, p)
+    steps = p.steps_per_arc
+    rng = stream_rng(seed, "D", block)
+    at_dates = rng.standard_normal((p.n_arcs + 1, n_paths))
+    tmp = np.empty(n_paths)
+
+    def step(row, k, d_s, d_b=None):
+        np.multiply(row, sd[k], out=row)
+        if k:
+            np.add(row, np.multiply(d_s, near[k], out=tmp), out=row)
+        if d_b is not None:
+            np.add(row, np.multiply(d_b, far[k], out=tmp), out=row)
+        if const is not None:
+            np.add(row, const[k], out=row)
+        return row
+
+    for j, row in enumerate(at_dates):
+        step(row, j * steps, at_dates[j - 1])
+
+    def rows():
+        buffers = np.empty((2, n_paths))
+        for k in range(p.grid.size):
+            arc, offset = divmod(k, steps)
+            if offset == 0:
+                row = at_dates[arc]
+            else:
+                row = step(rng.standard_normal(out=buffers[k % 2]), k, row, at_dates[arc + 1])
+            yield row
+
+    return at_dates, rows()
+
+
+def _stack_rows(rows, shape: tuple[int, int]) -> np.ndarray:
+    """Copy the node rows of a row iterator into a (nodes, paths) buffer."""
+    return np.fromiter(rows, np.dtype((float, shape[1])), count=shape[0])
 
 
 def simulate_driver(d: GaussMarkovDriver, p: Partition, n_paths: int, seed: int,
                     block: int = 0) -> PathBundle:
-    """Exact-law sequential sampling of the driver on the partition grid.
-
-    Each step draws from the Markov conditional
-    ``N(mu(t) + K(s,t)/K(s,s) (D_s - mu(s)), K(t,t) - K(s,t)^2/K(s,s))``.
-    Zero-variance nodes (e.g. Brownian motion at the origin) are set to their
-    deterministic mean and the recursion restarts from them.
+    """Exact-law sampling of the driver on the partition grid: the stored
+    rows of the date-first sampler :func:`_driver_rows`.  Zero-variance
+    nodes (e.g. Brownian motion at the origin) are their deterministic mean.
     """
-    if n_paths < 1:
-        raise ConfigError("n_paths must be positive")
-    mean, var, slope, cond = check_driver_on_grid(d, p)
-    g = p.grid
-    vals = _time_major_normals(stream_rng(seed, "D", block), n_paths, g.size)
-    v0 = max(var[0], 0.0)
-    vals[0] = mean[0] + (math.sqrt(v0) * vals[0] if v0 > _VAR_FLOOR else 0.0)
-    for k in range(1, g.size):
-        cv = cond[k - 1]
-        if var[k - 1] > _VAR_FLOOR:
-            vals[k] = (mean[k] + slope[k - 1] * (vals[k - 1] - mean[k - 1])
-                       + math.sqrt(cv) * vals[k])
-        else:
-            vals[k] = mean[k] + (math.sqrt(cv) * vals[k] if cv > _VAR_FLOOR else 0.0)
-
+    _, rows = _driver_rows(d, p, n_paths, seed, block)
+    vals = _stack_rows(rows, (p.grid.size, n_paths))
     meta = {
         "kind": "driver",
         "driver": d.config_dict(),
@@ -409,7 +442,7 @@ def simulate_driver(d: GaussMarkovDriver, p: Partition, n_paths: int, seed: int,
         "block": block,
     }
     meta["config_hash"] = config_hash(meta)
-    return PathBundle(grid=g, values=vals.T, seed=seed, meta=meta)
+    return PathBundle(grid=p.grid, values=vals.T, seed=seed, meta=meta)
 
 
 def simulate_driver_cholesky(d: GaussMarkovDriver, p: Partition, n_paths: int,

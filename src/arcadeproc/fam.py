@@ -19,11 +19,13 @@ isometry check tying ``E[(X_n - X_0)^2]`` to the integrated squared
 volatility.
 
 Along simulated paths the filter and the innovations reconstruction are one
-forward march over the grid nodes (:func:`_march`).  It reads one contiguous
-row of the time-major ``I`` buffer (see :class:`FamTrace`) per node and
-yields that node's rows of ``M``, the volatility (where a consumer reads it)
-and, for standard configurations, ``W``; its state between nodes is the
-running ``W`` row.  What is constant on an arc (the suffix hypotheses, their
+forward march over the grid nodes (:func:`_march`).  It reads the ``I`` rows
+of the nodes, one (paths,) row at a time through a two-row window, from a
+stored time-major buffer (see :class:`FamTrace`) or straight from the
+date-first sampler (:func:`arcadeproc.rap._rap_rows`), and yields each
+node's rows of ``M``, the volatility (where a consumer reads it) and, for
+standard configurations, ``W``; its state between nodes is the running
+``W`` row.  What is constant on an arc (the suffix hypotheses, their
 log prior weights and the posterior's scratch buffers) is set up once per
 arc, and the per-node kernels write into those buffers with ``out=`` ufuncs
 in the operand order of the plain formulas, so the march allocates no array
@@ -31,8 +33,10 @@ per node and its results are bit-identical to them.  A yielded row is valid
 only until the next node is requested.
 :func:`fam_paths` copies the rows into whole paths; the isometry check and
 the Monte Carlo objective in :mod:`arcadeproc.ibmot` share one loop over path
-blocks (:func:`_paired_path_sums`) that keeps only per-path running sums, so
-an operation holds one ``(nodes, paths)`` array, the ``I`` buffer.
+blocks (:func:`_paired_path_sums`) that feeds the march from the sampler and
+keeps only per-path running sums, so an operation holds (paths,) rows, the
+targets, the driver at the dates and per-node tables, never a
+``(nodes, paths)`` array.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from .arcade import ap_mean, ap_variance
 from .coupling import GaussianStepKernel
 from .drivers import _VAR_FLOOR, _arc_algebra
 from .errors import ConfigError, DegenerateError, DomainError, NumericError
-from .rap import RapConfig, build_rap_paths
+from .rap import RapConfig, _rap_rows, build_rap_paths
 
 __all__ = [
     "FamTrace",
@@ -307,18 +311,25 @@ class _NodeRows(NamedTuple):
     underflow: int
 
 
-def _march(cfg: RapConfig, i_rows: np.ndarray, x: np.ndarray,
-           with_innovations: bool, with_volatility: bool = True) -> Iterator[_NodeRows]:
+def _march(cfg: RapConfig, i_rows, x: np.ndarray, with_innovations: bool,
+           with_volatility: bool = True, gmat: np.ndarray | None = None
+           ) -> Iterator[_NodeRows]:
     """The filter and the innovations as one forward march over the nodes.
 
-    ``i_rows`` is the time-major (nodes, paths) ``I`` buffer and ``x`` the
-    targets (paths, n+1).  Per node the residual ``Z = I - base`` of the
-    revealed signal is computed once and feeds both the posterior and the
-    innovations drift.  On arc ``m`` the posterior is over the suffixes
-    ``(X_{m+1}, ..., X_{m+L})`` of the targets its observation reveals;
-    their prior and the posterior's scratch are set up once per arc.
+    ``i_rows`` iterates over the (paths,) ``I`` rows of the nodes (a
+    time-major (nodes, paths) buffer, or the generator of
+    :func:`arcadeproc.rap._rap_rows`) and ``x`` holds the targets
+    (paths, n+1).  The march reads ``I`` through a two-row window, node
+    ``k`` and, for the innovations increment, node ``k + 1``, so a row must
+    stay valid until the row after it has been requested.  Per node the
+    residual ``Z = I - base`` of the revealed signal is computed once and
+    feeds both the posterior and the innovations drift.  On arc ``m`` the
+    posterior is over the suffixes ``(X_{m+1}, ..., X_{m+L})`` of the
+    targets its observation reveals; their prior and the posterior's
+    scratch are set up once per arc.
     Without ``with_volatility`` the posterior stops at the mean, and neither
-    the posterior variance nor the volatility is computed.  Yields one
+    the posterior variance nor the volatility is computed.  ``gmat`` is the
+    signal's grid matrix when the caller already has it.  Yields one
     :class:`_NodeRows` per grid node.
 
     The march allocates no row per node: ``Z``, the volatility, the
@@ -328,25 +339,30 @@ def _march(cfg: RapConfig, i_rows: np.ndarray, x: np.ndarray,
     requested.
     """
     p = cfg.partition
-    grid = p.grid
     steps = p.steps_per_arc
     n = p.n_arcs
-    gmat = cfg.signal.grid_matrix()                 # (n+1, K)
+    if gmat is None:
+        gmat = cfg.signal.grid_matrix()             # (n+1, K)
     # L = 1 on an arc where g_{m+2}, ..., g_n vanish at every node, else n - m
     lengths = [1 if np.all(np.abs(gmat[arc + 2:, arc * steps:(arc + 1) * steps]) <= 1e-12)
                else n - arc for arc in range(n)]
-    mu_a = np.asarray(ap_mean(cfg.arcade, grid), dtype=float)
-    var_a = np.asarray(ap_variance(cfg.arcade, grid), dtype=float)
-    # the volatility is Var[X | .] sqrt(h2) / h3 where h3 > 0 and h2 >= 0, else 0
-    alg = _grid_algebra(cfg)
-    vol_ok = (alg.right > _VAR_FLOOR) & (alg.qv >= 0.0)
-    root_qv = np.sqrt(np.maximum(alg.qv, 0.0))
+    mu_a = np.asarray(ap_mean(cfg.arcade, p.grid), dtype=float)
+    var_a = np.asarray(ap_variance(cfg.arcade, p.grid), dtype=float)
     n_paths = x.shape[0]
     z = np.empty(n_paths)
     tmp = np.empty(n_paths)
-    vol = np.empty(n_paths) if with_volatility else None
+    alg = _grid_algebra(cfg)
     innovation = _innovations_step(cfg, alg, n_paths) if with_innovations else None
     w = np.zeros(n_paths) if with_innovations else None
+    vol = h3 = vol_ok = root_qv = None
+    if with_volatility:
+        # Var[X | .] sqrt(h2) / h3 where h3 > 0 and h2 >= 0, else 0
+        vol, h3 = np.empty(n_paths), alg.right
+        vol_ok = (h3 > _VAR_FLOOR) & (alg.qv >= 0.0)
+        root_qv = np.sqrt(np.maximum(alg.qv, 0.0))
+    del alg                                          # the nodes read the tables above
+    rows = iter(i_rows)
+    i_now = next(rows)
 
     for arc, length in enumerate(lengths):
         posterior = _arc_posterior(cfg.coupling.steps[arc: arc + length], x[:, arc],
@@ -355,19 +371,21 @@ def _march(cfg: RapConfig, i_rows: np.ndarray, x: np.ndarray,
             is_date = (k == arc * steps)
             va = 0.0 if is_date else float(var_a[k])
             if not is_date and va <= _VAR_FLOOR:
-                raise DegenerateError(f"zero noise variance at interior node t={grid[k]}")
-            _signal_residual(i_rows[k], x, gmat[: arc + 1, k], float(mu_a[k]), z, tmp)
+                raise DegenerateError(f"zero noise variance at interior node t={p.grid[k]}")
+            _signal_residual(i_now, x, gmat[: arc + 1, k], float(mu_a[k]), z, tmp)
             mean, pvar, uf = posterior(z, gmat[arc + 1: arc + 1 + length, k], va)
             m = x[:, arc] if is_date else mean
             if vol is not None:
                 if vol_ok[k]:
                     np.multiply(pvar, root_qv[k], out=vol)
-                    np.divide(vol, alg.right[k], out=vol)
+                    np.divide(vol, h3[k], out=vol)
                 else:
                     vol.fill(0.0)
             yield _NodeRows(m, vol, w, uf)
+            i_next = next(rows)
             if innovation is not None:
-                np.add(w, innovation(k, z, m, x[:, arc], i_rows[k], i_rows[k + 1]), out=w)
+                np.add(w, innovation(k, z, m, x[:, arc], i_now, i_next), out=w)
+            i_now = i_next
     if vol is not None:
         vol.fill(0.0)
     yield _NodeRows(x[:, n], vol, w, 0)
@@ -527,25 +545,25 @@ def _innovations_step(cfg: RapConfig, alg, n_paths: int):
     if np.any(alg.qv <= 0.0):
         raise NumericError("driver quadratic-variation density is not positive")
     p = cfg.partition
-    grid = p.grid
     # d/dt of f_{arc} (right piece) and f_{arc+1} (left piece), and of mu_A
     dg_m = alg.d_right / alg.den
     dg_next = alg.d_left / alg.den
     mu_dates = np.asarray(cfg.arcade.driver.mean(np.asarray(p.dates)), dtype=float)
-    arcs = np.arange(grid.size - 1) // p.steps_per_arc
+    arcs = np.arange(dg_m.size) // p.steps_per_arc
     mu_a_deriv = alg.d_mean - dg_m * mu_dates[arcs] - dg_next * mu_dates[arcs + 1]
+    d_right, qv, right, dt = alg.d_right, alg.qv, alg.right, np.diff(p.grid)
     dn = np.empty(n_paths)
     tmp = np.empty(n_paths)
 
     def step(k, z, m, x_arc, i_now, i_next):
-        h1, h2, h3 = -alg.d_right[k], alg.qv[k], alg.right[k]
+        h1, h2, h3 = -d_right[k], qv[k], right[k]
         np.multiply(z, h1, out=dn)
         np.subtract(dn, np.multiply(m, h2, out=tmp), out=dn)
         np.divide(dn, h3, out=dn)
         j = np.multiply(x_arc, dg_m[k], out=tmp)
         np.add(j, mu_a_deriv[k], out=j)
         np.subtract(dn, j, out=dn)                  # the drift
-        np.multiply(dn, float(grid[k + 1] - grid[k]), out=dn)
+        np.multiply(dn, float(dt[k]), out=dn)
         np.add(dn, np.subtract(i_next, i_now, out=tmp), out=dn)
         return np.divide(dn, math.sqrt(h2), out=dn)
 
@@ -655,7 +673,10 @@ def _paired_path_sums(cfg: RapConfig, n_paths: int, seed: int, block_size: int,
 
     Path block ``b`` of at most ``block_size`` paths is simulated with
     ``block=b``; ``reduce(x, nodes)`` maps its targets and its :func:`_march`
-    (with ``march_options``) to the block's two (paths,) sums.
+    (with ``march_options``) to the block's two (paths,) sums.  The march
+    reads the ``I`` rows straight from their generator, so a block holds
+    (paths,) rows, the targets and the driver at the dates, never a
+    ``(nodes, paths)`` array.
     """
     for name, value in (("n_paths", n_paths), ("block_size", block_size)):
         if not isinstance(value, numbers.Integral):
@@ -664,10 +685,11 @@ def _paired_path_sums(cfg: RapConfig, n_paths: int, seed: int, block_size: int,
         raise ConfigError(f"a paired standard error needs at least 2 paths, got {n_paths}")
     if block_size < 1:
         raise ConfigError(f"block_size must be at least 1, got {block_size}")
+    gmat = cfg.signal.grid_matrix()                 # one copy for the sampler and the march
+
     def block_sums(block, start):
-        # the block's I buffer is freed on return, before the next is built
-        rap, x = build_rap_paths(cfg, min(block_size, n_paths - start), seed, block)
-        return reduce(x, _march(cfg, rap.values.T, x, **march_options))
+        x, rows = _rap_rows(cfg, min(block_size, n_paths - start), seed, block, gmat)
+        return reduce(x, _march(cfg, rows, x, gmat=gmat, **march_options))
 
     blocks = enumerate(range(0, n_paths, block_size))
     firsts, seconds = zip(*(block_sums(block, start) for block, start in blocks))

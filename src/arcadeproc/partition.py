@@ -22,6 +22,7 @@ that pinning identities hold to machine precision.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -72,8 +73,9 @@ class Partition:
             raise ConfigError("T_0 must be non-negative")
         if np.any(np.diff(arr) <= 0.0):
             raise ConfigError("partition dates must be strictly increasing")
-        if int(self.steps_per_arc) < 1:
-            raise ConfigError("steps_per_arc must be a positive integer")
+        if not isinstance(self.steps_per_arc, numbers.Integral) or self.steps_per_arc < 1:
+            raise ConfigError("steps_per_arc must be a positive integer, "
+                              f"got {self.steps_per_arc!r}")
         object.__setattr__(self, "steps_per_arc", int(self.steps_per_arc))
 
     @property

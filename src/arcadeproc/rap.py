@@ -23,7 +23,7 @@ import numpy as np
 from .arcade import (
     ArcadeConfig,
     MarkovCheckReport,
-    _assemble_in_place,
+    _assembled_rows,
     ap_cov,
     ap_mean,
     build_ap_paths,
@@ -34,6 +34,8 @@ from .drivers import (
     _VAR_FLOOR,
     GaussMarkovDriver,
     PathBundle,
+    _driver_rows,
+    _stack_rows,
     brownian_driver,
     config_hash,
     simulate_driver,
@@ -148,17 +150,27 @@ def build_rap_paths(cfg: RapConfig, n_paths: int, seed: int,
 
     Returns the path bundle together with the sampled target matrix
     ``X`` of shape (paths, n+1).  Driver noise uses stream "D", targets
-    stream "X", so the two are independent.  The driver's time-major buffer
-    becomes the bundle's: the arcade and the signal are assembled in it.
+    stream "X", so the two are independent.  The bundle stores the rows of
+    :func:`_rap_rows`, the generator the Monte Carlo reducers consume.
     """
-    p = cfg.partition
-    rows = simulate_driver(cfg.arcade.driver, p, n_paths, seed, block).values.T
-    x = cfg.coupling.sample(n_paths, seed, block)
-    _assemble_in_place(rows, cfg.arcade.coeffs.grid_matrix(), p.date_indices,
-                       cfg.signal.grid_matrix(), x)
+    x, rows = _rap_rows(cfg, n_paths, seed, block)
     meta = {"kind": "rap", "config": cfg.config_dict(), "block": block}
     meta["config_hash"] = config_hash(meta)
-    return PathBundle(grid=p.grid, values=rows.T, seed=seed, meta=meta), x
+    values = _stack_rows(rows, (cfg.partition.grid.size, n_paths)).T
+    return PathBundle(grid=cfg.partition.grid, values=values, seed=seed, meta=meta), x
+
+
+def _rap_rows(cfg: RapConfig, n_paths: int, seed: int, block: int = 0,
+              gmat: np.ndarray | None = None):
+    """The targets ``X`` (paths, n+1) and an iterator over the (paths,) ``I``
+    rows of the nodes, assembled from the date-first driver rows; ``gmat``
+    is the signal's grid matrix when the caller already has it."""
+    p = cfg.partition
+    x = cfg.coupling.sample(n_paths, seed, block)
+    d_dates, d_rows = _driver_rows(cfg.arcade.driver, p, n_paths, seed, block)
+    if gmat is None:
+        gmat = cfg.signal.grid_matrix()
+    return x, _assembled_rows(cfg.arcade.coeffs.grid_matrix(), d_dates, d_rows, gmat, x)
 
 
 # ---------------------------------------------------------------------------

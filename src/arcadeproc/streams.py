@@ -13,6 +13,14 @@ A stream is a ``numpy.random.Generator`` seeded with
 ``label_code`` is the fixed byte code of the label below and ``block`` is a
 path-block index.  Distinct labels or blocks therefore never share state,
 which guarantees the independence of target draws from driver noise.
+
+Draw layout.  Stream "D" of a block is read row-wise by the date-first
+sampler: ``n+1`` rows for the driver at the dates, then one row per interior
+grid node in time order, each row ``n_paths`` wide.  Stream "X" draws one
+``n_paths``-wide column per target, ``X_0`` first.  A path therefore depends
+on the path count of its block: the same seed with another ``n_paths`` (or
+another ``block_size`` in the Monte Carlo reducers) gives other paths, while
+a fixed seed, path count and block size reproduce every value exactly.
 """
 
 from __future__ import annotations

@@ -34,6 +34,22 @@ class TestPaths:
         ap = build_ap_paths(cfg, driver_paths)
         assert np.max(np.abs(ap.values[:, five_arc_partition.date_indices])) <= 1e-12
 
+    @pytest.mark.parametrize("coeffs", [
+        lambda p: piecewise_linear_coefficients(p),
+        lambda p: lagrange_coefficients(p),
+        lambda p: standard_coefficients(ou_driver(0.7, 1.2, mu=0.3, d0=1.0), p),
+        lambda p: carryover_noise_coefficients(Partition(p.dates[:3], p.steps_per_arc)),
+    ], ids=["hats", "lagrange", "standard_ou", "carryover"])
+    def test_rows_at_the_dates_are_exactly_zero(self, coeffs):
+        # every node row is D_k minus its coefficient-weighted date values;
+        # at T_j only f_j(T_j) = 1 is nonzero, so the row is D - D
+        cs = coeffs(Partition((0.0, 0.7, 1.5, 2.0), 6))
+        p = cs.partition
+        driver = ou_driver(0.7, 1.2, mu=0.3, d0=1.0)
+        ap = build_ap_paths(ArcadeConfig(driver, cs), simulate_driver(driver, p, 500, seed=5))
+        assert np.all(ap.values[:, p.date_indices] == 0.0)
+        assert np.all(ap.values[:, np.setdiff1d(np.arange(p.grid.size), p.date_indices)] != 0.0)
+
     def test_grid_mismatch_rejected(self, bridge_config):
         other = Partition((0.0, 1.0), 7)
         paths = simulate_driver(brownian_driver(), other, 10, seed=1)

@@ -21,11 +21,10 @@ from arcadeproc import (
     standard_coefficients,
 )
 from arcadeproc.drivers import (
-    _PATH_BLOCK,
     _VAR_FLOOR,
     PathBundle,
     _arc_algebra,
-    _time_major_normals,
+    _sampling_law,
     simulate_driver_cholesky,
 )
 from arcadeproc.streams import stream_rng
@@ -133,42 +132,120 @@ class TestSimulation:
         brownian_driver(),
     ], ids=["ou", "brownian"])
     def test_matches_scalar_recursion_bitwise(self, driver):
-        # the sampler against the Markov recursion one path and one node at
-        # a time, on the same normal draws
+        # the sampler against the date-first bridge recursion one path and
+        # one node at a time, on the same row draws: the dates by the Markov
+        # recursion, then each interior node given its predecessor and its
+        # arc's end date
         p = Partition((0.0, 0.5, 1.5), 71)
         assert p.grid.size > 128
         seed, block, n_paths = 31, 2, 3
         got = simulate_driver(driver, p, n_paths, seed, block=block).values
-        g = p.grid
-        mean = np.asarray(driver.mean(g), dtype=float)
-        var = np.asarray(driver.variance(g), dtype=float)
-        z = stream_rng(seed, "D", block).standard_normal((n_paths, g.size))
+        g, steps, n_dates = p.grid, p.steps_per_arc, len(p.dates)
+        h1, h2, mu = (np.asarray(f(g), dtype=float) for f in (driver.h1, driver.h2, driver.mean))
+        dates = np.asarray(p.dates)
+        h1_d, h2_d, mu_d = (np.asarray(f(dates), dtype=float)
+                            for f in (driver.h1, driver.h2, driver.mean))
+        # n+1 date rows, then one row per interior node: one row per node
+        z = stream_rng(seed, "D", block).standard_normal((g.size, n_paths))
         want = np.empty((n_paths, g.size))
         for i in range(n_paths):
-            v0 = max(var[0], 0.0)
-            want[i, 0] = mean[0] + (math.sqrt(v0) * z[i, 0] if v0 > _VAR_FLOOR else 0.0)
-            for k in range(1, g.size):
-                if var[k - 1] > _VAR_FLOOR:
-                    kst = float(driver.cov(g[k - 1], g[k]))
-                    a = kst / var[k - 1]
-                    cv = max(var[k] - a * kst, 0.0)
-                    want[i, k] = (mean[k] + a * (want[i, k - 1] - mean[k - 1])
-                                  + math.sqrt(cv) * z[i, k])
+            at_dates = []
+            for j in range(n_dates):
+                var_j = float(h1_d[j] * h2_d[j])
+                a, cv = 0.0, var_j
+                if j and h1_d[j - 1] * h2_d[j - 1] > _VAR_FLOOR:
+                    kst = float(h1_d[j - 1] * h2_d[j])
+                    a = kst / float(h1_d[j - 1] * h2_d[j - 1])
+                    cv = var_j - a * kst
+                value = math.sqrt(max(cv, 0.0)) * z[j, i]
+                if j:
+                    value = value + a * at_dates[-1]
+                at_dates.append(value + (mu_d[j] - a * (mu_d[j - 1] if j else 0.0)))
+            row = n_dates
+            for k in range(g.size):
+                arc, offset = divmod(k, steps)
+                if offset == 0:
+                    want[i, k] = at_dates[arc]
+                    continue
+                s, b = k - 1, (arc + 1) * steps
+                den = h1[b] * h2[s] - h1[s] * h2[b]
+                right = h1[b] * h2[k] - h1[k] * h2[b]
+                left = h1[k] * h2[s] - h1[s] * h2[k]
+                if h1[s] * h2[s] > _VAR_FLOOR and den > _VAR_FLOOR:
+                    near, far, var = right / den, left / den, right * left / den
                 else:
-                    cv = max(var[k], 0.0)
-                    want[i, k] = mean[k] + (math.sqrt(cv) * z[i, k] if cv > _VAR_FLOOR else 0.0)
+                    near, far, var = 0.0, h1[k] / h1[b], right * h1[k] / h1[b]
+                value = math.sqrt(max(var, 0.0)) * z[row, i] + near * want[i, s]
+                value = value + far * at_dates[arc + 1]
+                want[i, k] = value + ((mu[k] - near * mu[s]) - far * mu[b])
+                row += 1
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n_paths", [1, 255, 256, 257, 777])
     def test_blocked_draw_matches_one_piece_draw(self, n_paths):
-        # the normals are drawn _PATH_BLOCK paths at a time: the tail block,
-        # an exact multiple and a single path must consume the stream in the
-        # order of one (paths, nodes) draw
-        assert _PATH_BLOCK == 256
-        got = _time_major_normals(stream_rng(41, "D", 3), n_paths, 143)
-        want = stream_rng(41, "D", 3).standard_normal((n_paths, 143)).T
-        assert got.flags.c_contiguous
+        # stream "D" is drawn as n+1 date rows, then one row per interior
+        # node, each n_paths wide: one (rows, paths) draw in that order
+        driver = ou_driver(theta=0.8, sigma=1.3, mu=0.4, d0=-1.0)
+        p = Partition((0.0, 0.5, 1.5), 71)
+        got = simulate_driver(driver, p, n_paths, 41, block=3).values.T
+        sd, near, far, const = _sampling_law(driver, p)
+        steps, n_dates = p.steps_per_arc, len(p.dates)
+        z = stream_rng(41, "D", 3).standard_normal((p.grid.size, n_paths))
+        at_dates = [sd[0] * z[0] + const[0]]
+        for j in range(1, n_dates):
+            k = j * steps
+            at_dates.append((sd[k] * z[j] + near[k] * at_dates[-1]) + const[k])
+        want = np.empty_like(got)
+        interior = iter(z[n_dates:])
+        for k in range(p.grid.size):
+            arc, offset = divmod(k, steps)
+            if offset == 0:
+                want[k] = at_dates[arc]
+                continue
+            want[k] = ((sd[k] * next(interior) + near[k] * want[k - 1])
+                       + far[k] * at_dates[arc + 1]) + const[k]
         assert np.array_equal(got, want)
+
+    def test_path_depends_on_the_block_path_count(self):
+        # rows are drawn n_paths wide, so the first path of a one-path block
+        # and that of a two-path block share only the deterministic start
+        p = Partition((0.0, 0.5, 1.5), 4)
+        one = simulate_driver(brownian_driver(), p, 1, seed=3).values[0]
+        two = simulate_driver(brownian_driver(), p, 2, seed=3).values[0]
+        assert one[0] == two[0] == 0.0
+        assert np.all(one[1:] != two[1:])
+
+    def test_covariance_across_dates(self):
+        # nodes on either side of a date are sampled through different bridge
+        # laws, the date between them drawn first; their covariance is still
+        # the driver's
+        d = ou_driver(theta=0.8, sigma=1.1, mu=0.4, d0=-1.0)
+        p = Partition((0.0, 1.0, 2.5), 4)
+        n = 100_000
+        vals = simulate_driver(d, p, n, seed=7).values
+        g = p.grid
+        for a in (1, 2, 3):
+            for b in (5, 6, 7):
+                prod = (vals[:, a] - vals[:, a].mean()) * (vals[:, b] - vals[:, b].mean())
+                se = prod.std(ddof=1) / np.sqrt(n)
+                assert_within_3se(prod.mean(), float(d.cov(g[a], g[b])), se,
+                                  f"cov({g[a]},{g[b]})")
+
+    @pytest.mark.parametrize("factory", [brownian_driver, scaled_bm_driver],
+                             ids=["brownian", "scaled_bm"])
+    def test_degenerate_start_samples(self, factory):
+        # the driver vanishes at T_0 = 0, so the first node conditions on
+        # the arc's end date alone (for t*B_t the bridge denominator is 0)
+        d = factory()
+        p = Partition((0.0, 1.0, 2.0), 8)
+        vals = simulate_driver(d, p, 100_000, seed=8).values
+        assert np.all(vals[:, 0] == 0.0)
+        assert np.all(np.isfinite(vals))
+        for k in (1, p.steps_per_arc):
+            col = vals[:, k]
+            se = np.var(col) * np.sqrt(2.0 / (col.size - 1))
+            assert_within_3se(np.var(col), float(d.variance(p.grid[k])), se,
+                              f"Var[D_{p.grid[k]}]")
 
     def test_csv_round_trip(self):
         p = Partition((0.0, 1.0), 3)

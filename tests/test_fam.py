@@ -607,10 +607,13 @@ class TestStreamedReducers:
         assert (rep.diff_mean, rep.diff_se) == (float(diff.mean()),
                                                 float(diff.std(ddof=1)) / root_n)
 
-    def test_assembly_in_the_driver_buffer(self):
-        # the RAP is assembled in place in its own driver buffer, the arcade
-        # in a copy of the caller's; both in 256-path blocks (777 = 3 + tail)
+    def test_stored_rows_come_from_one_generator(self):
+        # the driver, arcade and RAP bundles and the streamed reducers store
+        # or consume the rows of one date-first sampler: the RAP rows are the
+        # arcade rows of the same driver draws plus the signal, added in
+        # index order, and the streamed I rows are the stored ones
         from arcadeproc import build_ap_paths, build_rap_paths
+        from arcadeproc.rap import _rap_rows
 
         cfg = _bridge_rap(Partition((0.0, 1.0, 2.0), 166), binary_chain_kernel(2))
         driver_paths = simulate_driver(brownian_driver(), cfg.partition, self.N_PATHS, self.SEED)
@@ -619,57 +622,63 @@ class TestStreamedReducers:
         assert np.array_equal(driver_paths.values, before)
         fmat = cfg.arcade.coeffs.grid_matrix()
         d_rows = before.T
-        want = d_rows - fmat.T @ d_rows[cfg.partition.date_indices]
-        assert np.array_equal(ap.values, want.T)
+        assert np.allclose(ap.values.T, d_rows - fmat.T @ d_rows[cfg.partition.date_indices],
+                           rtol=0.0, atol=1e-14)
 
         rap, x = build_rap_paths(cfg, self.N_PATHS, self.SEED)
-        assert np.array_equal(rap.values, (want + cfg.signal.grid_matrix().T @ x.T).T)
+        want = ap.values.T.copy()
+        for g_i, x_i in zip(cfg.signal.grid_matrix(), x.T):
+            want += g_i[:, None] * x_i[None, :]
+        assert np.array_equal(rap.values.T, want)
         assert np.array_equal(fam_paths(cfg, self.N_PATHS, self.SEED).i_paths, rap.values)
+        x_streamed, rows = _rap_rows(cfg, self.N_PATHS, self.SEED)
+        assert np.array_equal(x_streamed, x)
+        assert all(np.array_equal(row, stored) for row, stored in zip(rows, rap.values.T))
+
+    @staticmethod
+    def _reducer_peak(reducer, n_paths, steps, block_size=20000):
+        """tracemalloc peak of one reducer call; numpy reports its buffers."""
+        import tracemalloc
+
+        from arcadeproc.ibmot import ibmot_objective_mc
+
+        kernel = uniform_mot_kernel()
+        cfg = _bridge_rap(Partition((0.0, 1.0), steps), kernel)
+        tracemalloc.start()
+        try:
+            if reducer == "objective":
+                ibmot_objective_mc(kernel, 1.0, n_paths, seed=28, steps=steps,
+                                   block_size=block_size)
+            else:
+                ito_isometry_check(cfg, n_paths, seed=28, block_size=block_size)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
     @pytest.mark.parametrize("reducer", ["objective", "isometry"])
     def test_reducers_hold_one_path_array(self, reducer):
-        # numpy reports its buffers to tracemalloc; an operation may hold the
-        # I buffer plus block-sized scratch, well below a second array
-        import tracemalloc
-
-        from arcadeproc.ibmot import ibmot_objective_mc
-
+        # the march reads I rows straight from the sampler, so an operation
+        # holds (paths,) rows and per-node tables, far below one
+        # (nodes, paths) array
         n_paths, steps = 4000, 1000
-        kernel = uniform_mot_kernel()
-        cfg = _bridge_rap(Partition((0.0, 1.0), steps), kernel)
         one_array = n_paths * (steps + 1) * 8
-        tracemalloc.start()
-        try:
-            if reducer == "objective":
-                ibmot_objective_mc(kernel, 1.0, n_paths, seed=28, steps=steps)
-            else:
-                ito_isometry_check(cfg, n_paths, seed=28)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * one_array, f"peak {peak / one_array:.2f} path arrays"
+        peak = self._reducer_peak(reducer, n_paths, steps)
+        assert peak < 0.25 * one_array, f"peak {peak / one_array:.3f} path arrays"
 
     @pytest.mark.parametrize("reducer", ["objective", "isometry"])
     def test_blocked_reducers_hold_one_block_array(self, reducer):
-        # a block's I buffer is freed before the next block is simulated
-        import tracemalloc
-
-        from arcadeproc.ibmot import ibmot_objective_mc
-
+        # a block's rows are freed before the next block is simulated
         n_paths, steps, block = 4000, 1000, 1000
-        kernel = uniform_mot_kernel()
-        cfg = _bridge_rap(Partition((0.0, 1.0), steps), kernel)
         block_array = block * (steps + 1) * 8
-        tracemalloc.start()
-        try:
-            if reducer == "objective":
-                ibmot_objective_mc(kernel, 1.0, n_paths, seed=28, steps=steps, block_size=block)
-            else:
-                ito_isometry_check(cfg, n_paths, seed=28, block_size=block)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * block_array, f"peak {peak / block_array:.2f} block arrays"
+        peak = self._reducer_peak(reducer, n_paths, steps, block)
+        assert peak < 0.25 * block_array, f"peak {peak / block_array:.3f} block arrays"
+
+    @pytest.mark.parametrize("reducer", ["objective", "isometry"])
+    def test_reducer_peak_is_flat_in_nodes(self, reducer):
+        # O(paths) state: quadrupling the nodes leaves the peak nearly flat
+        short = self._reducer_peak(reducer, 4000, 500)
+        long = self._reducer_peak(reducer, 4000, 2000)
+        assert long <= 1.2 * short, f"peak ratio {long / short:.3f} from 501 to 2001 nodes"
 
 
 def _posterior_from_atoms_plain(y, logw, resid, g_next, var_a):

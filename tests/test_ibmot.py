@@ -582,6 +582,11 @@ class TestMcCrossChecks:
         with pytest.raises(ConfigError, match="n_paths"):
             ibmot_objective_mc(uniform_mot_kernel(), 1.0, 2.5, seed=5, steps=20)
 
+    def test_fractional_step_count_is_a_config_error(self):
+        # 2.5 steps used to march 2
+        with pytest.raises(ConfigError, match="steps_per_arc"):
+            ibmot_objective_mc(uniform_mot_kernel(), 1.0, 10, seed=5, steps=2.5)
+
     def test_time_integral_matches_unblocked_reduction(self):
         # the estimator is reduced in path blocks; the per-path arithmetic is
         # that of one reduction over the whole (paths, nodes) array, so the

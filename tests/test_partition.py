@@ -38,6 +38,16 @@ class TestPartition:
         with pytest.raises(ConfigError):
             Partition((0.0, 1.0), 0)
 
+    @pytest.mark.parametrize("steps", [2.5, 2.0, "2", 0, -3])
+    def test_steps_per_arc_must_be_a_positive_integer(self, steps):
+        # int() used to truncate 2.5 to 2 steps
+        with pytest.raises(ConfigError, match="steps_per_arc"):
+            Partition((0.0, 1.0), steps)
+
+    def test_integral_steps_per_arc_is_stored_as_int(self):
+        p = Partition((0.0, 1.0), np.int64(3))
+        assert p.steps_per_arc == 3 and type(p.steps_per_arc) is int
+
     def test_arc_lookup(self):
         p = Partition((0.0, 1.0, 3.0), 4)
         assert p.arc_of(0.0) == 0
