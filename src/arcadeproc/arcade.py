@@ -26,7 +26,8 @@ from .drivers import (
     GaussMarkovDriver,
     PathBundle,
     _arc_coefficients,
-    _stack_rows,
+    _block_nodes,
+    _stack_blocks,
     config_hash,
 )
 from .errors import ConfigError, DegenerateError
@@ -96,33 +97,48 @@ def build_ap_paths(cfg: ArcadeConfig, driver_paths: PathBundle) -> PathBundle:
     ):
         raise ConfigError("driver paths were simulated on a different grid")
     d_rows = driver_paths.values.T                   # (K, P)
-    rows = _assembled_rows(cfg.coeffs.grid_matrix(), d_rows[p.date_indices], d_rows)
+    size = _block_nodes(d_rows.shape[1])
+    blocks = _assembled_blocks(cfg.coeffs.grid_matrix(), d_rows[p.date_indices],
+                               (d_rows[k:k + size] for k in range(0, len(d_rows), size)))
     meta = {"kind": "ap", "config": cfg.config_dict()}
     meta["config_hash"] = config_hash(meta)
-    return PathBundle(grid=p.grid, values=_stack_rows(rows, d_rows.shape).T,
+    return PathBundle(grid=p.grid, values=_stack_blocks(blocks, d_rows.shape).T,
                       seed=driver_paths.seed, meta=meta)
 
 
-def _assembled_rows(fmat: np.ndarray, d_dates: np.ndarray, d_rows,
-                    gmat: np.ndarray | None = None, x: np.ndarray | None = None):
-    """Per driver row ``D_k``, the arcade row ``D_k - sum_i f_i(t_k) D_{T_i}``
-    (``d_dates``: the driver at the dates, (n+1, paths)) plus, given
-    ``gmat`` and the targets ``x`` (paths, n+1), the signal
-    ``sum_i g_i(t_k) X_i``: nonzero terms only, in index order.  A row is
-    valid until the row after next is requested."""
-    terms = [(list(d_dates), fmat, np.subtract)]
+def _assembled_blocks(fmat: np.ndarray, d_dates: np.ndarray, d_blocks,
+                      gmat: np.ndarray | None = None, x: np.ndarray | None = None):
+    """Per block of consecutive driver rows ``D_k`` (at most
+    :func:`~arcadeproc.drivers._block_nodes` of them), the arcade rows
+    ``D_k - sum_i f_i(t_k) D_{T_i}`` (``d_dates``: the driver at the dates,
+    (n+1, paths)) plus, given ``gmat`` and the targets ``x`` (paths, n+1),
+    the signal ``sum_i g_i(t_k) X_i``, term by term in index order, skipping
+    the terms whose coefficient is 0 at the node.
+
+    One ufunc per term and block, so every value takes the same operations
+    for any split into blocks; a block is valid until the block after next
+    is requested.
+    """
+    n_paths = d_dates.shape[1]
+    terms = [(d_dates, fmat, np.subtract)]
     if gmat is not None:
-        terms.append((list(np.ascontiguousarray(x.T)), gmat, np.add))
-    buffers = np.empty((2, d_dates.shape[1]))
-    tmp = np.empty(d_dates.shape[1])
-    for k, d_row in enumerate(d_rows):
-        row = buffers[k % 2]
-        np.copyto(row, d_row)
+        terms.append((np.ascontiguousarray(x.T), gmat, np.add))
+    size = _block_nodes(n_paths)
+    buffers = np.empty((2, size, n_paths))
+    tmp = np.empty((size, n_paths))
+    start = 0
+    for count, d_block in enumerate(d_blocks):
+        nodes = slice(start, start + len(d_block))
+        start = nodes.stop
+        block = buffers[count % 2, :len(d_block)]
+        np.copyto(block, d_block)
         for sources, coefs, op in terms:
-            for source, c in zip(sources, coefs[:, k].tolist()):
-                if c != 0.0:
-                    op(row, np.multiply(source, c, out=tmp), out=row)
-        yield row
+            on = coefs[:, nodes] != 0.0
+            for i in np.flatnonzero(on.any(axis=1)).tolist():
+                product = np.multiply(coefs[i, nodes, None], sources[i], out=tmp[:len(block)])
+                # a masked write is several times slower, so only where needed
+                op(block, product, out=block, where=True if on[i].all() else on[i, :, None])
+        yield block
 
 
 def ap_mean(cfg: ArcadeConfig, t):

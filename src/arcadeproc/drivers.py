@@ -252,7 +252,7 @@ class PathBundle:
     """Monte Carlo ensemble on a grid: one row per path, one column per node.
 
     ``simulate_driver``, ``build_ap_paths`` and ``build_rap_paths`` store the
-    node rows of the date-first sampler (:func:`_driver_rows`) time-major:
+    node rows of the date-first sampler (:func:`_driver_blocks`) time-major:
     their ``values`` is the ``(paths, nodes)`` transposed view of a
     C-contiguous ``(nodes, paths)`` buffer with one row per grid node.
     """
@@ -328,9 +328,8 @@ def driver_covariance(d: GaussMarkovDriver, s, t, domain: tuple[float, float] | 
 
 def _sampling_law(d: GaussMarkovDriver, p: Partition):
     """Per grid node ``k``, the arrays ``(sd, near, far, const)`` of the exact
-    law ``D_k = sd * eps + near * D_s + far * D_b + const`` (``const`` is
-    ``None`` for a zero-mean driver); rejects a driver whose factorization
-    is not a valid covariance on the grid.
+    law ``D_k = sd * eps + near * D_s + far * D_b + const``; rejects a
+    driver whose factorization is not a valid covariance on the grid.
 
     A date takes the Markov step from the previous date ``s`` (the marginal
     at ``T_0``, ``far = 0``).  An interior node of arc ``m`` is conditioned
@@ -373,68 +372,91 @@ def _sampling_law(d: GaussMarkovDriver, p: Partition):
     far = np.where(bridge, c.left / den, np.where(far_only, h1 / h1_b, 0.0))
     cond = np.where(bridge, c.right * c.left / den, np.where(
         far_only, c.right * h1 / h1_b, np.where(at_date, var - near * kst, 0.0)))
-    const = mean - near * mean[s] - far * mean[b]
-    return np.sqrt(np.maximum(cond, 0.0)), near, far, const if np.any(const) else None
+    return np.sqrt(np.maximum(cond, 0.0)), near, far, mean - near * mean[s] - far * mean[b]
 
 
-def _driver_rows(d: GaussMarkovDriver, p: Partition, n_paths: int, seed: int,
-                 block: int = 0) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+# Values per block of node rows that the path generators pass on at once: a
+# block has at most 64 nodes, and one node from 2^14 paths on.
+_BLOCK_VALUES = 1 << 14
+
+
+def _block_nodes(n_paths: int) -> int:
+    """Nodes per block of ``n_paths``-wide rows."""
+    return max(1, min(64, _BLOCK_VALUES // n_paths))
+
+
+def _driver_blocks(d: GaussMarkovDriver, p: Partition, n_paths: int, seed: int,
+                   block: int = 0) -> tuple[np.ndarray, Iterator[np.ndarray]]:
     """Date-first exact sampling of the driver: its values at the dates,
-    shape (n+1, paths), and an iterator over the (paths,) rows of the grid
-    nodes, a row valid until the row after next is requested.
+    shape (n+1, paths), and an iterator over blocks of consecutive grid-node
+    rows, (nodes, paths) arrays of a date alone or of at most
+    :func:`_block_nodes` interior nodes of one arc.  A block is valid until
+    the block after next is requested.
 
     Stream ``"D"`` of ``block`` is consumed as ``n+1`` date rows, then one
     row per interior node in grid order, each ``n_paths`` wide.  Each row
     follows its :func:`_sampling_law`, computed as
-    ``((sd * eps + near * D_s) + far * D_b) + const``.
+    ``((sd * eps + far * D_b) + const) + near * D_s``; all but the last term
+    are formed for a whole block, and a zero-mean driver skips the constant
+    there.
     """
     if n_paths < 1:
         raise ConfigError("n_paths must be positive")
     sd, near, far, const = _sampling_law(d, p)
-    steps = p.steps_per_arc
+    with_const = bool(np.any(const))
+    steps, size = p.steps_per_arc, _block_nodes(n_paths)
     rng = stream_rng(seed, "D", block)
     at_dates = rng.standard_normal((p.n_arcs + 1, n_paths))
-    tmp = np.empty(n_paths)
-
-    def step(row, k, d_s, d_b=None):
-        np.multiply(row, sd[k], out=row)
-        if k:
-            np.add(row, np.multiply(d_s, near[k], out=tmp), out=row)
-        if d_b is not None:
-            np.add(row, np.multiply(d_b, far[k], out=tmp), out=row)
-        if const is not None:
-            np.add(row, const[k], out=row)
-        return row
-
+    tmp = np.empty((size, n_paths))
     for j, row in enumerate(at_dates):
-        step(row, j * steps, at_dates[j - 1])
+        np.multiply(row, sd[j * steps], out=row)
+        np.add(row, const[j * steps], out=row)
+        if j:
+            np.add(row, np.multiply(at_dates[j - 1], near[j * steps], out=tmp[0]), out=row)
 
-    def rows():
-        buffers = np.empty((2, n_paths))
-        for k in range(p.grid.size):
-            arc, offset = divmod(k, steps)
-            if offset == 0:
-                row = at_dates[arc]
-            else:
-                row = step(rng.standard_normal(out=buffers[k % 2]), k, row, at_dates[arc + 1])
-            yield row
+    def blocks():
+        buffers = np.empty((2, size, n_paths))
+        count = 0
+        for arc in range(p.n_arcs):
+            yield at_dates[arc:arc + 1]
+            prev = at_dates[arc]
+            for start in range(arc * steps + 1, (arc + 1) * steps, size):
+                nodes = slice(start, min(start + size, (arc + 1) * steps))
+                chunk = rng.standard_normal(out=buffers[count % 2, :nodes.stop - start])
+                count += 1
+                np.multiply(chunk, sd[nodes, None], out=chunk)
+                np.add(chunk, np.multiply(far[nodes, None], at_dates[arc + 1],
+                                          out=tmp[:len(chunk)]), out=chunk)
+                if with_const:
+                    np.add(chunk, const[nodes, None], out=chunk)
+                for row, c in zip(chunk, near[nodes].tolist()):
+                    np.add(row, np.multiply(prev, c, out=tmp[0]), out=row)
+                    prev = row
+                yield chunk
+        yield at_dates[-1:]
 
-    return at_dates, rows()
+    return at_dates, blocks()
 
 
-def _stack_rows(rows, shape: tuple[int, int]) -> np.ndarray:
-    """Copy the node rows of a row iterator into a (nodes, paths) buffer."""
-    return np.fromiter(rows, np.dtype((float, shape[1])), count=shape[0])
+def _stack_blocks(blocks, shape: tuple[int, int]) -> np.ndarray:
+    """Copy consecutive blocks of node rows into one (nodes, paths) buffer."""
+    out = np.empty(shape)
+    start = 0
+    for rows in blocks:
+        out[start:start + len(rows)] = rows
+        start += len(rows)
+    return out
 
 
 def simulate_driver(d: GaussMarkovDriver, p: Partition, n_paths: int, seed: int,
                     block: int = 0) -> PathBundle:
     """Exact-law sampling of the driver on the partition grid: the stored
-    rows of the date-first sampler :func:`_driver_rows`.  Zero-variance
+    rows of the date-first sampler :func:`_driver_blocks`.  Zero-variance
     nodes (e.g. Brownian motion at the origin) are their deterministic mean.
     """
-    _, rows = _driver_rows(d, p, n_paths, seed, block)
-    vals = _stack_rows(rows, (p.grid.size, n_paths))
+    g = p.grid
+    _, blocks = _driver_blocks(d, p, n_paths, seed, block)
+    vals = _stack_blocks(blocks, (g.size, n_paths))
     meta = {
         "kind": "driver",
         "driver": d.config_dict(),
@@ -442,7 +464,7 @@ def simulate_driver(d: GaussMarkovDriver, p: Partition, n_paths: int, seed: int,
         "block": block,
     }
     meta["config_hash"] = config_hash(meta)
-    return PathBundle(grid=p.grid, values=vals.T, seed=seed, meta=meta)
+    return PathBundle(grid=g, values=vals.T, seed=seed, meta=meta)
 
 
 def simulate_driver_cholesky(d: GaussMarkovDriver, p: Partition, n_paths: int,

@@ -22,7 +22,7 @@ Along simulated paths the filter and the innovations reconstruction are one
 forward march over the grid nodes (:func:`_march`).  It reads the ``I`` rows
 of the nodes, one (paths,) row at a time through a two-row window, from a
 stored time-major buffer (see :class:`FamTrace`) or straight from the
-date-first sampler (:func:`arcadeproc.rap._rap_rows`), and yields each
+date-first sampler (:func:`arcadeproc.rap._rap_blocks`), and yields each
 node's rows of ``M``, the volatility (where a consumer reads it) and, for
 standard configurations, ``W``; its state between nodes is the running
 ``W`` row.  What is constant on an arc (the suffix hypotheses, their
@@ -42,6 +42,7 @@ targets, the driver at the dates and per-node tables, never a
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -53,7 +54,7 @@ from .arcade import ap_mean, ap_variance
 from .coupling import GaussianStepKernel
 from .drivers import _VAR_FLOOR, _arc_algebra
 from .errors import ConfigError, DegenerateError, DomainError, NumericError
-from .rap import RapConfig, _rap_rows, build_rap_paths
+from .rap import RapConfig, _rap_blocks, build_rap_paths
 
 __all__ = [
     "FamTrace",
@@ -317,8 +318,8 @@ def _march(cfg: RapConfig, i_rows, x: np.ndarray, with_innovations: bool,
     """The filter and the innovations as one forward march over the nodes.
 
     ``i_rows`` iterates over the (paths,) ``I`` rows of the nodes (a
-    time-major (nodes, paths) buffer, or the generator of
-    :func:`arcadeproc.rap._rap_rows`) and ``x`` holds the targets
+    time-major (nodes, paths) buffer, or the rows of the blocks of
+    :func:`arcadeproc.rap._rap_blocks`) and ``x`` holds the targets
     (paths, n+1).  The march reads ``I`` through a two-row window, node
     ``k`` and, for the innovations increment, node ``k + 1``, so a row must
     stay valid until the row after it has been requested.  Per node the
@@ -688,7 +689,8 @@ def _paired_path_sums(cfg: RapConfig, n_paths: int, seed: int, block_size: int,
     gmat = cfg.signal.grid_matrix()                 # one copy for the sampler and the march
 
     def block_sums(block, start):
-        x, rows = _rap_rows(cfg, min(block_size, n_paths - start), seed, block, gmat)
+        x, blocks = _rap_blocks(cfg, min(block_size, n_paths - start), seed, block, gmat)
+        rows = itertools.chain.from_iterable(blocks)
         return reduce(x, _march(cfg, rows, x, gmat=gmat, **march_options))
 
     blocks = enumerate(range(0, n_paths, block_size))

@@ -23,7 +23,7 @@ import numpy as np
 from .arcade import (
     ArcadeConfig,
     MarkovCheckReport,
-    _assembled_rows,
+    _assembled_blocks,
     ap_cov,
     ap_mean,
     build_ap_paths,
@@ -34,8 +34,8 @@ from .drivers import (
     _VAR_FLOOR,
     GaussMarkovDriver,
     PathBundle,
-    _driver_rows,
-    _stack_rows,
+    _driver_blocks,
+    _stack_blocks,
     brownian_driver,
     config_hash,
     simulate_driver,
@@ -151,26 +151,26 @@ def build_rap_paths(cfg: RapConfig, n_paths: int, seed: int,
     Returns the path bundle together with the sampled target matrix
     ``X`` of shape (paths, n+1).  Driver noise uses stream "D", targets
     stream "X", so the two are independent.  The bundle stores the rows of
-    :func:`_rap_rows`, the generator the Monte Carlo reducers consume.
+    :func:`_rap_blocks`, the generator the Monte Carlo reducers consume.
     """
-    x, rows = _rap_rows(cfg, n_paths, seed, block)
+    x, blocks = _rap_blocks(cfg, n_paths, seed, block)
     meta = {"kind": "rap", "config": cfg.config_dict(), "block": block}
     meta["config_hash"] = config_hash(meta)
-    values = _stack_rows(rows, (cfg.partition.grid.size, n_paths)).T
-    return PathBundle(grid=cfg.partition.grid, values=values, seed=seed, meta=meta), x
+    grid = cfg.partition.grid
+    values = _stack_blocks(blocks, (grid.size, n_paths)).T
+    return PathBundle(grid=grid, values=values, seed=seed, meta=meta), x
 
 
-def _rap_rows(cfg: RapConfig, n_paths: int, seed: int, block: int = 0,
-              gmat: np.ndarray | None = None):
-    """The targets ``X`` (paths, n+1) and an iterator over the (paths,) ``I``
-    rows of the nodes, assembled from the date-first driver rows; ``gmat``
-    is the signal's grid matrix when the caller already has it."""
-    p = cfg.partition
+def _rap_blocks(cfg: RapConfig, n_paths: int, seed: int, block: int = 0,
+                gmat: np.ndarray | None = None):
+    """The targets ``X`` (paths, n+1) and an iterator over blocks of
+    consecutive ``I`` rows, assembled from the date-first driver blocks;
+    ``gmat`` is the signal's grid matrix when the caller already has it."""
     x = cfg.coupling.sample(n_paths, seed, block)
-    d_dates, d_rows = _driver_rows(cfg.arcade.driver, p, n_paths, seed, block)
+    d_dates, d_blocks = _driver_blocks(cfg.arcade.driver, cfg.partition, n_paths, seed, block)
     if gmat is None:
         gmat = cfg.signal.grid_matrix()
-    return x, _assembled_rows(cfg.arcade.coeffs.grid_matrix(), d_dates, d_rows, gmat, x)
+    return x, _assembled_blocks(cfg.arcade.coeffs.grid_matrix(), d_dates, d_blocks, gmat, x)
 
 
 # ---------------------------------------------------------------------------

@@ -157,10 +157,11 @@ class TestSimulation:
                     kst = float(h1_d[j - 1] * h2_d[j])
                     a = kst / float(h1_d[j - 1] * h2_d[j - 1])
                     cv = var_j - a * kst
-                value = math.sqrt(max(cv, 0.0)) * z[j, i]
+                const = mu_d[j] - a * (mu_d[j - 1] if j else 0.0)
+                value = math.sqrt(max(cv, 0.0)) * z[j, i] + const
                 if j:
                     value = value + a * at_dates[-1]
-                at_dates.append(value + (mu_d[j] - a * (mu_d[j - 1] if j else 0.0)))
+                at_dates.append(value)
             row = n_dates
             for k in range(g.size):
                 arc, offset = divmod(k, steps)
@@ -175,9 +176,9 @@ class TestSimulation:
                     near, far, var = right / den, left / den, right * left / den
                 else:
                     near, far, var = 0.0, h1[k] / h1[b], right * h1[k] / h1[b]
-                value = math.sqrt(max(var, 0.0)) * z[row, i] + near * want[i, s]
-                value = value + far * at_dates[arc + 1]
-                want[i, k] = value + ((mu[k] - near * mu[s]) - far * mu[b])
+                value = math.sqrt(max(var, 0.0)) * z[row, i] + far * at_dates[arc + 1]
+                value = value + ((mu[k] - near * mu[s]) - far * mu[b])
+                want[i, k] = value + near * want[i, s]
                 row += 1
         assert np.array_equal(got, want)
 
@@ -194,7 +195,7 @@ class TestSimulation:
         at_dates = [sd[0] * z[0] + const[0]]
         for j in range(1, n_dates):
             k = j * steps
-            at_dates.append((sd[k] * z[j] + near[k] * at_dates[-1]) + const[k])
+            at_dates.append((sd[k] * z[j] + const[k]) + near[k] * at_dates[-1])
         want = np.empty_like(got)
         interior = iter(z[n_dates:])
         for k in range(p.grid.size):
@@ -202,8 +203,8 @@ class TestSimulation:
             if offset == 0:
                 want[k] = at_dates[arc]
                 continue
-            want[k] = ((sd[k] * next(interior) + near[k] * want[k - 1])
-                       + far[k] * at_dates[arc + 1]) + const[k]
+            want[k] = ((sd[k] * next(interior) + far[k] * at_dates[arc + 1])
+                       + const[k]) + near[k] * want[k - 1]
         assert np.array_equal(got, want)
 
     def test_path_depends_on_the_block_path_count(self):

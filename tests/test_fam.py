@@ -613,7 +613,7 @@ class TestStreamedReducers:
         # arcade rows of the same driver draws plus the signal, added in
         # index order, and the streamed I rows are the stored ones
         from arcadeproc import build_ap_paths, build_rap_paths
-        from arcadeproc.rap import _rap_rows
+        from arcadeproc.rap import _rap_blocks
 
         cfg = _bridge_rap(Partition((0.0, 1.0, 2.0), 166), binary_chain_kernel(2))
         driver_paths = simulate_driver(brownian_driver(), cfg.partition, self.N_PATHS, self.SEED)
@@ -631,9 +631,13 @@ class TestStreamedReducers:
             want += g_i[:, None] * x_i[None, :]
         assert np.array_equal(rap.values.T, want)
         assert np.array_equal(fam_paths(cfg, self.N_PATHS, self.SEED).i_paths, rap.values)
-        x_streamed, rows = _rap_rows(cfg, self.N_PATHS, self.SEED)
+        x_streamed, blocks = _rap_blocks(cfg, self.N_PATHS, self.SEED)
         assert np.array_equal(x_streamed, x)
-        assert all(np.array_equal(row, stored) for row, stored in zip(rows, rap.values.T))
+        start = 0
+        for rows in blocks:
+            assert np.array_equal(rows, rap.values.T[start:start + len(rows)])
+            start += len(rows)
+        assert start == cfg.partition.grid.size
 
     @staticmethod
     def _reducer_peak(reducer, n_paths, steps, block_size=20000):
