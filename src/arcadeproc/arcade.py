@@ -113,10 +113,11 @@ def _assembled_blocks(fmat: np.ndarray, d_dates: np.ndarray, d_blocks,
     ``D_k - sum_i f_i(t_k) D_{T_i}`` (``d_dates``: the driver at the dates,
     (n+1, paths)) plus, given ``gmat`` and the targets ``x`` (paths, n+1),
     the signal ``sum_i g_i(t_k) X_i``, term by term in index order, skipping
-    the terms whose coefficient is 0 at the node.
+    the terms whose coefficient is 0 at every node of the block.
 
-    One ufunc per term and block, so every value takes the same operations
-    for any split into blocks; a block is valid until the block after next
+    One ufunc per term and block.  A term applied where its coefficient is 0
+    adds a zero, which leaves every value as it is up to the sign of a zero,
+    so the rows are the same for any split into blocks; a block is valid until the block after next
     is requested.
     """
     n_paths = d_dates.shape[1]
@@ -133,11 +134,9 @@ def _assembled_blocks(fmat: np.ndarray, d_dates: np.ndarray, d_blocks,
         block = buffers[count % 2, :len(d_block)]
         np.copyto(block, d_block)
         for sources, coefs, op in terms:
-            on = coefs[:, nodes] != 0.0
-            for i in np.flatnonzero(on.any(axis=1)).tolist():
-                product = np.multiply(coefs[i, nodes, None], sources[i], out=tmp[:len(block)])
-                # a masked write is several times slower, so only where needed
-                op(block, product, out=block, where=True if on[i].all() else on[i, :, None])
+            for i in np.flatnonzero(np.any(coefs[:, nodes] != 0.0, axis=1)).tolist():
+                op(block, np.multiply(coefs[i, nodes, None], sources[i], out=tmp[:len(block)]),
+                   out=block)
         yield block
 
 

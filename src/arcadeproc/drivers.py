@@ -336,9 +336,11 @@ def _sampling_law(d: GaussMarkovDriver, p: Partition):
     on ``s = t_{k-1}`` and ``b = T_{m+1}``: by Doob's representation a
     Brownian bridge in ``H1/H2`` time, with slopes ``right/den``,
     ``left/den`` and variance ``right * left / den`` of
-    :class:`_ArcCoefficients` on ``(s, b)``.  Without variance at ``s`` it
-    is conditioned on ``b`` alone (slope ``H1(t)/H1(b)``, variance
-    ``right * H1(t)/H1(b)``); without variance at ``b`` either, it is its mean.
+    :class:`_ArcCoefficients` on ``(s, b)``.  A ``D_s`` without variance
+    enters as ``H1(s) = 0``, ``H2(s) = 1``, which conditions on ``b`` alone.
+    ``den`` is ``Var[D_b | D_s] H2(s)/H2(b)``; where it is 0 up to the
+    rounding of its two products, ``D_b`` is fixed by ``D_s`` and the node
+    takes the Markov step from ``s``, as a date does.
     """
     g, steps = p.grid, p.steps_per_arc
     h1, h2 = np.asarray(d.h1(g), dtype=float), np.asarray(d.h2(g), dtype=float)
@@ -362,16 +364,14 @@ def _sampling_law(d: GaussMarkovDriver, p: Partition):
 
     s = np.maximum(k - np.where(at_date, steps, 1), 0)
     b = np.minimum(k - k % steps + steps, g.size - 1)
-    c = _ArcCoefficients.of(h1[s], h2[s], h1[b], h2[b], h1, h2)
-    markov = at_date & (k > 0) & (var[s] > _VAR_FLOOR)
-    bridge = ~at_date & (var[s] > _VAR_FLOOR) & (c.den > _VAR_FLOOR)
-    far_only = ~at_date & ~bridge & (var[b] > _VAR_FLOOR)
-    kst, var_s = h1[s] * h2, np.where(markov, var[s], 1.0)
-    den, h1_b = np.where(bridge, c.den, 1.0), np.where(far_only, h1[b], 1.0)
-    near = np.where(bridge, c.right / den, np.where(markov, kst / var_s, 0.0))
-    far = np.where(bridge, c.left / den, np.where(far_only, h1 / h1_b, 0.0))
-    cond = np.where(bridge, c.right * c.left / den, np.where(
-        far_only, c.right * h1 / h1_b, np.where(at_date, var - near * kst, 0.0)))
+    live = (k > 0) & (var[s] > _VAR_FLOOR)
+    h1_s, h2_s = np.where(live, h1[s], 0.0), np.where(live, h2[s], 1.0)
+    c = _ArcCoefficients.of(h1_s, h2_s, h1[b], h2[b], h1, h2)
+    bridge = ~at_date & (c.den > 1e-12 * h1[b] * h2_s)
+    kst, den = h1_s * h2, np.where(bridge, c.den, 1.0)
+    near = np.where(bridge, c.right / den, kst / np.where(live, var[s], 1.0))
+    far = np.where(bridge, c.left / den, 0.0)
+    cond = np.where(bridge, c.right * c.left / den, var - near * kst)
     return np.sqrt(np.maximum(cond, 0.0)), near, far, mean - near * mean[s] - far * mean[b]
 
 

@@ -313,8 +313,7 @@ class _NodeRows(NamedTuple):
 
 
 def _march(cfg: RapConfig, i_rows, x: np.ndarray, with_innovations: bool,
-           with_volatility: bool = True, gmat: np.ndarray | None = None
-           ) -> Iterator[_NodeRows]:
+           with_volatility: bool = True) -> Iterator[_NodeRows]:
     """The filter and the innovations as one forward march over the nodes.
 
     ``i_rows`` iterates over the (paths,) ``I`` rows of the nodes (a
@@ -329,8 +328,7 @@ def _march(cfg: RapConfig, i_rows, x: np.ndarray, with_innovations: bool,
     targets its observation reveals; their prior and the posterior's
     scratch are set up once per arc.
     Without ``with_volatility`` the posterior stops at the mean, and neither
-    the posterior variance nor the volatility is computed.  ``gmat`` is the
-    signal's grid matrix when the caller already has it.  Yields one
+    the posterior variance nor the volatility is computed.  Yields one
     :class:`_NodeRows` per grid node.
 
     The march allocates no row per node: ``Z``, the volatility, the
@@ -342,8 +340,7 @@ def _march(cfg: RapConfig, i_rows, x: np.ndarray, with_innovations: bool,
     p = cfg.partition
     steps = p.steps_per_arc
     n = p.n_arcs
-    if gmat is None:
-        gmat = cfg.signal.grid_matrix()             # (n+1, K)
+    gmat = cfg.signal.grid_matrix()                 # (n+1, K)
     # L = 1 on an arc where g_{m+2}, ..., g_n vanish at every node, else n - m
     lengths = [1 if np.all(np.abs(gmat[arc + 2:, arc * steps:(arc + 1) * steps]) <= 1e-12)
                else n - arc for arc in range(n)]
@@ -686,12 +683,9 @@ def _paired_path_sums(cfg: RapConfig, n_paths: int, seed: int, block_size: int,
         raise ConfigError(f"a paired standard error needs at least 2 paths, got {n_paths}")
     if block_size < 1:
         raise ConfigError(f"block_size must be at least 1, got {block_size}")
-    gmat = cfg.signal.grid_matrix()                 # one copy for the sampler and the march
-
     def block_sums(block, start):
-        x, blocks = _rap_blocks(cfg, min(block_size, n_paths - start), seed, block, gmat)
-        rows = itertools.chain.from_iterable(blocks)
-        return reduce(x, _march(cfg, rows, x, gmat=gmat, **march_options))
+        x, blocks = _rap_blocks(cfg, min(block_size, n_paths - start), seed, block)
+        return reduce(x, _march(cfg, itertools.chain.from_iterable(blocks), x, **march_options))
 
     blocks = enumerate(range(0, n_paths, block_size))
     firsts, seconds = zip(*(block_sums(block, start) for block, start in blocks))

@@ -884,22 +884,18 @@ def _bridge_config(kernel: CouplingKernel, horizon: float, steps: int, t0: float
     )
 
 
-def _time_integral_weights(p: Partition) -> np.ndarray:
-    """Trapezoid on all but the last step, left rectangle on the final one,
-    times sqrt(h2)/h3 = 1/(T_1 - t) of the Brownian bridge."""
-    grid = p.grid
-    dt = np.diff(grid)
-    weights = 0.5 * (np.append(dt[:-1], 0.0) + np.insert(dt[:-1], 0, 0.0))
-    weights[-1] += dt[-1]
-    weights /= p.tn - grid[:-1]
-    return weights
-
-
 def _mc_path_estimators(cfg, n_paths: int, seed: int,
                         block_size: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-path time-integral and endpoint estimators on the one-arc bridge
     ``cfg``, from :func:`arcadeproc.fam._paired_path_sums`."""
-    weights = _time_integral_weights(cfg.partition)
+    p = cfg.partition
+    grid = p.grid
+    dt = np.diff(grid)
+    # Trapezoid on all but the last step, left rectangle on the final one,
+    # times sqrt(h2)/h3 = 1/(T_1 - t) of the Brownian bridge.
+    weights = 0.5 * (np.append(dt[:-1], 0.0) + np.insert(dt[:-1], 0, 0.0))
+    weights[-1] += dt[-1]
+    weights /= p.tn - grid[:-1]
 
     def reduce(x, nodes):
         x_end = x[:, -1]

@@ -161,16 +161,13 @@ def build_rap_paths(cfg: RapConfig, n_paths: int, seed: int,
     return PathBundle(grid=grid, values=values, seed=seed, meta=meta), x
 
 
-def _rap_blocks(cfg: RapConfig, n_paths: int, seed: int, block: int = 0,
-                gmat: np.ndarray | None = None):
+def _rap_blocks(cfg: RapConfig, n_paths: int, seed: int, block: int = 0):
     """The targets ``X`` (paths, n+1) and an iterator over blocks of
-    consecutive ``I`` rows, assembled from the date-first driver blocks;
-    ``gmat`` is the signal's grid matrix when the caller already has it."""
+    consecutive ``I`` rows, assembled from the date-first driver blocks."""
     x = cfg.coupling.sample(n_paths, seed, block)
     d_dates, d_blocks = _driver_blocks(cfg.arcade.driver, cfg.partition, n_paths, seed, block)
-    if gmat is None:
-        gmat = cfg.signal.grid_matrix()
-    return x, _assembled_blocks(cfg.arcade.coeffs.grid_matrix(), d_dates, d_blocks, gmat, x)
+    return x, _assembled_blocks(cfg.arcade.coeffs.grid_matrix(), d_dates, d_blocks,
+                                cfg.signal.grid_matrix(), x)
 
 
 # ---------------------------------------------------------------------------

@@ -169,13 +169,14 @@ class TestSimulation:
                     want[i, k] = at_dates[arc]
                     continue
                 s, b = k - 1, (arc + 1) * steps
-                den = h1[b] * h2[s] - h1[s] * h2[b]
+                # a predecessor without variance enters as H1 = 0, H2 = 1
+                live = h1[s] * h2[s] > _VAR_FLOOR
+                h1_s, h2_s = (h1[s], h2[s]) if live else (0.0, 1.0)
+                den = h1[b] * h2_s - h1_s * h2[b]
                 right = h1[b] * h2[k] - h1[k] * h2[b]
-                left = h1[k] * h2[s] - h1[s] * h2[k]
-                if h1[s] * h2[s] > _VAR_FLOOR and den > _VAR_FLOOR:
-                    near, far, var = right / den, left / den, right * left / den
-                else:
-                    near, far, var = 0.0, h1[k] / h1[b], right * h1[k] / h1[b]
+                left = h1[k] * h2_s - h1_s * h2[k]
+                assert den > 1e-12 * h1[b] * h2_s
+                near, far, var = right / den, left / den, right * left / den
                 value = math.sqrt(max(var, 0.0)) * z[row, i] + far * at_dates[arc + 1]
                 value = value + ((mu[k] - near * mu[s]) - far * mu[b])
                 want[i, k] = value + near * want[i, s]
@@ -231,6 +232,35 @@ class TestSimulation:
                 se = prod.std(ddof=1) / np.sqrt(n)
                 assert_within_3se(prod.mean(), float(d.cov(g[a], g[b])), se,
                                   f"cov({g[a]},{g[b]})")
+
+    def test_small_variance_driver_keeps_the_bridge_law(self):
+        # Brownian motion of variance 2.5e-13 t: near T_1 the bridge
+        # denominator sigma^2 (T_1 - t_{k-1}) falls below _VAR_FLOOR while the
+        # node variances stay above it; the last increments keep their
+        # variance sigma^2 dt, here and in the Cholesky reference
+        sigma2 = 2.5e-13
+        d = GaussMarkovDriver(h1=lambda t: sigma2 * np.asarray(t, dtype=float),
+                              h2=lambda t: np.ones_like(np.asarray(t, dtype=float)),
+                              mean=lambda t: np.zeros_like(np.asarray(t, dtype=float)))
+        p = Partition((0.0, 1.0), 200)
+        n, dt = 4000, 1.0 / 200
+        sampled = simulate_driver(d, p, n, seed=9).values / math.sqrt(sigma2)
+        reference = simulate_driver_cholesky(d, p, n, seed=9, jitter=1e-12 * sigma2).values
+        for k in range(195, 201):
+            assert sigma2 * (1.0 - p.grid[k - 1]) < _VAR_FLOOR < d.variance(p.grid[k - 1])
+            for name, vals in (("date-first", sampled), ("cholesky", reference / math.sqrt(sigma2))):
+                inc = vals[:, k] - vals[:, k - 1]
+                v = float(np.var(inc))
+                assert_within_3se(v, dt, v * math.sqrt(2.0 / (n - 1)), f"{name} Var[dD_{k}]")
+
+    def test_stopped_driver_holds_its_value(self):
+        # B_min(t, 1): on [1, 2] the bridge denominator is 0, because D_2 is
+        # fixed by D_1, so every node there takes the Markov step and stays put
+        d = GaussMarkovDriver(h1=lambda t: np.minimum(np.asarray(t, dtype=float), 1.0),
+                              h2=lambda t: np.ones_like(np.asarray(t, dtype=float)),
+                              mean=lambda t: np.zeros_like(np.asarray(t, dtype=float)))
+        vals = simulate_driver(d, Partition((0.0, 1.0, 2.0), 4), 50, seed=2).values
+        assert np.all(vals[:, 5:] == vals[:, 4:5]) and np.all(vals[:, 4] != 0.0)
 
     @pytest.mark.parametrize("factory", [brownian_driver, scaled_bm_driver],
                              ids=["brownian", "scaled_bm"])
