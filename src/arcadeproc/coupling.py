@@ -12,12 +12,12 @@ of driver noise by construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ConfigError
 from .streams import stream_rng
@@ -47,6 +47,20 @@ _W_TOL = 1e-12
 _MG_TOL = 1e-9
 
 
+@functools.cache
+def _special():
+    """``scipy.special``, imported on first use.
+
+    Only Gaussian quantiles, the Gaussian cdf and the IBMOT objective call
+    its ``ndtr``/``ndtri``.  Importing it about doubles the package's import
+    time, so arcade, FAM and convex-order runs never load it.  The cache
+    makes a later call cost about what a global lookup does: the solver
+    calls it a few dozen times per solve.
+    """
+    from scipy import special
+    return special
+
+
 # ---------------------------------------------------------------------------
 # Marginals
 # ---------------------------------------------------------------------------
@@ -63,6 +77,8 @@ class DiscreteMarginal:
         w = np.asarray(self.weights, dtype=float)
         if v.ndim != 1 or v.shape != w.shape or v.size == 0:
             raise ConfigError("values and weights must be matching 1-d arrays")
+        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(w))):
+            raise ConfigError("atom values and weights must be finite")
         if np.any(np.diff(v) <= 0):
             raise ConfigError("atom values must be strictly increasing")
         if np.any(w <= 0):
@@ -147,6 +163,10 @@ class GaussianMarginal:
     mu: float
     var: float
 
+    def __post_init__(self):
+        if not 0.0 <= self.var < math.inf:
+            raise ConfigError(f"var must be a finite variance >= 0, got {self.var!r}")
+
     def mean(self) -> float:
         return self.mu
 
@@ -157,11 +177,10 @@ class GaussianMarginal:
         return self.var + self.mu ** 2
 
     def quantile(self, q):
-        return self.mu + math.sqrt(self.var) * ndtri(np.asarray(q, dtype=float))
+        return self.mu + math.sqrt(self.var) * _special().ndtri(np.asarray(q, dtype=float))
 
     def cdf(self, x):
-        from scipy.special import ndtr
-        return ndtr((np.asarray(x, float) - self.mu) / math.sqrt(self.var))
+        return _special().ndtr((np.asarray(x, float) - self.mu) / math.sqrt(self.var))
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return self.mu + math.sqrt(self.var) * rng.standard_normal(n)
@@ -216,12 +235,12 @@ def gaussian_marginal(mu: float, var: float, m: int, method: str = "cell_mean") 
         raise ConfigError("need at least one atom")
     sd = math.sqrt(var)
     if method == "midpoint":
-        z = ndtri((np.arange(m) + 0.5) / m)
+        z = _special().ndtri((np.arange(m) + 0.5) / m)
     elif method == "cell_mean":
         edges = np.arange(m + 1) / m
         zed = np.empty(m + 1)
         zed[0], zed[-1] = -np.inf, np.inf
-        zed[1:-1] = ndtri(edges[1:-1])
+        zed[1:-1] = _special().ndtri(edges[1:-1])
         phi = np.where(np.isfinite(zed), np.exp(-0.5 * zed ** 2) / math.sqrt(2 * math.pi), 0.0)
         z = m * (phi[:-1] - phi[1:])
     else:

@@ -34,13 +34,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .arcade import ArcadeConfig
 from .coupling import (
     AffineBranchKernel,
     CouplingKernel,
     DiscreteMarginal,
+    _special,
     convex_order_report,
 )
 from .drivers import brownian_driver
@@ -88,7 +88,7 @@ def _phi_of_quantile(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     out = np.zeros_like(p)
     inner = (p > 0.0) & (p < 1.0)
-    z = ndtri(p[inner])
+    z = _special().ndtri(p[inner])
     out[inner] = np.exp(-0.5 * z * z) / _SQRT_2PI
     return out
 
@@ -98,7 +98,7 @@ def _z_phi_of_quantile(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     out = np.zeros_like(p)
     inner = (p > 0.0) & (p < 1.0)
-    z = ndtri(p[inner])
+    z = _special().ndtri(p[inner])
     out[inner] = z * np.exp(-0.5 * z * z) / _SQRT_2PI
     return out
 
@@ -166,7 +166,7 @@ def _w2sq_gradient_rows(prob_rows: np.ndarray, y: np.ndarray, tau: float) -> np.
     if atoms == 1:
         return np.zeros_like(prob_rows)
     cum = np.clip(np.cumsum(prob_rows, axis=1)[:, :-1], _Q_CLIP, 1.0 - _Q_CLIP)
-    q = math.sqrt(tau) * ndtri(cum)                      # (rows, atoms-1)
+    q = math.sqrt(tau) * _special().ndtri(cum)           # (rows, atoms-1)
     dy = y[:-1] - y[1:]                                  # (atoms-1,)
     sy = y[:-1] + y[1:]
     terms = dy[None, :] * (sy[None, :] - 2.0 * q)
@@ -428,7 +428,7 @@ def _rho(z: np.ndarray) -> np.ndarray:
     """``z Phi(z) + phi(z)``, summed as ``max(z, 0) + rho(-|z|)`` so both tails
     stay accurate."""
     t = -np.abs(z)
-    return np.maximum(z, 0.0) + (t * ndtr(t) + np.exp(-0.5 * t * t) / _SQRT_2PI)
+    return np.maximum(z, 0.0) + (t * _special().ndtr(t) + np.exp(-0.5 * t * t) / _SQRT_2PI)
 
 
 def _dual_point(problem: IbmotProblem, dpsi: np.ndarray,
@@ -462,7 +462,7 @@ def _dual_point(problem: IbmotProblem, dpsi: np.ndarray,
     zeta = -a_hat / two_rt
     u = _barycenter_roots(zeta, dy, x - y[0], y[-1] - x, y[-1] - y[0], u_start)
     z = zeta[None, :] - u[:, None]
-    lower, upper = ndtr(z), ndtr(-z)
+    lower, upper = _special().ndtr(z), _special().ndtr(-z)
     # cell masses from the lower tail below the median, the upper above
     inner = np.where(z[:, :-1] > 0.0, upper[:, :-1] - upper[:, 1:],
                      lower[:, 1:] - lower[:, :-1])
@@ -486,14 +486,14 @@ def _barycenter_roots(zeta, dy, lower, upper, span, start):
     near_bottom = lower <= upper
     sign = np.where(near_bottom, 1.0, -1.0)
     target = np.where(near_bottom, lower, upper)
-    q = sign * ndtri(target / span)
+    q = sign * _special().ndtri(target / span)
     lo, hi = zeta[0] + q, zeta[-1] + q
     u = 0.5 * (lo + hi) if start is None else np.clip(start, lo, hi)
     active = np.arange(u.size)
     for _ in range(_ROOT_MAX_ITER):
         ua, sg = u[active], sign[active]
         d = ua[:, None] - zeta[None, :]
-        resid = sg * (ndtr(sg[:, None] * d) @ dy - target[active])   # increasing in u
+        resid = sg * (_special().ndtr(sg[:, None] * d) @ dy - target[active])   # increasing in u
         slope = (np.exp(-0.5 * d * d) / _SQRT_2PI) @ dy
         scale = 4.0 * _EPS * (1.0 + np.abs(ua))
         done = ((np.abs(resid) <= 8.0 * _EPS * target[active])

@@ -1,11 +1,15 @@
 """CLI subcommands: outputs, determinism, exit codes, error JSON."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import arcadeproc
 from arcadeproc.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NUMERIC, EXIT_OK, main
 
 
@@ -333,6 +337,23 @@ class TestCheck:
         assert rc == EXIT_OK
         assert json.loads((out / "check.json").read_text())["pass"] is True
 
+    @pytest.mark.parametrize("mu, word", [
+        ({"dist": "normal", "mean": 0, "var": float("nan")}, "var"),
+        ({"dist": "normal", "mean": 0, "var": -1.0}, "var"),
+        ([[0.0, 0.5], [float("nan"), 0.5]], "finite"),
+        ([[0.0, float("nan")], [1.0, 0.5]], "finite"),
+    ])
+    def test_invalid_marginal_is_config_error(self, tmp_path, capsys, mu, word):
+        # json accepts NaN; it must not reach the report as pass=false
+        doc = {"kind": "convex_order", "mu": mu,
+               "nu": {"dist": "uniform", "lo": -2, "hi": 2, "atoms": 21}}
+        rc, out = _run(tmp_path, "chknan", doc, "check")
+        assert rc == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "config"
+        assert word in err["error"]["message"]
+        assert not (out / "check.json").exists()
+
     def test_malformed_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "broken.json"
         cfg.write_text("{not json")
@@ -386,6 +407,39 @@ class TestIntegerOptions:
         rc, out = _run(tmp_path, "whole", doc, "simulate")
         assert rc == EXIT_OK
         assert json.loads((out / "summary.json").read_text())["n_paths"] == 10
+
+
+class TestColdStart:
+    """``scipy.special`` loads on the first Gaussian quantile or cdf call, not
+    with the CLI: arcade and convex-order runs never import it."""
+
+    SCRIPT = """
+import sys
+import numpy as np
+from arcadeproc.cli import main
+from arcadeproc.coupling import GaussianMarginal
+configs, out = sys.argv[1:]
+for command, name in (("simulate", "stitched_ap"), ("check", "check_convex_order")):
+    rc = main([command, "--config", f"{configs}/{name}.json", "--out", f"{out}/{name}", "--quiet"])
+    assert rc == 0, (name, rc)
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+law = GaussianMarginal(0.0, 1.0)
+q = np.linspace(0.0, 1.0, 1001)
+x = np.linspace(-40.0, 40.0, 1601)
+quantiles, cdfs = law.quantile(q), law.cdf(x)
+from scipy.special import ndtr, ndtri
+assert quantiles.tobytes() == ndtri(q).tobytes()
+assert cdfs.tobytes() == ndtr(x).tobytes()
+"""
+
+    def test_arcade_and_check_runs_leave_scipy_unloaded(self, tmp_path):
+        src = str(pathlib.Path(arcadeproc.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", self.SCRIPT, str(CONFIGS), str(tmp_path)],
+                                env=env, capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
 
 
 class TestRerunsByteIdentical:

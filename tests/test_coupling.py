@@ -39,6 +39,19 @@ class TestDiscreteMarginal:
         with pytest.raises(ConfigError):
             DiscreteMarginal(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("values, weights", [
+        ([0.0, np.nan], [0.5, 0.5]),
+        ([np.nan, np.nan], [0.5, 0.5]),
+        ([0.0, np.inf], [0.5, 0.5]),
+        ([-np.inf, 0.0], [0.5, 0.5]),
+        ([0.0, 1.0], [0.5, np.nan]),
+        ([0.0, 1.0], [np.inf, 0.5]),
+    ])
+    def test_non_finite_atoms_rejected(self, values, weights):
+        # NaN passes every ordering and sign test, so finiteness is its own check
+        with pytest.raises(ConfigError, match="finite"):
+            DiscreteMarginal(np.array(values), np.array(weights))
+
     def test_call_function_by_enumeration(self):
         m = DiscreteMarginal(np.array([-1.0, 0.5, 2.0]), np.array([0.25, 0.5, 0.25]))
         for k in (-2.0, 0.0, 1.0, 3.0):
@@ -72,6 +85,27 @@ class TestDiscreteMarginal:
         # scaling: atoms of N(0,2) are sqrt(2) times those of N(0,1)
         cm2 = gaussian_marginal(0.0, 2.0, 15, "cell_mean")
         assert np.allclose(cm2.values, np.sqrt(2.0) * cm.values)
+
+
+class TestGaussianMarginal:
+    @pytest.mark.parametrize("var", [-1.0, -1e-300, float("nan"), float("inf")])
+    def test_invalid_variance_rejected(self, var):
+        with pytest.raises(ConfigError, match="var"):
+            GaussianMarginal(0.0, var)
+
+    def test_zero_variance_is_a_point_mass(self):
+        law = GaussianMarginal(2.0, 0.0)
+        assert law.quantile(0.3) == 2.0
+        one = law.discretize(1)
+        assert one.values.tolist() == [2.0] and one.weights.tolist() == [1.0]
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            law.discretize(3)
+
+    def test_non_finite_moments_rejected_on_discretization(self):
+        for law in (GaussianMarginal(np.nan, 1.0), GaussianMarginal(np.inf, 1.0),
+                    UniformMarginal(np.nan, 1.0), UniformMarginal(0.0, np.inf)):
+            with pytest.raises(ConfigError, match="finite"):
+                law.discretize(5)
 
 
 class TestConvexOrder:

@@ -27,6 +27,8 @@ from arcadeproc.coupling import (
     CouplingKernel,
     DegenerateMarginal,
     DeterministicAffineKernel,
+    GaussianMarginal,
+    GaussianStepKernel,
     binary_chain_kernel,
     binary_pm1_kernel,
     brownian_coupling,
@@ -277,7 +279,8 @@ class TestFamPaths:
             worst = max(worst, abs(reduced - brute))
         assert worst <= 1e-10
 
-    def test_full_conditioning_when_signal_leaks(self):
+    @staticmethod
+    def _leaking_two_arc_config(kernel):
         # carryover signal activates g_2's arc only, so reduction applies;
         # force a non-reduced config by adding early support to g_2
         from arcadeproc import table_coefficients
@@ -287,8 +290,11 @@ class TestFamPaths:
         g = p.grid
         table[2] = table[2] + np.where(g <= 1.0, 0.3 * np.sin(np.pi * g) ** 2, 0.0)
         signal = table_coefficients(p, table, role="signal")
-        cfg = RapConfig(ArcadeConfig(brownian_driver(), hats), signal,
-                        binary_chain_kernel(2))
+        return RapConfig(ArcadeConfig(brownian_driver(), hats), signal, kernel)
+
+    def test_full_conditioning_when_signal_leaks(self):
+        cfg = self._leaking_two_arc_config(binary_chain_kernel(2))
+        p = cfg.arcade.partition
         trace = fam_paths(cfg, 64, seed=8)
         # per-path check against the brute-force point filter on the first arc
         k = 10
@@ -297,6 +303,15 @@ class TestFamPaths:
             want = fam_filter_bruteforce(cfg, t, float(trace.i_paths[pidx, k]),
                                          [float(trace.x[pidx, 0])])
             assert trace.m_paths[pidx, k] == pytest.approx(want, abs=1e-12)
+
+    def test_full_conditioning_of_gaussian_chain_is_config_error(self):
+        # the suffix posterior needs atoms; a Gaussian chain whose signal
+        # leaks g_2 onto arc 0 is refused, not filtered with one target
+        chain = CouplingKernel(GaussianMarginal(0.0, 1.0),
+                               (GaussianStepKernel(var=1.0), GaussianStepKernel(var=1.0)))
+        cfg = self._leaking_two_arc_config(chain)
+        with pytest.raises(ConfigError, match="full conditioning needs atom-valued step kernels"):
+            fam_paths(cfg, 8, seed=8)
 
     def test_full_conditioning_over_three_target_suffixes(self):
         # g_2 leaks onto arc 0 and g_3 onto arcs 0 and 1, so the march
