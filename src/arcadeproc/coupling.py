@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, call_preset
 from .streams import stream_rng
 
 __all__ = [
@@ -196,6 +196,10 @@ class GaussianMarginal:
 class DegenerateMarginal:
     value: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise ConfigError(f"point-mass value must be finite, got {self.value!r}")
+
     def mean(self) -> float:
         return self.value
 
@@ -296,6 +300,8 @@ class DiscreteRowKernel(StepKernel):
         g = np.asarray(self.gamma, dtype=float)
         if g.shape != (x.size, y.size):
             raise ConfigError("gamma shape must be (len(x), len(y))")
+        if not all(np.all(np.isfinite(v)) for v in (x, y, g)):
+            raise ConfigError("kernel atoms and gamma must be finite")
         if np.any(g < -1e-15):
             raise ConfigError("gamma has negative entries")
         rows = g.sum(axis=1)
@@ -381,8 +387,8 @@ class GaussianStepKernel(StepKernel):
     conditional_kind = "gaussian"
 
     def __post_init__(self):
-        if self.var <= 0:
-            raise ConfigError("Gaussian step needs positive variance")
+        if not 0.0 < self.var < math.inf:
+            raise ConfigError(f"Gaussian step needs a finite positive variance, got {self.var!r}")
 
     def sample(self, x, rng):
         x = np.asarray(x, dtype=float)
@@ -701,25 +707,22 @@ def builtin_kernels() -> dict[str, CouplingKernel]:
 
 
 _PRESET_FACTORIES = {
-    "binary_pm1": lambda **kw: binary_pm1_kernel(),
-    "uniform_mot": lambda **kw: uniform_mot_kernel(),
-    "gaussian_n01": lambda **kw: gaussian_n01_kernel(),
-    "brownian": lambda **kw: brownian_coupling(**kw),
-    "antithetic_pm1": lambda **kw: antithetic_pm1_chain(**kw),
-    "independent_pm1": lambda **kw: independent_pm1_chain(**kw),
-    "comonotone_uniform": lambda **kw: comonotone_uniform_kernel(),
-    "binary_chain": lambda **kw: binary_chain_kernel(**kw),
-    "deterministic": lambda **kw: deterministic_kernel(**kw),
+    "binary_pm1": binary_pm1_kernel,
+    "uniform_mot": uniform_mot_kernel,
+    "gaussian_n01": gaussian_n01_kernel,
+    "brownian": brownian_coupling,
+    "antithetic_pm1": antithetic_pm1_chain,
+    "independent_pm1": independent_pm1_chain,
+    "comonotone_uniform": comonotone_uniform_kernel,
+    "binary_chain": binary_chain_kernel,
+    "deterministic": deterministic_kernel,
 }
 
 
 def kernel_from_json(doc: dict) -> CouplingKernel:
     """Build a coupling from a JSON document: preset or explicit matrices."""
     if "preset" in doc:
-        name = doc["preset"]
-        if name not in _PRESET_FACTORIES:
-            raise ConfigError(f"unknown coupling preset {name!r}")
-        return _PRESET_FACTORIES[name](**doc.get("params", {}))
+        return call_preset("coupling", _PRESET_FACTORIES, doc["preset"], doc.get("params", {}))
     if "atoms_mu" in doc:
         mu = DiscreteMarginal.from_pairs(doc["atoms_mu"])
         y = np.asarray(doc["values_nu"], dtype=float)

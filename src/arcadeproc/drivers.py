@@ -22,7 +22,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, call_preset
 from .partition import Partition
 from .streams import stream_rng
 
@@ -182,8 +182,10 @@ def ou_driver(theta: float, sigma: float, mu: float = 0.0,
     mean relaxes from ``d0`` at ``t_ref`` toward ``mu``; with ``d0`` omitted
     the mean is constant ``mu``.
     """
-    if theta <= 0 or sigma <= 0:
-        raise ConfigError("OU driver needs theta > 0 and sigma > 0")
+    if not (0.0 < theta < np.inf and 0.0 < sigma < np.inf):
+        raise ConfigError(f"OU driver needs finite theta, sigma > 0, got {theta!r}, {sigma!r}")
+    if not np.all(np.isfinite([mu, t_ref, 0.0 if d0 is None else d0])):
+        raise ConfigError("OU driver needs finite mu, d0 and t_ref")
     c = sigma * sigma / (2.0 * theta)
 
     def h1(t):
@@ -229,18 +231,14 @@ def scaled_bm_driver() -> GaussMarkovDriver:
 
 
 _PRESETS = {
-    "brownian": lambda **kw: brownian_driver(),
-    "ou": lambda **kw: ou_driver(**kw),
-    "scaled_bm": lambda **kw: scaled_bm_driver(),
+    "brownian": brownian_driver,
+    "ou": ou_driver,
+    "scaled_bm": scaled_bm_driver,
 }
 
 
 def driver_preset(name: str, **params) -> GaussMarkovDriver:
-    try:
-        factory = _PRESETS[name]
-    except KeyError:
-        raise ConfigError(f"unknown driver preset {name!r}") from None
-    return factory(**params)
+    return call_preset("driver", _PRESETS, name, params)
 
 
 # ---------------------------------------------------------------------------

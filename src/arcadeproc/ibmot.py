@@ -337,8 +337,8 @@ def ibmot_objective_quantile(problem: IbmotProblem, gamma: np.ndarray,
     return QuantileObjective(value=value, k_i=k_i, k_i_target=k_i_target)
 
 
-def induced_correlation(problem: IbmotProblem, gamma: np.ndarray) -> float:
-    """Correlation of the coupled pair under ``mu_i gamma_ij``."""
+def induced_correlation(problem: IbmotProblem, gamma: np.ndarray) -> float | None:
+    """Correlation of the coupled pair under ``mu_i gamma_ij`` (None for a point mass)."""
     mu_w, x = problem.mu.weights, problem.mu.values
     y = problem.nu.values
     e0 = float(mu_w @ x)
@@ -346,6 +346,8 @@ def induced_correlation(problem: IbmotProblem, gamma: np.ndarray) -> float:
     exy = float((mu_w * x) @ (gamma @ y))
     v0 = float(mu_w @ (x * x)) - e0 * e0
     v1 = float(mu_w @ (gamma @ (y * y))) - e1 * e1
+    if v0 <= 0.0 or v1 <= 0.0:
+        return None
     return (exy - e0 * e1) / math.sqrt(v0 * v1)
 
 
@@ -360,7 +362,7 @@ def lp_oracle(costs: np.ndarray, problem: IbmotProblem) -> np.ndarray:
     independent LP certificate behind ``brute_force_small`` and the tests.
     """
     a, b = problem.constraint_matrix()
-    res, _ = linprog_simplex(np.asarray(costs, dtype=float).ravel(), a, b)
+    res = linprog_simplex(np.asarray(costs, dtype=float).ravel(), a, b)
     return res.x.reshape(problem.shape)
 
 

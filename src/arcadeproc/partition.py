@@ -231,6 +231,8 @@ class CoefficientSet:
             want = (self.partition.n_arcs + 1, self.partition.grid.size)
             if tab.shape != want:
                 raise ConfigError(f"table shape {tab.shape} != {want}")
+            if not np.all(np.isfinite(tab)):
+                raise ConfigError("explicit_table values must be finite")
             object.__setattr__(self, "table", tab)
         elif self.functions is not None:
             if len(self.functions) != self.partition.n_arcs + 1:

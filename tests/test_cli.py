@@ -288,6 +288,15 @@ class TestIbmot:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"]["type"] == "config"
 
+    def test_point_mass_mu_writes_null_correlation(self, tmp_path):
+        # a point mass has no variance, so the induced correlation is undefined
+        doc = {"mu": [[0.0, 1.0]], "nu": [[-1.0, 0.5], [1.0, 0.5]], "T": 1.0, "seed": 1}
+        rc, out = _run(tmp_path, "ibpm", doc, "ibmot")
+        assert rc == EXIT_OK
+        sol = json.loads((out / "solution.json").read_text())
+        assert sol["converged"] is True
+        assert sol["correlation"] is None
+
     def test_non_convex_order_exits_infeasible(self, tmp_path, capsys):
         doc = {"mu": [[1.0, 1.0]], "nu": [[0.0, 1.0]], "T": 1.0, "seed": 1}
         rc, _ = _run(tmp_path, "ibbad", doc, "ibmot")
@@ -354,6 +363,52 @@ class TestCheck:
         assert word in err["error"]["message"]
         assert not (out / "check.json").exists()
 
+    NAN = float("nan")
+    MARKOV = {"kind": "markov", "partition": {"dates": [0.0, 1.0, 2.0], "steps_per_arc": 8},
+              "coefficients": {"family": "standard"}}
+
+    @pytest.mark.parametrize("doc, word", [
+        ({"kind": "kernel", "coupling": {"atoms_mu": [[0.0, 1.0]], "values_nu": [-1.0, 1.0],
+                                         "gamma": [[NAN, 0.5]]}}, "finite"),
+        ({"kind": "kernel", "coupling": {"atoms_mu": [[0.0, 1.0]], "values_nu": [-1.0, NAN],
+                                         "gamma": [[0.5, 0.5]]}}, "finite"),
+        ({"kind": "kernel", "coupling": {"preset": "brownian", "params": {"horizon": NAN}}},
+         "variance"),
+        ({"kind": "kernel", "coupling": {"preset": "deterministic", "params": {"value": NAN}}},
+         "finite"),
+        ({"kind": "coefficients", "partition": {"dates": [0.0, 1.0], "steps_per_arc": 4},
+          "coefficients": {"family": "explicit_table",
+                           "table": [[1.0, 0.75, NAN, 0.25, 0.0],
+                                     [0.0, 0.25, 0.5, 0.75, 1.0]]}}, "finite"),
+        ({**MARKOV, "driver": {"preset": "ou", "params": {"theta": NAN, "sigma": 1.0}}},
+         "theta"),
+        ({**MARKOV, "driver": {"preset": "ou", "params": {"theta": 1.0, "sigma": NAN}}},
+         "sigma"),
+    ], ids=["gamma", "values_nu", "brownian_horizon", "deterministic_value",
+            "explicit_table", "ou_theta", "ou_sigma"])
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, doc, word):
+        # a NaN must not reach the report, where comparisons read it as a pass
+        rc, out = _run(tmp_path, "chkinf", doc, "check")
+        assert rc == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "config"
+        assert word in err["error"]["message"]
+        assert not (out / "check.json").exists()
+
+    @pytest.mark.parametrize("doc, preset", [
+        ({"kind": "kernel", "coupling": {"preset": "binary_pm1", "params": {"n_arcs": 7}}},
+         "binary_pm1"),
+        ({**MARKOV, "driver": {"preset": "brownian", "params": {"theta": 5}}}, "brownian"),
+        ({**MARKOV, "driver": {"preset": "ou", "params": {"sigma": 1.0}}}, "ou"),
+    ], ids=["binary_pm1_n_arcs", "brownian_theta", "ou_without_theta"])
+    def test_unknown_preset_parameter_is_config_error(self, tmp_path, capsys, doc, preset):
+        rc, out = _run(tmp_path, "chkpar", doc, "check")
+        assert rc == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "config"
+        assert f"preset {preset!r}" in err["error"]["message"]
+        assert not (out / "check.json").exists()
+
     def test_malformed_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "broken.json"
         cfg.write_text("{not json")
@@ -411,7 +466,8 @@ class TestIntegerOptions:
 
 class TestColdStart:
     """``scipy.special`` loads on the first Gaussian quantile or cdf call, not
-    with the CLI: arcade and convex-order runs never import it."""
+    with the CLI: arcade, filtered-martingale and convex-order runs never
+    import it."""
 
     SCRIPT = """
 import sys
@@ -419,8 +475,11 @@ import numpy as np
 from arcadeproc.cli import main
 from arcadeproc.coupling import GaussianMarginal
 configs, out = sys.argv[1:]
-for command, name in (("simulate", "stitched_ap"), ("check", "check_convex_order")):
-    rc = main([command, "--config", f"{configs}/{name}.json", "--out", f"{out}/{name}", "--quiet"])
+for command, name, extra in (("simulate", "stitched_ap", []),
+                             ("fam", "fam_ou_standard", ["--paths", "4"]),
+                             ("check", "check_convex_order", [])):
+    rc = main([command, "--config", f"{configs}/{name}.json", "--out", f"{out}/{name}",
+               "--quiet", *extra])
     assert rc == 0, (name, rc)
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded

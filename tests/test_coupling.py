@@ -257,6 +257,9 @@ class TestSampling:
         assert preset.name == "binary_pm1"
         with pytest.raises(ConfigError):
             kernel_from_json({"preset": "nope"})
+        assert len(kernel_from_json({"preset": "binary_chain", "params": {"n_arcs": 3}}).steps) == 3
+        with pytest.raises(ConfigError, match="binary_pm1"):
+            kernel_from_json({"preset": "binary_pm1", "params": {"n_arcs": 7}})
         with pytest.raises(ConfigError):
             kernel_from_json({})
 

@@ -62,6 +62,15 @@ class TestCovariance:
         assert driver_preset("ou", theta=2.0, sigma=1.0).params["theta"] == 2.0
         with pytest.raises(ConfigError):
             driver_preset("levy")
+        with pytest.raises(ConfigError, match="brownian"):
+            driver_preset("brownian", theta=5.0)
+        for bad in (float("nan"), float("inf"), 0.0):
+            with pytest.raises(ConfigError):
+                driver_preset("ou", theta=bad, sigma=1.0)
+            with pytest.raises(ConfigError):
+                driver_preset("ou", theta=1.0, sigma=bad)
+        with pytest.raises(ConfigError):
+            driver_preset("ou", theta=1.0, sigma=1.0, mu=float("nan"))
 
 
 class TestSimulation:
