@@ -98,7 +98,7 @@ def build_ap_paths(cfg: ArcadeConfig, driver_paths: PathBundle) -> PathBundle:
         raise ConfigError("driver paths were simulated on a different grid")
     d_rows = driver_paths.values.T                   # (K, P)
     size = _block_nodes(d_rows.shape[1])
-    blocks = _assembled_blocks(cfg.coeffs.grid_matrix(), d_rows[p.date_indices],
+    blocks = _assembled_blocks(cfg.coeffs.grid_values, d_rows[p.date_indices],
                                (d_rows[k:k + size] for k in range(0, len(d_rows), size)))
     meta = {"kind": "ap", "config": cfg.config_dict()}
     meta["config_hash"] = config_hash(meta)

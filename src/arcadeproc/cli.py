@@ -428,6 +428,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache     # one parser per process
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arcadeproc",

@@ -128,8 +128,15 @@ class DiscreteMarginal:
 
 @dataclass(frozen=True)
 class UniformMarginal:
+    """U[lo, hi]; a quantile, cdf or sample raises ``ConfigError`` unless lo < hi are finite."""
+
     lo: float
     hi: float
+
+    def _bounds(self) -> tuple[float, float]:
+        if not -math.inf < self.lo < self.hi < math.inf:
+            raise ConfigError(f"uniform bounds must be finite with lo < hi, got {self!r}")
+        return self.lo, self.hi
 
     def mean(self) -> float:
         return 0.5 * (self.lo + self.hi)
@@ -141,13 +148,15 @@ class UniformMarginal:
         return self.variance() + self.mean() ** 2
 
     def quantile(self, q):
-        return self.lo + (self.hi - self.lo) * np.asarray(q, dtype=float)
+        lo, hi = self._bounds()
+        return lo + (hi - lo) * np.asarray(q, dtype=float)
 
     def cdf(self, x):
-        return np.clip((np.asarray(x, float) - self.lo) / (self.hi - self.lo), 0.0, 1.0)
+        lo, hi = self._bounds()
+        return np.clip((np.asarray(x, float) - lo) / (hi - lo), 0.0, 1.0)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(self.lo, self.hi, size=n)
+        return rng.uniform(*self._bounds(), size=n)
 
     def discretize(self, m: int, method: str = "cell_mean") -> DiscreteMarginal:
         # for the uniform law cell means coincide with mid-quantile atoms
@@ -237,6 +246,7 @@ def gaussian_marginal(mu: float, var: float, m: int, method: str = "cell_mean") 
     """
     if m < 1:
         raise ConfigError("need at least one atom")
+    GaussianMarginal(mu, var)       # rejects a negative or non-finite var
     sd = math.sqrt(var)
     if method == "midpoint":
         z = _special().ndtri((np.arange(m) + 0.5) / m)
@@ -350,6 +360,8 @@ class AffineBranchKernel(StepKernel):
 
     def __post_init__(self):
         br = tuple((float(a), float(c), float(p)) for a, c, p in self.branches)
+        if not all(math.isfinite(v) for branch in br for v in branch):
+            raise ConfigError(f"branch slopes, intercepts and probabilities must be finite: {br}")
         total = sum(p for _, _, p in br)
         if abs(total - 1.0) > _W_TOL:
             raise ConfigError("branch probabilities must sum to 1")
@@ -418,6 +430,10 @@ class DeterministicAffineKernel(StepKernel):
 
     slope: float
     intercept: float = 0.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.slope) and math.isfinite(self.intercept)):
+            raise ConfigError(f"affine slope and intercept must be finite, got {self!r}")
 
     def sample(self, x, rng):
         return self.slope * np.asarray(x, dtype=float) + self.intercept

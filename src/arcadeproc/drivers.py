@@ -291,9 +291,8 @@ class PathBundle:
         try:
             header = "t," + ",".join(f"path_{i}" for i in range(self.n_paths))
             fh.write(header + "\n")
-            for k, t in enumerate(self.grid):
-                row = [repr(float(t))] + [repr(float(v)) for v in self.values[:, k]]
-                fh.write(",".join(row) + "\n")
+            for t, row in zip(self.grid.tolist(), self.values.T.tolist()):
+                fh.write(repr(t) + "," + ",".join(map(repr, row)) + "\n")
         finally:
             if close:
                 fh.close()

@@ -4,6 +4,7 @@ Every error raised by the library derives from :class:`ArcadeError` so CLI
 and test code can map failures to exit codes without string matching.
 """
 
+import functools
 import inspect
 
 
@@ -43,12 +44,15 @@ class UnboundedError(ArcadeError):
     """A linear program is unbounded below."""
 
 
+_signature = functools.cache(inspect.signature)
+
+
 def call_preset(kind: str, factories: dict, name: str, params: dict):
     """``factories[name](**params)``; an unknown name or parameter is a ``ConfigError``."""
     if name not in factories:
         raise ConfigError(f"unknown {kind} preset {name!r}")
     try:
-        inspect.signature(factories[name]).bind(**params)
+        _signature(factories[name]).bind(**params)
     except TypeError as exc:
         raise ConfigError(f"{kind} preset {name!r}: {exc}") from None
     return factories[name](**params)

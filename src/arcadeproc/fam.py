@@ -249,15 +249,12 @@ class FamTrace:
         count = self.n_paths if max_paths is None else min(self.n_paths, max_paths)
         for pidx in range(count):
             name = os.path.join(str(directory), f"path_{pidx:04d}.csv")
+            w = self.w_paths[pidx] if self.w_paths is not None else np.full(self.grid.size, np.nan)
+            rows = np.stack([self.grid, self.i_paths[pidx], self.m_paths[pidx], w,
+                             self.vol_paths[pidx]], axis=1, dtype=float)
             with open(name, "w", encoding="utf-8") as fh:
                 fh.write("t,I,M,W,vol\n")
-                for k, t in enumerate(self.grid):
-                    w = self.w_paths[pidx, k] if self.w_paths is not None else float("nan")
-                    fh.write(
-                        f"{float(t)!r},{float(self.i_paths[pidx, k])!r},"
-                        f"{float(self.m_paths[pidx, k])!r},{float(w)!r},"
-                        f"{float(self.vol_paths[pidx, k])!r}\n"
-                    )
+                fh.writelines(",".join(map(repr, row)) + "\n" for row in rows.tolist())
             names.append(name)
         return names
 
@@ -340,7 +337,7 @@ def _march(cfg: RapConfig, i_rows, x: np.ndarray, with_innovations: bool,
     p = cfg.partition
     steps = p.steps_per_arc
     n = p.n_arcs
-    gmat = cfg.signal.grid_matrix()                 # (n+1, K)
+    gmat = cfg.signal.grid_values                   # (n+1, K)
     # L = 1 on an arc where g_{m+2}, ..., g_n vanish at every node, else n - m
     lengths = [1 if np.all(np.abs(gmat[arc + 2:, arc * steps:(arc + 1) * steps]) <= 1e-12)
                else n - arc for arc in range(n)]
@@ -582,7 +579,7 @@ def innovations_from_arrays(cfg: RapConfig, i_vals: np.ndarray,
         raise ConfigError("innovations are defined for standard configurations")
     p = cfg.partition
     steps = p.steps_per_arc
-    gmat = cfg.signal.grid_matrix()
+    gmat = cfg.signal.grid_values
     mu_a = np.asarray(ap_mean(cfg.arcade, p.grid), dtype=float)
     i_rows, m_rows = i_vals.T, m_vals.T
     step = _innovations_step(cfg, _grid_algebra(cfg), i_rows.shape[1])

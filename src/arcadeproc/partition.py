@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -48,6 +49,11 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Partition
 # ---------------------------------------------------------------------------
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -90,18 +96,18 @@ class Partition:
     def tn(self) -> float:
         return self.dates[-1]
 
-    @property
+    @cached_property
     def grid(self) -> np.ndarray:
-        """Global grid; dates sit exactly at indices ``i * steps_per_arc``."""
+        """Global grid, computed once, read-only; dates sit at indices ``i * steps_per_arc``."""
         pieces = [np.asarray([self.dates[0]])]
         for a in range(self.n_arcs):
             seg = np.linspace(self.dates[a], self.dates[a + 1], self.steps_per_arc + 1)
             pieces.append(seg[1:])
-        return np.concatenate(pieces)
+        return _read_only(np.concatenate(pieces))
 
-    @property
+    @cached_property
     def date_indices(self) -> np.ndarray:
-        return np.arange(self.n_arcs + 1) * self.steps_per_arc
+        return _read_only(np.arange(self.n_arcs + 1) * self.steps_per_arc)
 
     def arc_of(self, t: float) -> int:
         """Index m with ``T_m <= t < T_{m+1}`` (the last arc owns ``T_n``)."""
@@ -222,18 +228,19 @@ class CoefficientSet:
     functions: tuple[Callable, ...] | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "_cache", {})
         if self.role not in ("noise", "signal"):
             raise ConfigError(f"unknown coefficient role {self.role!r}")
         if self.family == "explicit_table":
             if self.table is None:
                 raise ConfigError("explicit_table needs a value table")
-            tab = np.asarray(self.table, dtype=float)
+            tab = np.array(self.table, dtype=float)        # the set's own copy
             want = (self.partition.n_arcs + 1, self.partition.grid.size)
             if tab.shape != want:
                 raise ConfigError(f"table shape {tab.shape} != {want}")
             if not np.all(np.isfinite(tab)):
                 raise ConfigError("explicit_table values must be finite")
-            object.__setattr__(self, "table", tab)
+            object.__setattr__(self, "table", _read_only(tab))
         elif self.functions is not None:
             if len(self.functions) != self.partition.n_arcs + 1:
                 raise ConfigError("need one callable per date")
@@ -249,32 +256,43 @@ class CoefficientSet:
         if not 0 <= i <= self.n:
             raise DomainError(f"coefficient index {i} outside 0..{self.n}")
         self.partition.check_domain(t)
-        scalar = np.isscalar(t)
-        tt = np.atleast_1d(np.asarray(t, dtype=float))
+        out = self._values(i, np.atleast_1d(np.asarray(t, dtype=float)))
+        return float(out[0]) if np.isscalar(t) else out
+
+    def _values(self, i: int, tt: np.ndarray) -> np.ndarray:
         if self.family == "explicit_table":
-            out = np.interp(tt, self.partition.grid, self.table[i])
-        elif self.functions is not None:
-            out = np.asarray(self.functions[i](tt), dtype=float)
-        elif self.family == "piecewise_linear":
-            out = _piecewise_linear_eval(self.partition, i, tt)
-        elif self.family == "elliptic":
-            out = _elliptic_eval(self.partition, i, tt)
-        elif self.family == "lagrange":
-            out = _lagrange_eval(self.partition, i, tt)
-        else:  # lagrange_damped
-            out = _damp_map(_lagrange_eval(self.partition, i, tt))
-        return float(out[0]) if scalar else out
+            return np.interp(tt, self.partition.grid, self.table[i])
+        if self.functions is not None:
+            return np.asarray(self.functions[i](tt), dtype=float)
+        if self.family == "piecewise_linear":
+            return _piecewise_linear_eval(self.partition, i, tt)
+        if self.family == "elliptic":
+            return _elliptic_eval(self.partition, i, tt)
+        if self.family == "lagrange":
+            return _lagrange_eval(self.partition, i, tt)
+        return _damp_map(_lagrange_eval(self.partition, i, tt))    # lagrange_damped
 
     def matrix(self, t) -> np.ndarray:
         """Stack ``f_i(t)`` for all i: shape (n+1, len(t))."""
+        self.partition.check_domain(t)
         tt = np.atleast_1d(np.asarray(t, dtype=float))
-        return np.vstack([self.eval(i, tt) for i in range(self.n + 1)])
+        return np.vstack([self._values(i, tt) for i in range(self.n + 1)])
+
+    @property
+    def grid_values(self) -> np.ndarray:
+        """``matrix(partition.grid)``: evaluated once, read-only, shared with :meth:`with_role`."""
+        if "grid" not in self._cache:
+            self._cache["grid"] = _read_only(self.matrix(self.partition.grid))
+        return self._cache["grid"]
 
     def grid_matrix(self) -> np.ndarray:
-        return self.matrix(self.partition.grid)
+        """A copy of :attr:`grid_values` that the caller owns."""
+        return self.grid_values.copy()
 
     def with_role(self, role: str) -> "CoefficientSet":
-        return CoefficientSet(self.partition, self.family, role, self.table, self.functions)
+        twin = CoefficientSet(self.partition, self.family, role, self.table, self.functions)
+        object.__setattr__(twin, "_cache", self._cache)    # the role does not change values
+        return twin
 
     def config_dict(self) -> dict:
         return {"family": self.family, "role": self.role,
@@ -342,12 +360,11 @@ def validate_coefficient_set(
     for the local step ``dt``.
     """
     p = cset.partition
-    dates = np.asarray(p.dates)
-    fmat = cset.matrix(dates)                   # (n+1, n+1)
+    gm = cset.grid_values
+    fmat = gm[:, p.date_indices]                # (n+1, n+1): the dates are grid nodes
     unit_err = float(np.max(np.abs(np.diag(fmat) - 1.0)))
     off = fmat - np.diag(np.diag(fmat))
     zero_err = float(np.max(np.abs(off)))
-    gm = cset.grid_matrix()
     if gm.shape[1] > 1:
         diffs = np.abs(np.diff(gm, axis=1))
         jumps = float(np.max(diffs))

@@ -119,11 +119,10 @@ def _early_signal_residual(cfg: RapConfig) -> float:
     """Max ``|g_j|`` over the grid nodes of ``[T_0, T_{j-1}]``, j = 1..n: zero
     when every signal coefficient vanishes ahead of its arc."""
     p = cfg.partition
-    grid = p.grid
+    grid, gmat = p.grid, cfg.signal.grid_values
     worst = 0.0
     for j in range(1, p.n_arcs + 1):
-        gj = np.asarray(cfg.signal.eval(j, grid), dtype=float)
-        worst = max(worst, float(np.max(np.abs(gj[grid <= p.dates[j - 1] + 1e-15]))))
+        worst = max(worst, float(np.max(np.abs(gmat[j, grid <= p.dates[j - 1] + 1e-15]))))
     return worst
 
 
@@ -133,10 +132,9 @@ def _standard_signal_residual(cfg: RapConfig) -> float:
     grid = p.grid
     worst = _early_signal_residual(cfg)
     for j in range(1, p.n_arcs + 1):
-        on_arc = grid[(grid >= p.dates[j - 1]) & (grid <= p.dates[j])]
-        gj = np.asarray(cfg.signal.eval(j, on_arc), dtype=float)
-        fj = np.asarray(cfg.arcade.coeffs.eval(j, on_arc), dtype=float)
-        worst = max(worst, float(np.max(np.abs(gj - fj))))
+        on_arc = (grid >= p.dates[j - 1]) & (grid <= p.dates[j])
+        gap = cfg.signal.grid_values[j, on_arc] - cfg.arcade.coeffs.grid_values[j, on_arc]
+        worst = max(worst, float(np.max(np.abs(gap))))
     return worst
 
 
@@ -166,8 +164,8 @@ def _rap_blocks(cfg: RapConfig, n_paths: int, seed: int, block: int = 0):
     consecutive ``I`` rows, assembled from the date-first driver blocks."""
     x = cfg.coupling.sample(n_paths, seed, block)
     d_dates, d_blocks = _driver_blocks(cfg.arcade.driver, cfg.partition, n_paths, seed, block)
-    return x, _assembled_blocks(cfg.arcade.coeffs.grid_matrix(), d_dates, d_blocks,
-                                cfg.signal.grid_matrix(), x)
+    return x, _assembled_blocks(cfg.arcade.coeffs.grid_values, d_dates, d_blocks,
+                                cfg.signal.grid_values, x)
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +216,8 @@ def nearly_markov_check(cfg: RapConfig, tol: float = 1e-8) -> NearlyMarkovReport
         steps = p.steps_per_arc
         vanish = _early_signal_residual(cfg)
         for j in range(1, p.n_arcs + 1):
-            nodes = p.grid[(j - 1) * steps + 1: j * steps]
             a1 = fact.a1[j - 1][1:-1]
-            gvals = np.asarray(cfg.signal.eval(j, nodes), dtype=float)
+            gvals = cfg.signal.grid_values[j, (j - 1) * steps + 1: j * steps]
             ref = int(np.argmax(np.abs(gvals)))
             scale = max(float(np.max(np.abs(a1))), _VAR_FLOOR)
             if abs(gvals[ref]) < 1e-12:
@@ -301,8 +298,7 @@ def mimic_process(target: PathBundle, p: Partition,
     y_nodes = target.values[:, idx]                     # (P, K)
     x = y_nodes[:, p.date_indices]                      # (P, n+1)
     coeffs = piecewise_linear_coefficients(p)
-    gmat = coeffs.grid_matrix()
-    signal = x @ gmat
+    signal = x @ coeffs.grid_values
     if noise_scale != 0.0:
         drv = driver if driver is not None else brownian_driver()
         cfg = ArcadeConfig(drv, coeffs)
@@ -365,7 +361,7 @@ def carryover_signal_coefficients(p: Partition) -> CoefficientSet:
     with breakpoints on the grid, so the explicit table is exact for even
     ``steps_per_arc``.
     """
-    table = carryover_noise_coefficients(p, "signal").table
+    table = carryover_noise_coefficients(p, "signal").table.copy()
     t0, t1, t2 = p.dates
     mid = 0.5 * (t1 + t2)
     g = p.grid

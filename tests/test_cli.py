@@ -1,5 +1,6 @@
 """CLI subcommands: outputs, determinism, exit codes, error JSON."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -563,3 +564,18 @@ class TestShippedConfigs:
                       else [command, "--config", str(root / name),
                             "--out", str(out), "--quiet"])
             assert rc == EXIT_OK, name
+
+    def test_two_passes_in_one_process_write_the_same_bytes(self, tmp_path):
+        # the cached grids, grid matrices and parser must not carry state from
+        # one run into the next; the second pass runs in reverse order
+        passes = []
+        for index, order in enumerate((list(self.CONFIGS), list(self.CONFIGS)[::-1])):
+            out = tmp_path / f"pass{index}"
+            for name in order:
+                rc = main([self.CONFIGS[name], "--config", str(CONFIGS / name),
+                           "--out", str(out / name[:-5]), "--quiet"])
+                assert rc == EXIT_OK, name
+            passes.append({f.relative_to(out).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest()
+                           for f in sorted(out.rglob("*.*"))})
+        assert len(passes[0]) == 40
+        assert passes[0] == passes[1]

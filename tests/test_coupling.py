@@ -16,6 +16,7 @@ from arcadeproc import (
 from arcadeproc.coupling import (
     AffineBranchKernel,
     CouplingKernel,
+    DeterministicAffineKernel,
     DiscreteRowKernel,
     GaussianMarginal,
     UniformMarginal,
@@ -106,6 +107,42 @@ class TestGaussianMarginal:
                     UniformMarginal(np.nan, 1.0), UniformMarginal(0.0, np.inf)):
             with pytest.raises(ConfigError, match="finite"):
                 law.discretize(5)
+
+
+    @pytest.mark.parametrize("var", [-1.0, float("nan"), float("inf")])
+    def test_public_discretization_rejects_invalid_variance(self, var):
+        # math.sqrt used to raise ValueError('math domain error') for var < 0
+        with pytest.raises(ConfigError, match="var"):
+            gaussian_marginal(0.0, var, 5)
+
+
+class TestParameterValidation:
+    NAN, INF = float("nan"), float("inf")
+
+    @pytest.mark.parametrize("branches", [
+        ((1.0, 0.0, NAN), (1.0, 0.0, 1.0)),
+        ((NAN, 0.0, 0.5), (1.0, 0.0, 0.5)),
+        ((1.0, INF, 0.5), (1.0, 0.0, 0.5)),
+        ((1.0, 0.0, 0.5), (-INF, 0.0, 0.5)),
+    ])
+    def test_affine_branches_must_be_finite(self, branches):
+        with pytest.raises(ConfigError, match="finite"):
+            AffineBranchKernel(branches)
+
+    @pytest.mark.parametrize("slope, intercept", [(NAN, 0.0), (INF, 0.0), (1.0, NAN)])
+    def test_deterministic_affine_map_must_be_finite(self, slope, intercept):
+        with pytest.raises(ConfigError, match="finite"):
+            DeterministicAffineKernel(slope, intercept)
+
+    @pytest.mark.parametrize("lo, hi", [(NAN, 1.0), (0.0, INF), (-INF, 0.0), (1.0, 0.0), (1.0, 1.0)])
+    def test_uniform_bounds_are_checked_on_use(self, lo, hi):
+        # the law constructs (discretization tests above rely on that) and
+        # every draw, quantile or cdf is refused
+        law = UniformMarginal(lo, hi)
+        for use in (lambda: law.sample(3, np.random.default_rng(0)),
+                    lambda: law.quantile(0.5), lambda: law.cdf(0.5), lambda: law.discretize(3)):
+            with pytest.raises(ConfigError, match="lo < hi"):
+                use()
 
 
 class TestConvexOrder:

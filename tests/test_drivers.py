@@ -298,6 +298,20 @@ class TestSimulation:
         assert np.array_equal(parsed[:, 0], bundle.grid)
         assert np.array_equal(parsed[:, 1:], bundle.values.T)
 
+    def test_csv_text_is_the_per_value_repr(self):
+        # shortest round-trip decimals, one repr(float(v)) per value; the
+        # bundle refuses NaN and Inf, so the edge values here are finite
+        grid = np.asarray([0.0, 0.1, 1e16])
+        values = np.asarray([[-0.0, 5e-324, 0.1], [1e16, -1e-300, 1.0 / 3.0]])
+        bundle = PathBundle(grid=grid, values=values, seed=0)
+        expected = "t,path_0,path_1\n" + "".join(
+            ",".join([repr(float(t))] + [repr(float(v)) for v in values[:, k]]) + "\n"
+            for k, t in enumerate(grid))
+        assert bundle.csv_bytes().decode("utf-8") == expected
+        assert expected.splitlines()[1] == "0.0,-0.0,1e+16"
+        with pytest.raises(ConfigError, match="NaN"):
+            PathBundle(grid=grid[:2], values=np.asarray([[0.0, np.nan]]), seed=0)
+
     def test_invalid_driver_rejected(self):
         bad = GaussMarkovDriver(
             h1=lambda t: -np.asarray(t, float) - 1.0,

@@ -1,5 +1,7 @@
 """Filters, closed forms, innovations, isometry, and the n-arc reduction."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,7 @@ from arcadeproc.coupling import (
 from arcadeproc.drivers import _VAR_FLOOR, simulate_driver
 from arcadeproc.fam import (
     _LOG_UNDERFLOW,
+    FamTrace,
     _march,
     _posterior_from_atoms,
     _posterior_gaussian,
@@ -335,6 +338,37 @@ class TestFamPaths:
                 want = fam_filter_bruteforce(cfg, t, float(trace.i_paths[pidx, k]),
                                              trace.x[pidx, : arc + 1].tolist())
                 assert trace.m_paths[pidx, k] == pytest.approx(want, abs=1e-12)
+
+
+class TestCsvFiles:
+    EDGES = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 0.1]
+
+    @staticmethod
+    def _expected(trace, pidx):
+        # the per-value formula: repr(float(v)) for t, I, M, W (nan without
+        # innovations) and vol
+        lines = ["t,I,M,W,vol"]
+        for k, t in enumerate(trace.grid):
+            w = trace.w_paths[pidx, k] if trace.w_paths is not None else float("nan")
+            lines.append(",".join(repr(float(v)) for v in (
+                t, trace.i_paths[pidx, k], trace.m_paths[pidx, k], w, trace.vol_paths[pidx, k])))
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("with_w", [True, False])
+    def test_text_is_the_per_value_repr(self, tmp_path, with_w):
+        edges = np.asarray(self.EDGES)
+        grid = np.linspace(0.0, 1.0, edges.size)
+        paths = np.stack([edges, edges[::-1], np.roll(edges, 2)])     # (3 paths, 7 nodes)
+        trace = FamTrace(grid=grid, i_paths=paths, m_paths=paths[::-1], vol_paths=-paths,
+                         x=np.zeros((3, 2)), w_paths=np.roll(paths, 1, axis=1) if with_w else None)
+        files = trace.to_csv_files(tmp_path, max_paths=2)
+        assert [pathlib.Path(f).name for f in files] == ["path_0000.csv", "path_0001.csv"]
+        for pidx, name in enumerate(files):
+            text = pathlib.Path(name).read_text(encoding="utf-8")
+            assert text == self._expected(trace, pidx)
+        rows = [line.split(",") for line in pathlib.Path(files[0]).read_text().splitlines()[1:]]
+        assert [row[1] for row in rows] == ["-0.0", "nan", "inf", "-inf", "5e-324", "1e+16", "0.1"]
+        assert with_w or all(row[3] == "nan" for row in rows)
 
 
 class TestInnovations:

@@ -13,7 +13,9 @@ from arcadeproc import (
     elliptic_coefficients,
     eval_coefficient,
     lagrange_coefficients,
+    ou_driver,
     piecewise_linear_coefficients,
+    standard_coefficients,
     table_coefficients,
     validate_coefficient_set,
 )
@@ -47,6 +49,15 @@ class TestPartition:
     def test_integral_steps_per_arc_is_stored_as_int(self):
         p = Partition((0.0, 1.0), np.int64(3))
         assert p.steps_per_arc == 3 and type(p.steps_per_arc) is int
+
+    def test_grid_is_computed_once_and_read_only(self):
+        p = Partition((0.0, 0.3, 1.7), steps_per_arc=5)
+        assert p.grid is p.grid and p.date_indices is p.date_indices
+        with pytest.raises(ValueError, match="read-only"):
+            p.grid[1] = 9.0
+        with pytest.raises(ValueError, match="read-only"):
+            p.date_indices[1] = 0
+        assert p.grid[1] == pytest.approx(0.06) and p.date_indices.tolist() == [0, 5, 10]
 
     def test_arc_lookup(self):
         p = Partition((0.0, 1.0, 3.0), 4)
@@ -202,3 +213,57 @@ class TestCarryoverFamily:
     def test_needs_even_steps(self):
         with pytest.raises(ConfigError):
             carryover_noise_coefficients(Partition((0.0, 1.0, 2.0), 15))
+
+
+# one coefficient set per evaluator: the built-in families, a callable-backed
+# set (the OU closed form) and two explicit tables
+SET_KINDS = {
+    **{family: (lambda p, family=family: CoefficientSet(p, family)) for family in ALL_FAMILIES},
+    "standard": lambda p: standard_coefficients(ou_driver(1.0, 1.5), p, "closed_form"),
+    "standard_gram": lambda p: standard_coefficients(ou_driver(1.0, 1.5), p, "gram"),
+    "carryover": carryover_noise_coefficients,
+}
+
+
+class TestGridMatrixCache:
+    @pytest.mark.parametrize("kind", sorted(SET_KINDS))
+    def test_grid_values_equal_pointwise_evaluation(self, kind):
+        p = Partition((0.0, 0.7, 2.0), 6)
+        cs = SET_KINDS[kind](p)
+        expected = np.vstack([cs.eval(i, p.grid) for i in range(cs.n + 1)])
+        assert np.array_equal(cs.grid_values, expected)
+        assert cs.grid_values is cs.grid_values
+        with pytest.raises(ValueError, match="read-only"):
+            cs.grid_values[0, 0] = 2.0
+
+    def test_grid_matrix_returns_a_copy_the_caller_owns(self):
+        p = Partition((0.0, 1.0, 2.0), 4)
+        cs = piecewise_linear_coefficients(p)
+        first = cs.grid_matrix()
+        first[:] = 7.0
+        second = cs.grid_matrix()
+        assert second is not first and second.flags.writeable
+        assert np.array_equal(second, cs.matrix(p.grid))
+        assert np.array_equal(cs.grid_values, second)
+
+    @pytest.mark.parametrize("kind", sorted(SET_KINDS))
+    def test_with_role_copies_share_the_matrix(self, kind):
+        p = Partition((0.0, 0.7, 2.0), 6)
+        cs = SET_KINDS[kind](p)
+        signal = cs.with_role("signal")
+        assert signal.role == "signal" and cs.role == "noise"
+        # the twin made before either evaluates still shares the one matrix
+        assert signal.grid_values is cs.grid_values
+        assert np.array_equal(signal.grid_matrix(), cs.grid_matrix())
+        assert signal.with_role("noise").grid_values is cs.grid_values
+
+    def test_explicit_table_is_the_sets_own_read_only_copy(self):
+        # the cached matrix cannot go stale behind a table edited in place
+        p = Partition((0.0, 1.0, 2.0), 4)
+        source = piecewise_linear_coefficients(p).grid_matrix()
+        cs = table_coefficients(p, source)
+        before = cs.grid_matrix()
+        source[1, 1] = 5.0
+        assert np.array_equal(cs.table, before) and np.array_equal(cs.grid_values, before)
+        with pytest.raises(ValueError, match="read-only"):
+            cs.table[1, 1] = 5.0
