@@ -152,23 +152,29 @@ def ap_mean(cfg: ArcadeConfig, t):
 
 def ap_cov(cfg: ArcadeConfig, s, t):
     """Covariance of the arcade via the driver's covariance double sums."""
-    d, p = cfg.driver, cfg.partition
     ss = np.atleast_1d(np.asarray(s, dtype=float))
     tt = np.atleast_1d(np.asarray(t, dtype=float))
     ss, tt = np.broadcast_arrays(ss, tt)
-    dates = np.asarray(p.dates)
-    f_s = cfg.coeffs.matrix(ss.ravel())               # (n+1, N)
-    f_t = cfg.coeffs.matrix(tt.ravel())
-    kd_s = d.cov(ss.ravel()[None, :], dates[:, None])  # (n+1, N)
-    kd_t = d.cov(tt.ravel()[None, :], dates[:, None])
+    s_flat, t_flat = ss.ravel(), tt.ravel()
+    out = _cov_given_coefficients(cfg, s_flat, t_flat, cfg.coeffs.matrix(s_flat),
+                                  cfg.coeffs.matrix(t_flat)).reshape(ss.shape)
+    return float(out.ravel()[0]) if np.isscalar(s) and np.isscalar(t) else out
+
+
+def _cov_given_coefficients(cfg: ArcadeConfig, s: np.ndarray, t: np.ndarray,
+                            f_s: np.ndarray, f_t: np.ndarray) -> np.ndarray:
+    """:func:`ap_cov` at the point pairs ``(s[k], t[k])`` given the noise
+    coefficients there, C-contiguous (n+1, N) arrays ``f_s`` and ``f_t``."""
+    d = cfg.driver
+    dates = np.asarray(cfg.partition.dates)
+    kd_s = d.cov(s[None, :], dates[:, None])          # (n+1, N)
+    kd_t = d.cov(t[None, :], dates[:, None])
     gram = d.cov(dates[:, None], dates[None, :])
-    out = (
-        d.cov(ss.ravel(), tt.ravel())
+    return (
+        d.cov(s, t)
         - np.sum(f_t * kd_s + f_s * kd_t, axis=0)
         + np.einsum("in,ij,jn->n", f_s, gram, f_t)
     )
-    out = out.reshape(ss.shape)
-    return float(out.ravel()[0]) if np.isscalar(s) and np.isscalar(t) else out
 
 
 def ap_variance(cfg: ArcadeConfig, t):
@@ -327,28 +333,38 @@ def markov_factorization_check(
     arc; all within-arc triples ``r <= s < t`` enter the relative residual,
     all cross-arc pairs enter the absolute decorrelation bound.  On a pass
     the factor functions are extracted with the mid-arc anchor construction.
+    The noise coefficients are evaluated once per arc's probes; each pair
+    of probe sets takes its columns by indexing, in the layout
+    :func:`ap_cov` evaluates for the (probes, probes) grid.
     """
     p = cfg.partition
     arcs = [_arc_probes(p, m, probes_per_arc) for m in range(p.n_arcs)]
+    coefs = [cfg.coeffs.matrix(pts) for pts in arcs]
+
+    def kmat(ma: int, mb: int) -> np.ndarray:
+        """``K_A(r, t)`` for the probes ``r`` of arc ``ma`` and ``t`` of arc ``mb``."""
+        rows = np.repeat(np.arange(arcs[ma].size), arcs[mb].size)
+        cols = np.tile(np.arange(arcs[mb].size), arcs[ma].size)
+        return _cov_given_coefficients(cfg, arcs[ma][rows], arcs[mb][cols], coefs[ma][:, rows],
+                                       coefs[mb][:, cols]).reshape(arcs[ma].size, arcs[mb].size)
 
     max_resid = 0.0
-    for pts in arcs:
-        kmat = ap_cov(cfg, pts[:, None], pts[None, :])
-        var = np.diag(kmat)
+    for m, pts in enumerate(arcs):
+        kmat_m = kmat(m, m)
+        var = np.diag(kmat_m)
         npts = pts.size
         for a in range(npts):
             for b in range(a, npts - 1):
                 for c in range(b + 1, npts):
-                    lhs = kmat[a, c] * var[b]
-                    rhs = kmat[a, b] * kmat[b, c]
+                    lhs = kmat_m[a, c] * var[b]
+                    rhs = kmat_m[a, b] * kmat_m[b, c]
                     scale = max(abs(lhs), abs(rhs), _VAR_FLOOR)
                     max_resid = max(max_resid, abs(lhs - rhs) / scale)
 
     cross_max = 0.0
     for ma in range(p.n_arcs):
         for mb in range(ma + 1, p.n_arcs):
-            kmat = ap_cov(cfg, arcs[ma][:, None], arcs[mb][None, :])
-            cross_max = max(cross_max, float(np.max(np.abs(kmat))))
+            cross_max = max(cross_max, float(np.max(np.abs(kmat(ma, mb)))))
 
     passed = max_resid <= tol and cross_max <= tol
     fact = _extract_factorization(cfg) if passed else None
@@ -371,6 +387,9 @@ def _extract_factorization(cfg: ArcadeConfig) -> Factorization:
       ``K_A(x, x) K_A(mid, mid) / K_A(mid, x)`` beyond,
     * ``A2(x) = K_A(x, x) / K_A(x, mid)`` for ``x <= mid`` and
       ``K_A(mid, x) / K_A(mid, mid)`` beyond.
+
+    The interior nodes are grid nodes, so their coefficients are read from
+    ``grid_values``; the midpoint's are evaluated once.
     """
     p = cfg.partition
     steps = p.steps_per_arc
@@ -380,12 +399,16 @@ def _extract_factorization(cfg: ArcadeConfig) -> Factorization:
     for m in range(p.n_arcs):
         nodes = p.grid[m * steps: (m + 1) * steps + 1]
         mid = 0.5 * (p.dates[m] + p.dates[m + 1])
-        kmm = float(ap_cov(cfg, mid, mid))
+        at_mid = np.full(1, mid)
+        f_mid = cfg.coeffs.matrix(at_mid)
+        kmm = float(_cov_given_coefficients(cfg, at_mid, at_mid, f_mid, f_mid)[0])
         if kmm <= _VAR_FLOOR:
             raise DegenerateError(f"arc {m} has no variance at its midpoint")
         interior = nodes[1:-1]
-        k_x_mid = ap_cov(cfg, interior, np.full_like(interior, mid))
-        k_x_x = ap_cov(cfg, interior, interior)
+        f_int = np.ascontiguousarray(cfg.coeffs.grid_values[:, m * steps + 1: (m + 1) * steps])
+        k_x_mid = _cov_given_coefficients(cfg, interior, np.repeat(at_mid, interior.size), f_int,
+                                          np.repeat(f_mid, interior.size, axis=1))
+        k_x_x = _cov_given_coefficients(cfg, interior, interior, f_int, f_int)
         left = interior <= mid
         denom = np.where(np.abs(k_x_mid) < _VAR_FLOOR, _VAR_FLOOR, k_x_mid)
         a1 = np.where(left, k_x_mid, k_x_x * kmm / denom)

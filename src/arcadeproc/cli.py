@@ -250,7 +250,7 @@ def _se_band_checks(values: np.ndarray, target: float, n: int) -> dict:
 def _cmd_simulate(doc: dict, args) -> int:
     kind = doc.get("kind", "ap")
     seed = _resolve_seed(doc, args)
-    n_paths = args.paths or _option(doc, "n_paths", 10, _whole)
+    n_paths = _option(doc, "n_paths", 10, _whole) if args.paths is None else args.paths
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     p = _build_partition(doc)
@@ -296,7 +296,10 @@ def _cmd_simulate(doc: dict, args) -> int:
 
 def _cmd_fam(doc: dict, args) -> int:
     seed = _resolve_seed(doc, args)
-    n_paths = args.paths or _option(doc, "n_paths", 128, _whole)
+    n_paths = _option(doc, "n_paths", 128, _whole) if args.paths is None else args.paths
+    max_files = _option(doc, "max_path_files", 16, _whole)
+    if max_files < 0:
+        raise ConfigError(f"max_path_files must be non-negative, got {max_files}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cfg = _rap_config(doc)
@@ -333,7 +336,7 @@ def _cmd_fam(doc: dict, args) -> int:
         diag["isometry"] = report.as_dict()
         diag["isometry"]["pass"] = bool(report.z_score <= 3.0)
 
-    files = trace.to_csv_files(out, max_paths=_option(doc, "max_path_files", 16, _whole))
+    files = trace.to_csv_files(out, max_paths=max_files)
     diag["path_files"] = [Path(f).name for f in files]
     _write_json(out / "diagnostics.json", diag)
     if not args.quiet:

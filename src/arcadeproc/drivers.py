@@ -382,13 +382,24 @@ def _block_nodes(n_paths: int) -> int:
     return max(1, min(64, _BLOCK_VALUES // n_paths))
 
 
+def _node_blocks(p: Partition, n_paths: int) -> Iterator[slice]:
+    """The grid-node slices of the blocks the path generators pass on, in
+    grid order: each date alone, and between two dates at most
+    :func:`_block_nodes` interior nodes of the arc at a time."""
+    steps, size = p.steps_per_arc, _block_nodes(n_paths)
+    for arc in range(p.n_arcs):
+        yield slice(arc * steps, arc * steps + 1)
+        for start in range(arc * steps + 1, (arc + 1) * steps, size):
+            yield slice(start, min(start + size, (arc + 1) * steps))
+    yield slice(p.n_arcs * steps, p.n_arcs * steps + 1)
+
+
 def _driver_blocks(d: GaussMarkovDriver, p: Partition, n_paths: int, seed: int,
                    block: int = 0) -> tuple[np.ndarray, Iterator[np.ndarray]]:
     """Date-first exact sampling of the driver: its values at the dates,
-    shape (n+1, paths), and an iterator over blocks of consecutive grid-node
-    rows, (nodes, paths) arrays of a date alone or of at most
-    :func:`_block_nodes` interior nodes of one arc.  A block is valid until
-    the block after next is requested.
+    shape (n+1, paths), and an iterator over the blocks of
+    :func:`_node_blocks`, (nodes, paths) arrays of consecutive grid-node
+    rows.  A block is valid until the block after next is requested.
 
     Stream ``"D"`` of ``block`` is consumed as ``n+1`` date rows, then one
     row per interior node in grid order, each ``n_paths`` wide.  Each row
@@ -413,24 +424,22 @@ def _driver_blocks(d: GaussMarkovDriver, p: Partition, n_paths: int, seed: int,
 
     def blocks():
         buffers = np.empty((2, size, n_paths))
-        count = 0
-        for arc in range(p.n_arcs):
-            yield at_dates[arc:arc + 1]
-            prev = at_dates[arc]
-            for start in range(arc * steps + 1, (arc + 1) * steps, size):
-                nodes = slice(start, min(start + size, (arc + 1) * steps))
-                chunk = rng.standard_normal(out=buffers[count % 2, :nodes.stop - start])
-                count += 1
-                np.multiply(chunk, sd[nodes, None], out=chunk)
-                np.add(chunk, np.multiply(far[nodes, None], at_dates[arc + 1],
-                                          out=tmp[:len(chunk)]), out=chunk)
-                if with_const:
-                    np.add(chunk, const[nodes, None], out=chunk)
-                for row, c in zip(chunk, near[nodes].tolist()):
-                    np.add(row, np.multiply(prev, c, out=tmp[0]), out=row)
-                    prev = row
-                yield chunk
-        yield at_dates[-1:]
+        for count, nodes in enumerate(_node_blocks(p, n_paths)):
+            arc, offset = divmod(nodes.start, steps)
+            if offset == 0:
+                yield at_dates[arc:arc + 1]
+                prev = at_dates[arc]
+                continue
+            chunk = rng.standard_normal(out=buffers[count % 2, :nodes.stop - nodes.start])
+            np.multiply(chunk, sd[nodes, None], out=chunk)
+            np.add(chunk, np.multiply(far[nodes, None], at_dates[arc + 1],
+                                      out=tmp[:len(chunk)]), out=chunk)
+            if with_const:
+                np.add(chunk, const[nodes, None], out=chunk)
+            for row, c in zip(chunk, near[nodes].tolist()):
+                np.add(row, np.multiply(prev, c, out=tmp[0]), out=row)
+                prev = row
+            yield chunk
 
     return at_dates, blocks()
 

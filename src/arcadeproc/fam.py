@@ -19,30 +19,34 @@ isometry check tying ``E[(X_n - X_0)^2]`` to the integrated squared
 volatility.
 
 Along simulated paths the filter and the innovations reconstruction are one
-forward march over the grid nodes (:func:`_march`).  It reads the ``I`` rows
-of the nodes, one (paths,) row at a time through a two-row window, from a
-stored time-major buffer (see :class:`FamTrace`) or straight from the
-date-first sampler (:func:`arcadeproc.rap._rap_blocks`), and yields each
-node's rows of ``M``, the volatility (where a consumer reads it) and, for
-standard configurations, ``W``; its state between nodes is the running
-``W`` row.  What is constant on an arc (the suffix hypotheses, their
-log prior weights and the posterior's scratch buffers) is set up once per
-arc, and the per-node kernels write into those buffers with ``out=`` ufuncs
-in the operand order of the plain formulas, so the march allocates no array
-per node and its results are bit-identical to them.  A yielded row is valid
-only until the next node is requested.
-:func:`fam_paths` copies the rows into whole paths; the isometry check and
+forward march over blocks of grid nodes (:func:`_march`).  A block is a
+(nodes, paths) array of consecutive ``I`` rows: a date alone, or at most
+``_block_nodes(paths)`` interior nodes of one arc, as the date-first sampler
+(:func:`arcadeproc.rap._rap_blocks`) yields them and as
+:func:`arcadeproc.drivers._node_blocks` slices a stored time-major buffer
+(see :class:`FamTrace`).  Per block the march computes the revealed-signal
+residual, the posterior, the volatility (where a consumer reads it) and,
+for standard configurations, the innovations increments once, with the
+per-node coefficients broadcast along the node axis, and yields the
+block's rows of ``M``, the volatility and ``W``; its state between blocks
+is the last ``W`` row and the last node's pending increment.  What is
+constant on an arc (the suffix hypotheses, their log prior weights and the
+scratch buffers, sized for the largest block) is set up once per arc, and
+the kernels write into those buffers with ``out=`` ufuncs in the operand
+order of the plain formulas, so the march allocates no array per block and
+its results are bit-identical to the node-by-node formulas.  A yielded
+block is valid only until the next block is requested.
+:func:`fam_paths` copies the blocks into whole paths; the isometry check and
 the Monte Carlo objective in :mod:`arcadeproc.ibmot` share one loop over path
 blocks (:func:`_paired_path_sums`) that feeds the march from the sampler and
-keeps only per-path running sums, so an operation holds (paths,) rows, the
+reduces the yielded rows node by node into per-path running sums, so an
+operation holds blocks of at most ``_block_nodes(paths)`` node rows, the
 targets, the driver at the dates and per-node tables, never a
 ``(nodes, paths)`` array.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -52,7 +56,7 @@ import numpy as np
 
 from .arcade import ap_mean, ap_variance
 from .coupling import GaussianStepKernel
-from .drivers import _VAR_FLOOR, _arc_algebra
+from .drivers import _VAR_FLOOR, _arc_algebra, _block_nodes, _node_blocks
 from .errors import ConfigError, DegenerateError, DomainError, NumericError
 from .rap import RapConfig, _rap_blocks, build_rap_paths
 
@@ -94,103 +98,149 @@ def _suffix_prior(steps, x_prev) -> tuple[np.ndarray, np.ndarray]:
     return np.stack(values[1:]), logw
 
 
+def _any(flags) -> bool:
+    """Whether a bool, or any flag of a bool array, is set."""
+    return flags if isinstance(flags, bool) else bool(flags.any())
+
+
 def _posterior_from_atoms(s, logw, work, resid, g, var_a, with_variance=True):
     """Posterior mean/variance of the last suffix target given Gaussian evidence.
 
-    ``s, logw``: suffix hypotheses and their log prior weights from
-    :func:`_suffix_prior`; ``resid``: observation minus revealed signal,
-    shape (paths,); evidence has mean ``sum_l g[l] * s[l]`` and variance
-    ``var_a``; the estimate is ``s[-1]``.  Weights are normalized in log
+    ``s, logw``: suffix hypotheses and their log prior weights, laid out as
+    :func:`_arc_posterior` lays out those of :func:`_suffix_prior`;
+    ``resid``: observation minus revealed signal; the evidence has mean
+    ``sum_l g[l] * s[l]`` and variance ``var_a``; the estimate is ``s[-1]``.
+    The arguments broadcast: in the march ``resid`` is a (nodes, paths)
+    block, ``s`` is (L, hypotheses, 1, paths), and ``g`` and ``var_a`` are
+    the per-node values of :func:`_at_nodes`; a node whose ``var_a`` is at
+    most ``_VAR_FLOOR`` keeps its prior weights.  Weights are normalized in log
     space; when every weight underflows the max-shift keeps the nearest
     hypothesis, counted in the returned tally.  Without ``with_variance``
     the variance is skipped and returned as ``None``.
 
-    ``work`` is two (hypotheses, paths) and two (paths,) scratch buffers,
-    which every call overwrites.  The returned mean and variance are two of
-    those buffers, so they are valid until the next call with the same
-    ``work``.  Each ufunc writes its ``out=`` buffer in the operand order of
-    the plain expressions (``0.5 * z * z / var_a`` is
+    ``work`` is two C-contiguous scratch buffers of ``max(hypotheses, 2)``
+    rows shaped like one hypothesis's evidence, which every call
+    overwrites; ``resid`` must not share memory with them.  The mean and
+    the variance are returned in rows 1 and 0 of the first buffer, so they
+    are valid until the next call with the same ``work``, and the second
+    buffer is free between calls.  Each ufunc writes its ``out=`` buffer in
+    the operand order of the plain expressions (``0.5 * z * z / var_a`` is
     ``((0.5 * z) * z) / var_a``, ``wts * y * y`` is ``(wts * y) * y`` with
     ``wts * y`` formed once for the mean), so the results are bit-identical
     to them.
 
-    The reductions run over axis 0, so numpy adds the hypothesis rows one
-    after another, for any number of hypotheses.
+    The reductions run over the outermost axis of C-contiguous buffers, so
+    numpy adds the hypothesis rows one after another, for any number of
+    hypotheses.
     """
-    atoms_a, atoms_b, mean, var = work
+    hypotheses = logw.shape[0]
+    outs, atoms = work[0], work[1][:hypotheses]
     y = s[-1]
-    if var_a > _VAR_FLOOR:
-        z = np.multiply(s[0], g[0], out=atoms_a)
-        for s_l, g_l in zip(s[1:], g[1:]):
-            np.add(z, np.multiply(s_l, g_l, out=atoms_b), out=z)
-        np.subtract(resid, z, out=z)
-        penalty = np.multiply(z, 0.5, out=atoms_b)
-        np.multiply(penalty, z, out=penalty)
+    z = np.multiply(s[0], g[0], out=outs[:hypotheses])
+    for s_l, g_l in zip(s[1:], g[1:]):
+        np.add(z, np.multiply(s_l, g_l, out=atoms), out=z)
+    np.subtract(resid, z, out=z)
+    penalty = np.multiply(z, 0.5, out=atoms)
+    np.multiply(penalty, z, out=penalty)
+    dead = var_a <= _VAR_FLOOR                        # a bool, or a bool per node
+    if _any(dead):
+        # logw - 0.0 is logw: the nodes without evidence keep their prior
+        np.divide(penalty, var_a, out=penalty, where=np.logical_not(dead))
+        np.copyto(penalty, 0.0, where=dead)
+    else:
         np.divide(penalty, var_a, out=penalty)
-        logw = np.subtract(logw, penalty, out=penalty)
-    peak = np.max(logw, axis=0, out=mean)
+    logw = np.subtract(logw, penalty, out=penalty)
+    peak = np.maximum.reduce(logw, axis=0, out=outs[0])
     underflow = int(np.count_nonzero(peak < _LOG_UNDERFLOW))
-    wts = np.subtract(logw, peak, out=atoms_a)
+    wts = np.subtract(logw, peak, out=logw)
     np.exp(wts, out=wts)
-    np.divide(wts, np.sum(wts, axis=0, out=var), out=wts)
+    np.divide(wts, np.add.reduce(wts, axis=0, out=outs[0]), out=wts)
     wy = np.multiply(wts, y, out=wts)
-    np.sum(wy, axis=0, out=mean)
+    mean = np.add.reduce(wy, axis=0, out=outs[1])
     if not with_variance:
         return mean, None, underflow
     np.multiply(wy, y, out=wy)
-    np.sum(wy, axis=0, out=var)
-    mean_sq = np.multiply(mean, mean, out=atoms_b[0])
+    var = np.add.reduce(wy, axis=0, out=outs[0])
+    mean_sq = np.multiply(mean, mean, out=atoms[0])
     np.subtract(var, mean_sq, out=var)
-    return mean, np.clip(var, 0.0, None, out=var), underflow
+    return mean, np.maximum(var, 0.0, out=var), underflow
 
 
 def _posterior_gaussian(m0, v0, work, resid, g, var_a, with_variance=True):
     """Conjugate normal update for ``X' ~ N(m0, v0)`` observed through
     ``I = g_next X' + base + noise(var_a)`` with ``g = (g_next,)``;
-    ``resid = I - base``.
+    ``resid = I - base``.  The arguments broadcast as in
+    :func:`_posterior_from_atoms`; a node whose ``var_a`` is at most
+    ``_VAR_FLOOR`` or whose ``g_next`` is 0 keeps the prior.
 
-    ``work`` is two (paths,) buffers that every call overwrites; the mean
-    (unless it is ``m0`` itself, when the evidence carries no information)
-    and the variance are returned in them, and the variance is ``None``
-    without ``with_variance``.
+    ``work`` is two result-shaped buffers that every call overwrites; the
+    mean and the variance are returned in them, and the variance is
+    ``None`` without ``with_variance``.
     """
     (g_next,) = g
     mean, var_row = work
-    if var_a <= _VAR_FLOOR or g_next == 0.0:
-        mean, var = m0, v0
-    else:
-        var = 1.0 / (1.0 / v0 + g_next * g_next / var_a)
-        evidence = np.multiply(resid, g_next, out=var_row)
-        np.divide(evidence, var_a, out=evidence)
-        np.divide(m0, v0, out=mean)
-        np.add(mean, evidence, out=mean)
-        np.multiply(mean, var, out=mean)
+    dead = (var_a <= _VAR_FLOOR) | (g_next == 0.0)   # a bool, or a bool per node
+    if _any(dead):
+        var_a = np.where(dead, 1.0, var_a)
+    var = 1.0 / (1.0 / v0 + g_next * g_next / var_a)
+    evidence = np.multiply(resid, g_next, out=var_row)
+    np.divide(evidence, var_a, out=evidence)
+    np.divide(m0, v0, out=mean)
+    np.add(mean, evidence, out=mean)
+    np.multiply(mean, var, out=mean)
+    if _any(dead):                                   # the evidence carries no information
+        np.copyto(mean, m0, where=dead)
+        var = np.where(dead, v0, var)
     if not with_variance:
         return mean, None, 0
-    var_row.fill(var)
+    np.copyto(var_row, var)
     return mean, var_row, 0
 
 
-def _arc_posterior(steps, x_prev, with_variance: bool = True):
+def _arc_posterior(steps, x_prev, max_nodes: int = 1, with_variance: bool = True):
     """The posterior ``(resid, g, var_a) -> (mean, var, underflows)`` of the
-    last target of the suffix whose step kernels are ``steps``, with ``g``
-    the signal coefficients of the suffix targets at the node.  The prior
-    given ``x_prev`` and the posterior's scratch are allocated once; the
-    returned rows are valid until the next call.  A Gaussian step kernel
-    takes a one-target suffix."""
+    last target of the suffix whose step kernels are ``steps``, for blocks
+    of at most ``max_nodes`` nodes: ``resid`` is (nodes, paths), and ``g``
+    (the signal coefficients of the suffix targets) and ``var_a`` (the noise
+    variance) are per-node values from :func:`_at_nodes`; and
+    ``work(nodes)``, its two scratch buffers for a block of ``nodes`` nodes.
+
+    The prior given ``x_prev`` (paths,) and the scratch, two C-contiguous
+    (max(hypotheses, 2), nodes, paths) buffers, are allocated once.  The
+    returned (nodes, paths) mean and variance are rows of the first buffer,
+    valid until the next call; between calls the second buffer is free for
+    the caller's own scratch.  A Gaussian step kernel takes a one-target
+    suffix."""
     if len(steps) > 1 and any(s.conditional_kind != "atoms" for s in steps):
         raise ConfigError("full conditioning needs atom-valued step kernels; "
                           "the signal activates targets ahead of their arc")
     x_prev = np.asarray(x_prev, dtype=float)
-    if steps[0].conditional_kind == "gaussian":
+    gaussian = steps[0].conditional_kind == "gaussian"
+    if gaussian:
         m0, v0 = steps[0].gaussian_given(x_prev)
-        work = (np.empty(x_prev.shape), np.empty(x_prev.shape))
-        return functools.partial(_posterior_gaussian, m0, v0, work,
-                                 with_variance=with_variance)
-    s, logw = _suffix_prior(steps, x_prev)
-    work = (np.empty(logw.shape), np.empty(logw.shape), np.empty(x_prev.shape),
-            np.empty(x_prev.shape))
-    return functools.partial(_posterior_from_atoms, s, logw, work, with_variance=with_variance)
+        hypotheses = 1
+    else:
+        s, logw = _suffix_prior(steps, x_prev)
+        s, logw = s[:, :, None], logw[:, None]
+        hypotheses = logw.shape[0]
+    rows = max(hypotheses, 2)
+    scratch = np.empty((2, rows * max_nodes * x_prev.size))
+    views: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def work(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+        if nodes not in views:
+            shape = (rows, nodes, x_prev.size)
+            views[nodes] = tuple(buf[:math.prod(shape)].reshape(shape) for buf in scratch)
+        return views[nodes]
+
+    def posterior(resid, g, var_a):
+        outs, atoms = work(len(resid))
+        if gaussian:
+            return _posterior_gaussian(m0, v0, (outs[1], outs[0]), resid, g, var_a,
+                                       with_variance)
+        return _posterior_from_atoms(s, logw, (outs, atoms), resid, g, var_a, with_variance)
+
+    return posterior, work
 
 
 # ---------------------------------------------------------------------------
@@ -204,15 +254,35 @@ def _grid_algebra(cfg: RapConfig):
     return _arc_algebra(cfg.arcade.driver, p.dates, arcs, p.grid[:-1])
 
 
-def _signal_residual(i_row, x, g_revealed, mu_a, z, tmp) -> np.ndarray:
-    """``Z = I - sum_{i<=m} g_i X_i - mu_A`` at one node, written into ``z``
-    column by column from the targets ``x`` (paths, n+1) and the node's
-    ``g_revealed = g_0..g_m``; ``tmp`` is a (paths,) scratch row."""
-    np.multiply(x[:, 0], g_revealed[0], out=z)
-    for x_i, g_i in zip(x.T[1:], g_revealed[1:]):
-        np.add(z, np.multiply(x_i, g_i, out=tmp), out=z)
-    np.add(z, mu_a, out=z)
-    return np.subtract(i_row, z, out=z)
+def _at_nodes(table: np.ndarray, nodes: slice):
+    """The per-node values ``table[..., nodes]`` of a block, to broadcast
+    against its (nodes, paths) rows: (nodes, 1) columns, or for a one-node
+    block the values as Python floats, the same doubles at a cheaper ufunc
+    call."""
+    if nodes.stop - nodes.start == 1:
+        return table[..., nodes.start].tolist()
+    return table[..., nodes, None]
+
+
+def _signal_residual(cfg: RapConfig, xt: np.ndarray):
+    """The revealed-signal residual ``(nodes, I, z, tmp) -> Z = I - sum_{i<=m}
+    g_i X_i - mu_A`` of a block of nodes of arc ``m``: ``nodes`` is its
+    grid-node slice and ``I`` its (nodes, paths) rows, for the targets
+    ``xt`` (n+1, paths).  ``Z`` is written term by term into the block ``z``,
+    with ``tmp`` a block of scratch."""
+    p = cfg.partition
+    # row 0: mu_A; row 1 + i: g_i
+    table = np.vstack([ap_mean(cfg.arcade, p.grid), cfg.signal.grid_values])
+
+    def residual(nodes: slice, i_block, z, tmp) -> np.ndarray:
+        mu_a, g_0, *g_rest = _at_nodes(table[:nodes.start // p.steps_per_arc + 2], nodes)
+        np.multiply(xt[0], g_0, out=z)
+        for x_i, g_i in zip(xt[1:], g_rest):
+            np.add(z, np.multiply(x_i, g_i, out=tmp), out=z)
+        np.add(z, mu_a, out=z)
+        return np.subtract(i_block, z, out=z)
+
+    return residual
 
 
 # ---------------------------------------------------------------------------
@@ -281,58 +351,76 @@ def fam_paths(cfg: RapConfig, n_paths: int, seed: int, block: int = 0,
     vol_rows = np.empty(i_rows.shape)
     w_rows = np.empty(i_rows.shape) if with_innovations else None
     underflow = 0
-    for k, node in enumerate(_march(cfg, i_rows, x, with_innovations)):
-        m_rows[k] = node.m
-        vol_rows[k] = node.vol
+    i_blocks = (i_rows[nodes] for nodes in _node_blocks(cfg.partition, n_paths))
+    for out in _march(cfg, i_blocks, x, with_innovations):
+        m_rows[out.nodes] = out.m
+        vol_rows[out.nodes] = out.vol
         if w_rows is not None:
-            w_rows[k] = node.w
-        underflow += node.underflow
+            w_rows[out.nodes] = out.w
+        underflow += out.underflow
     return FamTrace(grid=cfg.partition.grid, i_paths=rap.values, m_paths=m_rows.T,
                     vol_paths=vol_rows.T, x=x,
                     w_paths=None if w_rows is None else w_rows.T, underflow_count=underflow,
                     meta={"config": cfg.config_dict(), "block": block, "seed": seed})
 
 
-class _NodeRows(NamedTuple):
-    """One node of :func:`_march`: the (paths,) rows of ``M``, the volatility
-    (``None`` without volatility) and ``W`` (``None`` without innovations),
-    and the node's count of posterior-underflow fallbacks.  The node's ``I``
-    row is the caller's: row ``k`` of the buffer the march reads.
+class _NodeBlock(NamedTuple):
+    """One block of :func:`_march`: its grid-node slice ``nodes``, the
+    (nodes, paths) rows of ``M``, the volatility (``None`` without
+    volatility) and ``W`` (``None`` without innovations), and the block's
+    count of posterior-underflow fallbacks.  The block's ``I`` rows are the
+    caller's.
 
     The rows are the march's scratch or views of the targets: each is valid
-    only until the next node is requested, so a consumer that keeps a row
+    only until the next block is requested, so a consumer that keeps a row
     copies it."""
 
+    nodes: slice
     m: np.ndarray
     vol: np.ndarray | None
     w: np.ndarray | None
     underflow: int
 
 
-def _march(cfg: RapConfig, i_rows, x: np.ndarray, with_innovations: bool,
-           with_volatility: bool = True) -> Iterator[_NodeRows]:
-    """The filter and the innovations as one forward march over the nodes.
+def _march(cfg: RapConfig, i_blocks, x: np.ndarray, with_innovations: bool,
+           with_volatility: bool = True) -> Iterator[_NodeBlock]:
+    """The filter and the innovations as one forward march over blocks of nodes.
 
-    ``i_rows`` iterates over the (paths,) ``I`` rows of the nodes (a
-    time-major (nodes, paths) buffer, or the rows of the blocks of
-    :func:`arcadeproc.rap._rap_blocks`) and ``x`` holds the targets
-    (paths, n+1).  The march reads ``I`` through a two-row window, node
-    ``k`` and, for the innovations increment, node ``k + 1``, so a row must
-    stay valid until the row after it has been requested.  Per node the
-    residual ``Z = I - base`` of the revealed signal is computed once and
-    feeds both the posterior and the innovations drift.  On arc ``m`` the
-    posterior is over the suffixes ``(X_{m+1}, ..., X_{m+L})`` of the
-    targets its observation reveals; their prior and the posterior's
-    scratch are set up once per arc.
-    Without ``with_volatility`` the posterior stops at the mean, and neither
-    the posterior variance nor the volatility is computed.  Yields one
-    :class:`_NodeRows` per grid node.
+    ``i_blocks`` iterates over the (nodes, paths) ``I`` rows of the blocks
+    of :func:`arcadeproc.drivers._node_blocks` in grid order: each date
+    alone, then at most ``_block_nodes(paths)`` interior nodes of its arc.
+    They are the blocks of the date-first sampler
+    (:func:`arcadeproc.rap._rap_blocks`) or slices of a stored time-major
+    buffer.  ``x`` holds the targets (paths, n+1).  The innovations
+    increment of a block's last node needs the next block's first ``I``
+    row, so a block must stay valid until the block after it has been
+    requested, as the sampler's do.  Without ``with_volatility`` the
+    posterior stops at the mean, and neither the posterior variance nor the
+    volatility is computed.  Yields one :class:`_NodeBlock` per block.
 
-    The march allocates no row per node: ``Z``, the volatility, the
-    posterior's output and the innovations increment live in buffers that
-    every node overwrites, and ``W`` is updated in place after the node is
-    yielded.  A yielded row is therefore valid only until the next node is
-    requested.
+    Each stage runs once per block: the residual ``Z = I - base`` of the
+    revealed signal (which feeds both the posterior and the innovations
+    drift), the posterior, the volatility and the innovations increments,
+    with the per-node coefficients broadcast along the node axis.  On arc
+    ``m`` the posterior is over the suffixes ``(X_{m+1}, ..., X_{m+L})`` of
+    the targets its observation reveals; their prior and the posterior's
+    scratch, sized for the largest block, are set up once per arc.  Every
+    element sees the ufuncs of the node-by-node formulas in their operand
+    order, the hypothesis sums run over the outer axis of C-contiguous
+    buffers and ``W`` accumulates node by node, so the rows are the same
+    bits for any split into blocks that keeps numpy's reductions in
+    order.  (At one path numpy sums a one-node block's hypotheses in
+    another order than a longer block's, which can move the last bit.)
+
+    The march allocates no array per block, and its scratch is two
+    (max(hypotheses, 2), nodes, paths) buffers per arc plus one block of
+    rows: ``Z`` is written into the rows that :class:`_Innovations` then
+    turns into the increments and ``W`` (or into a block of its own
+    without innovations); the posterior's mean and variance, and the
+    volatility in place of the variance, are rows of the arc's first
+    buffer; the second is the residual's and the increments' scratch
+    outside the posterior.  Every block overwrites them, so a yielded block
+    is valid only until the next block is requested.
     """
     p = cfg.partition
     steps = p.steps_per_arc
@@ -341,49 +429,62 @@ def _march(cfg: RapConfig, i_rows, x: np.ndarray, with_innovations: bool,
     # L = 1 on an arc where g_{m+2}, ..., g_n vanish at every node, else n - m
     lengths = [1 if np.all(np.abs(gmat[arc + 2:, arc * steps:(arc + 1) * steps]) <= 1e-12)
                else n - arc for arc in range(n)]
-    mu_a = np.asarray(ap_mean(cfg.arcade, p.grid), dtype=float)
     var_a = np.asarray(ap_variance(cfg.arcade, p.grid), dtype=float)
+    interior = np.arange(p.grid.size) % steps != 0
+    degenerate = np.flatnonzero(interior & (var_a <= _VAR_FLOOR))
+    if degenerate.size:
+        raise DegenerateError(f"zero noise variance at interior node t={p.grid[degenerate[0]]}")
     n_paths = x.shape[0]
-    z = np.empty(n_paths)
-    tmp = np.empty(n_paths)
+    xt = np.ascontiguousarray(x.T)
+    residual = _signal_residual(cfg, xt)
     alg = _grid_algebra(cfg)
-    innovation = _innovations_step(cfg, alg, n_paths) if with_innovations else None
-    w = np.zeros(n_paths) if with_innovations else None
-    vol = h3 = vol_ok = root_qv = None
-    if with_volatility:
-        # Var[X | .] sqrt(h2) / h3 where h3 > 0 and h2 >= 0, else 0
-        vol, h3 = np.empty(n_paths), alg.right
-        vol_ok = (h3 > _VAR_FLOOR) & (alg.qv >= 0.0)
-        root_qv = np.sqrt(np.maximum(alg.qv, 0.0))
-    del alg                                          # the nodes read the tables above
-    rows = iter(i_rows)
-    i_now = next(rows)
+    innovations = _Innovations(cfg, alg, n_paths) if with_innovations else None
+    z_rows = np.empty((_block_nodes(n_paths), n_paths)) if innovations is None else None
+    # Var[X | .] sqrt(h2) / h3 where h3 > 0 and h2 >= 0, else 0; a date's
+    # observation carries no evidence
+    vol_ok = (alg.right > _VAR_FLOOR) & (alg.qv >= 0.0)
+    table = np.stack([np.where(interior, var_a, 0.0)[:-1], np.sqrt(np.maximum(alg.qv, 0.0)),
+                      np.where(vol_ok, alg.right, 1.0)])
+    vol_always = bool(vol_ok.all())
+    del alg                                          # the blocks read the tables above
+    blocks = iter(i_blocks)
+    start = 0
 
     for arc, length in enumerate(lengths):
-        posterior = _arc_posterior(cfg.coupling.steps[arc: arc + length], x[:, arc],
-                                   with_volatility)
-        for k in range(arc * steps, (arc + 1) * steps):
-            is_date = (k == arc * steps)
-            va = 0.0 if is_date else float(var_a[k])
-            if not is_date and va <= _VAR_FLOOR:
-                raise DegenerateError(f"zero noise variance at interior node t={p.grid[k]}")
-            _signal_residual(i_now, x, gmat[: arc + 1, k], float(mu_a[k]), z, tmp)
-            mean, pvar, uf = posterior(z, gmat[arc + 1: arc + 1 + length, k], va)
-            m = x[:, arc] if is_date else mean
-            if vol is not None:
-                if vol_ok[k]:
-                    np.multiply(pvar, root_qv[k], out=vol)
-                    np.divide(vol, h3[k], out=vol)
-                else:
-                    vol.fill(0.0)
-            yield _NodeRows(m, vol, w, uf)
-            i_next = next(rows)
-            if innovation is not None:
-                np.add(w, innovation(k, z, m, x[:, arc], i_now, i_next), out=w)
-            i_now = i_next
-    if vol is not None:
+        posterior, work = _arc_posterior(cfg.coupling.steps[arc: arc + length], x[:, arc],
+                                         _block_nodes(n_paths), with_volatility)
+        g_suffix = gmat[arc + 1: arc + 1 + length]
+        while start < (arc + 1) * steps:
+            i_block = next(blocks)
+            count = len(i_block)
+            nodes = slice(start, start + count)
+            start = nodes.stop
+            tmp = work(count)[1][0]                  # free outside the posterior
+            z = z_rows[:count] if innovations is None else innovations.start(nodes, i_block)
+            residual(nodes, i_block, z, tmp)
+            var_a, root_qv, h3 = _at_nodes(table, nodes)
+            mean, vol, uf = posterior(z, _at_nodes(g_suffix, nodes), var_a)
+            m = xt[arc:arc + 1] if nodes.start == arc * steps else mean
+            if vol is not None:                      # the posterior variance, in place
+                np.multiply(vol, root_qv, out=vol)
+                np.divide(vol, h3, out=vol)
+                if not (vol_always or vol_ok[nodes].all()):
+                    np.copyto(vol, 0.0, where=~vol_ok[nodes, None])
+            w = None
+            if innovations is not None:
+                w = innovations.finish(nodes, i_block, m, xt[arc], tmp)
+            yield _NodeBlock(nodes, m, vol, w, uf)
+    i_block = next(blocks)
+    nodes = slice(start, start + len(i_block))
+    w = None
+    if innovations is not None:
+        innovations.start(nodes, i_block)
+        w = innovations.finish(nodes, i_block)
+    vol = None
+    if with_volatility:
+        vol = work(1)[0][0]
         vol.fill(0.0)
-    yield _NodeRows(x[:, n], vol, w, 0)
+    yield _NodeBlock(nodes, xt[n:], vol, w, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +519,9 @@ def _filter_context(cfg: RapConfig, t: float, x_observed):
 
 def _next_target_posterior(cfg: RapConfig, m: int, x_m: float, resid: float, g, va: float):
     """Posterior mean and variance of ``X_{m+1}`` at one point inside arc ``m``."""
-    posterior = _arc_posterior(cfg.coupling.steps[m: m + 1], [x_m])
-    mean, var, _ = posterior(np.asarray([resid]), g[:1], va)
-    return float(mean[0]), float(var[0])
+    posterior, _ = _arc_posterior(cfg.coupling.steps[m: m + 1], [x_m])
+    mean, var, _ = posterior(np.full((1, 1), resid), g[:1, None, None], np.full((1, 1), va))
+    return float(mean[0, 0]), float(var[0, 0])
 
 
 def fam_filter_discrete(cfg: RapConfig, t: float, i_t: float, x_observed) -> float:
@@ -525,44 +626,77 @@ def fam_volatility(cfg: RapConfig, t: float, i_t: float, x_observed) -> float:
 # Innovations
 # ---------------------------------------------------------------------------
 
-def _innovations_step(cfg: RapConfig, alg, n_paths: int):
-    """The innovations increment ``(k, Z, M, X_m, I_k, I_{k+1}) -> W_{k+1} - W_k``
-    of the node ``k`` on arc ``m``, from the driver algebra ``alg`` at the
-    nodes, for rows of ``n_paths`` paths.
+class _Innovations:
+    """The innovations ``W`` along consecutive blocks of nodes, from the
+    driver algebra ``alg`` at the nodes, for ``n_paths`` paths.
 
-    ``dW = h2^{-1/2} [ ((Z h1 - M h2)/h3 - J) dt + dI ]`` with
-    ``Z = I - sum_{i<=m} g_i X_i - mu_A`` and ``J`` the time derivative of
-    the revealed-signal-plus-mean term (left-point Euler).  The increment is
-    written into the step's own scratch row and is valid until the next call.
+    Node ``k`` adds ``dW = h2^{-1/2} [ ((Z h1 - M h2)/h3 - J) dt + dI ]``
+    with ``Z = I - sum_{i<=m} g_i X_i - mu_A``, ``J`` the time derivative of
+    the revealed-signal-plus-mean term (left-point Euler) and
+    ``dI = I_{k+1} - I_k``.  Per block, :meth:`start` takes the block's
+    ``I`` rows and returns the (nodes, paths) rows into which the caller
+    writes ``Z``; :meth:`finish` turns them into the increments in place
+    and returns the block's rows of ``W``, valid until the next
+    :meth:`start`.  The rows are those of one buffer: row 0 holds the
+    block's first ``W`` and rows 1, 2, ... the increments, which
+    ``np.add.accumulate`` sums node by node.  The last node's increment
+    needs the next block's first ``I`` row, so it waits in the buffer, and
+    the previous block's last ``I`` row must still be valid when
+    :meth:`start` gets the next block.
     """
-    if np.any(alg.den == 0.0):
-        raise DegenerateError("driver factorization is degenerate on an arc")
-    if np.any(alg.qv <= 0.0):
-        raise NumericError("driver quadratic-variation density is not positive")
-    p = cfg.partition
-    # d/dt of f_{arc} (right piece) and f_{arc+1} (left piece), and of mu_A
-    dg_m = alg.d_right / alg.den
-    dg_next = alg.d_left / alg.den
-    mu_dates = np.asarray(cfg.arcade.driver.mean(np.asarray(p.dates)), dtype=float)
-    arcs = np.arange(dg_m.size) // p.steps_per_arc
-    mu_a_deriv = alg.d_mean - dg_m * mu_dates[arcs] - dg_next * mu_dates[arcs + 1]
-    d_right, qv, right, dt = alg.d_right, alg.qv, alg.right, np.diff(p.grid)
-    dn = np.empty(n_paths)
-    tmp = np.empty(n_paths)
 
-    def step(k, z, m, x_arc, i_now, i_next):
-        h1, h2, h3 = -d_right[k], qv[k], right[k]
-        np.multiply(z, h1, out=dn)
-        np.subtract(dn, np.multiply(m, h2, out=tmp), out=dn)
-        np.divide(dn, h3, out=dn)
-        j = np.multiply(x_arc, dg_m[k], out=tmp)
-        np.add(j, mu_a_deriv[k], out=j)
-        np.subtract(dn, j, out=dn)                  # the drift
-        np.multiply(dn, float(dt[k]), out=dn)
-        np.add(dn, np.subtract(i_next, i_now, out=tmp), out=dn)
-        return np.divide(dn, math.sqrt(h2), out=dn)
+    def __init__(self, cfg: RapConfig, alg, n_paths: int):
+        if np.any(alg.den == 0.0):
+            raise DegenerateError("driver factorization is degenerate on an arc")
+        if np.any(alg.qv <= 0.0):
+            raise NumericError("driver quadratic-variation density is not positive")
+        p = cfg.partition
+        # d/dt of f_{arc} (right piece) and f_{arc+1} (left piece), and of mu_A
+        dg_m = alg.d_right / alg.den
+        dg_next = alg.d_left / alg.den
+        mu_dates = np.asarray(cfg.arcade.driver.mean(np.asarray(p.dates)), dtype=float)
+        arcs = np.arange(dg_m.size) // p.steps_per_arc
+        mu_a_deriv = alg.d_mean - dg_m * mu_dates[arcs] - dg_next * mu_dates[arcs + 1]
+        self._table = np.stack([-alg.d_right, alg.qv, alg.right, np.sqrt(alg.qv), dg_m,
+                                mu_a_deriv, np.diff(p.grid)])
+        self._rows = np.empty((_block_nodes(n_paths) + 1, n_paths))
+        self._tmp = np.empty(n_paths)
+        self._last = None                            # the previous block's last I row and size
 
-    return step
+    def start(self, nodes: slice, i_block) -> np.ndarray:
+        rows = self._rows
+        if self._last is None:
+            rows[0] = 0.0
+        else:
+            i_prev, count = self._last
+            pending = rows[count]
+            np.add(pending, np.subtract(i_block[0], i_prev, out=self._tmp), out=pending)
+            np.divide(pending, float(self._table[3, nodes.start - 1]), out=pending)
+            np.add(rows[count - 1], pending, out=rows[0])
+        return rows[1:len(i_block) + 1]
+
+    def finish(self, nodes: slice, i_block, m=None, x_arc=None, tmp=None) -> np.ndarray:
+        """``m`` (nodes, paths), the arc's target ``x_arc`` and a scratch
+        block ``tmp`` are omitted at the final date, which adds nothing."""
+        count = len(i_block)
+        rows = self._rows
+        if m is not None:
+            h1, h2, h3, root_h2, dg_m, mu_a_deriv, dt = _at_nodes(self._table, nodes)
+            dn = rows[1:count + 1]
+            np.multiply(dn, h1, out=dn)
+            np.subtract(dn, np.multiply(m, h2, out=tmp), out=dn)
+            np.divide(dn, h3, out=dn)
+            j = np.multiply(x_arc, dg_m, out=tmp)
+            np.add(j, mu_a_deriv, out=j)
+            np.subtract(dn, j, out=dn)                  # the drift
+            np.multiply(dn, dt, out=dn)
+            if count > 1:
+                inner = dn[:-1]
+                np.add(inner, np.subtract(i_block[1:], i_block[:-1], out=tmp[1:]), out=inner)
+                np.divide(inner, root_h2[:-1], out=inner)
+                np.add.accumulate(rows[:count], axis=0, out=rows[:count])
+        self._last = (i_block[-1], count)
+        return rows[:count]
 
 
 def innovations_from_arrays(cfg: RapConfig, i_vals: np.ndarray,
@@ -571,26 +705,29 @@ def innovations_from_arrays(cfg: RapConfig, i_vals: np.ndarray,
 
     Takes whole ``I`` and ``M`` paths, given as (paths, nodes) arrays, and
     applies the increment :func:`fam_paths` marches with
-    (:func:`_innovations_step`).  Requires a standard configuration (the
-    drift formulas come from the driver factorization).  ``W`` is returned
-    as the (paths, nodes) view of a time-major buffer.
+    (:class:`_Innovations`), over the same blocks of nodes.  Requires a
+    standard configuration (the drift formulas come from the driver
+    factorization).  ``W`` is returned as the (paths, nodes) view of a
+    time-major buffer.
     """
     if not cfg.standard:
         raise ConfigError("innovations are defined for standard configurations")
     p = cfg.partition
-    steps = p.steps_per_arc
-    gmat = cfg.signal.grid_values
-    mu_a = np.asarray(ap_mean(cfg.arcade, p.grid), dtype=float)
     i_rows, m_rows = i_vals.T, m_vals.T
-    step = _innovations_step(cfg, _grid_algebra(cfg), i_rows.shape[1])
-    z, tmp = np.empty(i_rows.shape[1]), np.empty(i_rows.shape[1])
+    n_paths = i_rows.shape[1]
+    residual = _signal_residual(cfg, np.ascontiguousarray(x.T))
+    innovations = _Innovations(cfg, _grid_algebra(cfg), n_paths)
+    scratch = np.empty((_block_nodes(n_paths), n_paths))
     w_rows = np.empty(i_rows.shape)
-    w_rows[0] = 0.0
-    for k in range(p.grid.size - 1):
-        arc = k // steps
-        _signal_residual(i_rows[k], x, gmat[: arc + 1, k], float(mu_a[k]), z, tmp)
-        dw = step(k, z, m_rows[k], x[:, arc], i_rows[k], i_rows[k + 1])
-        np.add(w_rows[k], dw, out=w_rows[k + 1])
+    for nodes in _node_blocks(p, n_paths):
+        i_block, arc = i_rows[nodes], nodes.start // p.steps_per_arc
+        z = innovations.start(nodes, i_block)
+        if arc == p.n_arcs:                          # the final date
+            w_rows[nodes] = innovations.finish(nodes, i_block)
+            continue
+        tmp = scratch[:len(i_block)]
+        residual(nodes, i_block, z, tmp)
+        w_rows[nodes] = innovations.finish(nodes, i_block, m_rows[nodes], x[:, arc], tmp)
     return w_rows.T
 
 
@@ -651,12 +788,13 @@ def _isometry_sums(cfg: RapConfig, n_paths: int, seed: int,
     dt = np.diff(cfg.partition.grid)
     weights = 0.5 * (np.append(dt, 0.0) + np.insert(dt, 0, 0.0))
 
-    def reduce(x, nodes):
+    def reduce(x, blocks):
         rhs = np.zeros(x.shape[0])
         term = np.empty(x.shape[0])
-        for wk, node in zip(weights, nodes):
-            np.multiply(node.vol, node.vol, out=term)
-            rhs += np.multiply(term, wk, out=term)
+        for out in blocks:
+            for wk, vol in zip(weights[out.nodes].tolist(), out.vol):
+                np.multiply(vol, vol, out=term)
+                rhs += np.multiply(term, wk, out=term)
         return (x[:, -1] - x[:, 0]) ** 2, rhs
 
     return _paired_path_sums(cfg, n_paths, seed, block_size, reduce, with_innovations=False)
@@ -682,7 +820,7 @@ def _paired_path_sums(cfg: RapConfig, n_paths: int, seed: int, block_size: int,
         raise ConfigError(f"block_size must be at least 1, got {block_size}")
     def block_sums(block, start):
         x, blocks = _rap_blocks(cfg, min(block_size, n_paths - start), seed, block)
-        return reduce(x, _march(cfg, itertools.chain.from_iterable(blocks), x, **march_options))
+        return reduce(x, _march(cfg, blocks, x, **march_options))
 
     blocks = enumerate(range(0, n_paths, block_size))
     firsts, seconds = zip(*(block_sums(block, start) for block, start in blocks))

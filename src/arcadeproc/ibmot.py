@@ -899,16 +899,17 @@ def _mc_path_estimators(cfg, n_paths: int, seed: int,
     weights[-1] += dt[-1]
     weights /= p.tn - grid[:-1]
 
-    def reduce(x, nodes):
+    def reduce(x, blocks):
         x_end = x[:, -1]
         part = np.zeros(x_end.size)
         err = np.empty(x_end.size)
-        # zip takes a weight first, so it stops before the final node
-        for wk, node in zip(weights, nodes):
-            np.subtract(x_end, node.m, out=err)
-            np.multiply(err, err, out=err)
-            part += np.multiply(err, wk, out=err)
-        return part, x_end * next(nodes).w
+        # the final date has no weight, so zip skips its row
+        for out in blocks:
+            for wk, m in zip(weights[out.nodes].tolist(), out.m):
+                np.subtract(x_end, m, out=err)
+                np.multiply(err, err, out=err)
+                part += np.multiply(err, wk, out=err)
+        return part, x_end * out.w[0]
 
     return _paired_path_sums(cfg, n_paths, seed, block_size, reduce,
                              with_innovations=True, with_volatility=False)

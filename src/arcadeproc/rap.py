@@ -162,8 +162,9 @@ def build_rap_paths(cfg: RapConfig, n_paths: int, seed: int,
 def _rap_blocks(cfg: RapConfig, n_paths: int, seed: int, block: int = 0):
     """The targets ``X`` (paths, n+1) and an iterator over blocks of
     consecutive ``I`` rows, assembled from the date-first driver blocks."""
-    x = cfg.coupling.sample(n_paths, seed, block)
+    # the driver checks the path count before the targets are drawn
     d_dates, d_blocks = _driver_blocks(cfg.arcade.driver, cfg.partition, n_paths, seed, block)
+    x = cfg.coupling.sample(n_paths, seed, block)
     return x, _assembled_blocks(cfg.arcade.coeffs.grid_values, d_dates, d_blocks,
                                 cfg.signal.grid_values, x)
 

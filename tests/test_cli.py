@@ -1,6 +1,7 @@
 """CLI subcommands: outputs, determinism, exit codes, error JSON."""
 
 import hashlib
+import importlib.metadata
 import json
 import os
 import pathlib
@@ -465,6 +466,40 @@ class TestIntegerOptions:
         assert json.loads((out / "summary.json").read_text())["n_paths"] == 10
 
 
+class TestPathCounts:
+    """A path count below one, given on the command line or in the config,
+    is a config error (exit 2), never a run with another count."""
+
+    @pytest.mark.parametrize("paths", [0, -3])
+    @pytest.mark.parametrize("command, name", [("simulate", "stitched_ap.json"),
+                                               ("fam", "fam_ou_standard.json")])
+    def test_paths_below_one_is_config_error(self, tmp_path, capsys, command, name, paths):
+        out = tmp_path / "out"
+        rc = main([command, "--config", str(CONFIGS / name), "--out", str(out), "--quiet",
+                   "--paths", str(paths)])
+        assert rc == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == {"type": "config", "message": "n_paths must be positive"}
+        assert not (out / "summary.json").exists() and not (out / "diagnostics.json").exists()
+
+    def test_negative_max_path_files_is_config_error(self, tmp_path, capsys):
+        doc = {**json.loads((CONFIGS / "fam_ou_standard.json").read_text()),
+               "n_paths": 8, "max_path_files": -2}
+        rc, out = _run(tmp_path, "files", doc, "fam")
+        assert rc == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "config"
+        assert "max_path_files" in err["error"]["message"]
+        assert not (out / "diagnostics.json").exists()
+
+    def test_zero_max_path_files_writes_no_path_file(self, tmp_path):
+        doc = {**json.loads((CONFIGS / "fam_ou_standard.json").read_text()),
+               "n_paths": 8, "max_path_files": 0}
+        rc, out = _run(tmp_path, "nofiles", doc, "fam")
+        assert rc == EXIT_OK
+        assert json.loads((out / "diagnostics.json").read_text())["path_files"] == []
+
+
 class TestColdStart:
     """``scipy.special`` loads on the first Gaussian quantile or cdf call, not
     with the CLI: arcade, filtered-martingale and convex-order runs never
@@ -565,9 +600,11 @@ class TestShippedConfigs:
                             "--out", str(out), "--quiet"])
             assert rc == EXIT_OK, name
 
-    def test_two_passes_in_one_process_write_the_same_bytes(self, tmp_path):
-        # the cached grids, grid matrices and parser must not carry state from
-        # one run into the next; the second pass runs in reverse order
+    @pytest.fixture(scope="class")
+    def passes(self, tmp_path_factory):
+        """The result-file digests of two passes over the shipped configs in
+        one process, the second in reverse order."""
+        tmp_path = tmp_path_factory.mktemp("shipped")
         passes = []
         for index, order in enumerate((list(self.CONFIGS), list(self.CONFIGS)[::-1])):
             out = tmp_path / f"pass{index}"
@@ -577,5 +614,24 @@ class TestShippedConfigs:
                 assert rc == EXIT_OK, name
             passes.append({f.relative_to(out).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest()
                            for f in sorted(out.rglob("*.*"))})
+        return passes
+
+    def test_two_passes_in_one_process_write_the_same_bytes(self, passes):
+        # the cached grids, grid matrices and parser must not carry state from
+        # one run into the next
         assert len(passes[0]) == 40
         assert passes[0] == passes[1]
+
+    def test_result_files_match_the_committed_digests(self, passes):
+        # the result files are the seeded outputs every change must keep; a
+        # deliberate re-baseline edits the table
+        table = json.loads((pathlib.Path(__file__).parent / "data" / "result_digests.json")
+                           .read_text())
+        want, got = table["digests"], passes[0]
+        moved = sorted(name for name in want.keys() | got.keys()
+                       if want.get(name) != got.get(name))
+        assert not moved, (
+            f"{len(moved)} result file(s) differ from tests/data/result_digests.json: "
+            f"{', '.join(moved)}; the table was made with {table['made_with']}, this run uses "
+            f"python {sys.version.split()[0]}, numpy {np.__version__}, "
+            f"scipy {importlib.metadata.version('scipy')}")

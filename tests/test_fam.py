@@ -38,7 +38,7 @@ from arcadeproc.coupling import (
     gaussian_n01_kernel,
     uniform_mot_kernel,
 )
-from arcadeproc.drivers import _VAR_FLOOR, simulate_driver
+from arcadeproc.drivers import _VAR_FLOOR, _block_nodes, _node_blocks, simulate_driver
 from arcadeproc.fam import (
     _LOG_UNDERFLOW,
     FamTrace,
@@ -283,11 +283,11 @@ class TestFamPaths:
         assert worst <= 1e-10
 
     @staticmethod
-    def _leaking_two_arc_config(kernel):
+    def _leaking_two_arc_config(kernel, steps=20):
         # carryover signal activates g_2's arc only, so reduction applies;
         # force a non-reduced config by adding early support to g_2
         from arcadeproc import table_coefficients
-        p = Partition((0.0, 1.0, 2.0), 20)
+        p = Partition((0.0, 1.0, 2.0), steps)
         hats = piecewise_linear_coefficients(p)
         table = hats.grid_matrix().copy()
         g = p.grid
@@ -782,8 +782,7 @@ class TestInPlaceKernels:
     def test_atom_posterior_matches_plain_expressions(self, atoms, var_a):
         y, logw, resid = self._atoms(atoms, seed=atoms)
         # a one-target suffix; the second call reuses the scratch the first one filled
-        work = (np.empty(y.shape), np.empty(y.shape), np.empty(self.N_PATHS),
-                np.empty(self.N_PATHS))
+        work = (np.empty((max(atoms, 2), self.N_PATHS)), np.empty((max(atoms, 2), self.N_PATHS)))
         for shift in (0.0, 0.25):
             want = _posterior_from_atoms_plain(y, logw, resid + shift, 0.7, var_a)
             mean, var, uf = _posterior_from_atoms(y[None], logw, work, resid + shift, (0.7,),
@@ -820,14 +819,73 @@ class TestInPlaceKernels:
             cfg = _bridge_rap(Partition((0.0, 1.0, 2.0), 166), binary_chain_kernel(2))
         assert cfg.partition.grid.size == 333
         rap, x = build_rap_paths(cfg, 777, seed=29)
-        # a yielded row lives until the next node, so each one is copied
-        on = [(n.m.copy(), n.w.copy(), n.vol.copy())
-              for n in _march(cfg, rap.values.T, x, with_innovations=True)]
-        off = [(n.m.copy(), n.w.copy(), n.vol)
-               for n in _march(cfg, rap.values.T, x, with_innovations=True,
-                               with_volatility=False)]
+
+        def blocks():
+            return (rap.values.T[nodes] for nodes in _node_blocks(cfg.partition, 777))
+
+        # a yielded block lives until the next block, so each row is copied
+        on = [(m.copy(), w.copy(), vol.copy())
+              for b in _march(cfg, blocks(), x, with_innovations=True)
+              for m, w, vol in zip(b.m, b.w, b.vol)]
+        off = [(m.copy(), w.copy(), b.vol)
+               for b in _march(cfg, blocks(), x, with_innovations=True, with_volatility=False)
+               for m, w in zip(b.m, b.w)]
         assert len(on) == len(off) == 333
         for (m_on, w_on, _), (m_off, w_off, vol_off) in zip(on, off):
             assert np.array_equal(m_on, m_off)
             assert np.array_equal(w_on, w_off)
             assert vol_off is None
+
+
+class TestBlockLayout:
+    """The march does each stage once per block of nodes.  Fed the same
+    stored ``I`` rows as one-node blocks and as the sampler's blocks, it
+    must give the same M, volatility, W and underflow count, bit for bit,
+    at path counts whose sampler blocks hold 64, 7 and 1 nodes."""
+
+    @staticmethod
+    def _config(kind):
+        # 129 interior nodes per arc: sampler blocks of 64, 64 and 1 nodes
+        # at 256 paths, and of 7 nodes with a 3-node remainder at 2340
+        if kind == "atoms":
+            return _bridge_rap(Partition((0.0, 1.0), 130), uniform_mot_kernel())
+        if kind == "gaussian":
+            return _bridge_rap(Partition((0.0, 1.0), 130), gaussian_n01_kernel())
+        return TestFamPaths._leaking_two_arc_config(binary_chain_kernel(2), steps=130)
+
+    @staticmethod
+    def _march_rows(cfg, i_rows, x, slices):
+        """M, vol and W as (nodes, paths) arrays, and the underflow total."""
+        m, vol, w = (np.empty(i_rows.shape) for _ in range(3))
+        underflow = 0
+        for b in _march(cfg, (i_rows[s] for s in slices), x, with_innovations=cfg.standard):
+            m[b.nodes], vol[b.nodes] = b.m, b.vol
+            if b.w is not None:
+                w[b.nodes] = b.w
+            underflow += b.underflow
+        return m, vol, (w if cfg.standard else None), underflow
+
+    @pytest.mark.parametrize("kind", ["atoms", "gaussian", "chain"])
+    @pytest.mark.parametrize("n_paths, nodes", [(256, 64), (2340, 7), (20000, 1)])
+    def test_blocks_match_one_node_blocks(self, kind, n_paths, nodes):
+        cfg = self._config(kind)
+        assert _block_nodes(n_paths) == nodes
+        rap, x = build_rap_paths(cfg, n_paths, seed=30)
+        i_rows = rap.values.T
+        size = cfg.partition.grid.size
+        blocked = list(_node_blocks(cfg.partition, n_paths))
+        assert max(s.stop - s.start for s in blocked) == nodes
+        by_block = self._march_rows(cfg, i_rows, x, blocked)
+        one_node = [slice(k, k + 1) for k in range(size)]
+        # at one node per sampler block the two layouts are the same slices
+        by_node = by_block if blocked == one_node else self._march_rows(cfg, i_rows, x, one_node)
+        for got, want in zip(by_block[:3], by_node[:3]):
+            if want is None:
+                assert got is None
+            else:
+                assert got.tobytes() == want.tobytes()
+        assert by_block[3] == by_node[3]
+        trace = fam_paths(cfg, n_paths, seed=30)
+        assert trace.m_paths.T.tobytes() == by_block[0].tobytes()
+        assert trace.underflow_count == by_block[3]
+
