@@ -106,32 +106,27 @@ def _any(flags) -> bool:
 def _posterior_from_atoms(s, logw, work, resid, g, var_a, with_variance=True):
     """Posterior mean/variance of the last suffix target given Gaussian evidence.
 
-    ``s, logw``: suffix hypotheses and their log prior weights, laid out as
-    :func:`_arc_posterior` lays out those of :func:`_suffix_prior`;
-    ``resid``: observation minus revealed signal; the evidence has mean
-    ``sum_l g[l] * s[l]`` and variance ``var_a``; the estimate is ``s[-1]``.
-    The arguments broadcast: in the march ``resid`` is a (nodes, paths)
-    block, ``s`` is (L, hypotheses, 1, paths), and ``g`` and ``var_a`` are
-    the per-node values of :func:`_at_nodes`; a node whose ``var_a`` is at
-    most ``_VAR_FLOOR`` keeps its prior weights.  Weights are normalized in log
-    space; when every weight underflows the max-shift keeps the nearest
+    ``s, logw``: suffix hypotheses and their log prior weights from
+    :func:`_suffix_prior`; ``resid``: observation minus revealed signal;
+    the evidence has mean ``sum_l g[l] * s[l]`` and variance ``var_a``; the
+    estimate is ``s[-1]``.  The arguments broadcast (in the march ``resid``
+    is a (nodes, paths) block, ``s`` is (L, hypotheses, 1, paths), and ``g``
+    and ``var_a`` come from :func:`_at_nodes`); a node whose ``var_a`` is at
+    most ``_VAR_FLOOR`` keeps its prior weights.  Weights are normalized in
+    log space; when every weight underflows the max-shift keeps the nearest
     hypothesis, counted in the returned tally.  Without ``with_variance``
     the variance is skipped and returned as ``None``.
 
     ``work`` is two C-contiguous scratch buffers of ``max(hypotheses, 2)``
-    rows shaped like one hypothesis's evidence, which every call
-    overwrites; ``resid`` must not share memory with them.  The mean and
-    the variance are returned in rows 1 and 0 of the first buffer, so they
-    are valid until the next call with the same ``work``, and the second
-    buffer is free between calls.  Each ufunc writes its ``out=`` buffer in
-    the operand order of the plain expressions (``0.5 * z * z / var_a`` is
-    ``((0.5 * z) * z) / var_a``, ``wts * y * y`` is ``(wts * y) * y`` with
-    ``wts * y`` formed once for the mean), so the results are bit-identical
-    to them.
-
-    The reductions run over the outermost axis of C-contiguous buffers, so
-    numpy adds the hypothesis rows one after another, for any number of
-    hypotheses.
+    evidence-shaped rows, apart from ``resid``, which every call
+    overwrites.  The mean and the variance are rows 1 and 0 of the first,
+    valid until the next call; the second is free between calls.  Each
+    ufunc writes its ``out=`` buffer in the operand order of the plain
+    expressions (``0.5 * z * z / var_a`` is ``((0.5 * z) * z) / var_a``,
+    ``wts * y * y`` is ``(wts * y) * y`` with ``wts * y`` formed once for
+    the mean), and the reductions run over the outermost axis of
+    C-contiguous buffers, so numpy adds the hypothesis rows one after
+    another: the results are bit-identical to the plain expressions.
     """
     hypotheses = logw.shape[0]
     outs, atoms = work[0], work[1][:hypotheses]
@@ -200,17 +195,13 @@ def _posterior_gaussian(m0, v0, work, resid, g, var_a, with_variance=True):
 def _arc_posterior(steps, x_prev, max_nodes: int = 1, with_variance: bool = True):
     """The posterior ``(resid, g, var_a) -> (mean, var, underflows)`` of the
     last target of the suffix whose step kernels are ``steps``, for blocks
-    of at most ``max_nodes`` nodes: ``resid`` is (nodes, paths), and ``g``
-    (the signal coefficients of the suffix targets) and ``var_a`` (the noise
-    variance) are per-node values from :func:`_at_nodes`; and
-    ``work(nodes)``, its two scratch buffers for a block of ``nodes`` nodes.
-
-    The prior given ``x_prev`` (paths,) and the scratch, two C-contiguous
-    (max(hypotheses, 2), nodes, paths) buffers, are allocated once.  The
-    returned (nodes, paths) mean and variance are rows of the first buffer,
-    valid until the next call; between calls the second buffer is free for
-    the caller's own scratch.  A Gaussian step kernel takes a one-target
-    suffix."""
+    of at most ``max_nodes`` nodes (``resid`` is (nodes, paths); ``g``, the
+    suffix targets' signal coefficients, and ``var_a`` come from
+    :func:`_at_nodes`), and ``work(nodes)``, its scratch for a block of
+    ``nodes`` nodes.  The prior given ``x_prev`` (paths,) and the scratch
+    are allocated once; the returned mean and variance are valid until the
+    next call, and between calls ``work(nodes)[1]`` is free for the
+    caller's scratch.  A Gaussian step kernel takes a one-target suffix."""
     if len(steps) > 1 and any(s.conditional_kind != "atoms" for s in steps):
         raise ConfigError("full conditioning needs atom-valued step kernels; "
                           "the signal activates targets ahead of their arc")
@@ -398,29 +389,24 @@ def _march(cfg: RapConfig, i_blocks, x: np.ndarray, with_innovations: bool,
     posterior stops at the mean, and neither the posterior variance nor the
     volatility is computed.  Yields one :class:`_NodeBlock` per block.
 
-    Each stage runs once per block: the residual ``Z = I - base`` of the
+    Each stage runs once per block, with the per-node coefficients
+    broadcast along the node axis: the residual ``Z = I - base`` of the
     revealed signal (which feeds both the posterior and the innovations
-    drift), the posterior, the volatility and the innovations increments,
-    with the per-node coefficients broadcast along the node axis.  On arc
-    ``m`` the posterior is over the suffixes ``(X_{m+1}, ..., X_{m+L})`` of
-    the targets its observation reveals; their prior and the posterior's
-    scratch, sized for the largest block, are set up once per arc.  Every
-    element sees the ufuncs of the node-by-node formulas in their operand
-    order, the hypothesis sums run over the outer axis of C-contiguous
-    buffers and ``W`` accumulates node by node, so the rows are the same
-    bits for any split into blocks that keeps numpy's reductions in
-    order.  (At one path numpy sums a one-node block's hypotheses in
-    another order than a longer block's, which can move the last bit.)
+    drift), the posterior over the suffixes ``(X_{m+1}, ..., X_{m+L})`` of
+    the targets the observation on arc ``m`` reveals, the volatility and the
+    innovations increments.  Every element sees the ufuncs of the
+    node-by-node formulas in their operand order and ``W`` accumulates node
+    by node, so the rows are the same bits for any split into blocks.  (At
+    one path numpy sums a one-node block's hypotheses in another order than
+    a longer block's, which can move the last bit.)
 
-    The march allocates no array per block, and its scratch is two
-    (max(hypotheses, 2), nodes, paths) buffers per arc plus one block of
-    rows: ``Z`` is written into the rows that :class:`_Innovations` then
-    turns into the increments and ``W`` (or into a block of its own
-    without innovations); the posterior's mean and variance, and the
-    volatility in place of the variance, are rows of the arc's first
-    buffer; the second is the residual's and the increments' scratch
-    outside the posterior.  Every block overwrites them, so a yielded block
-    is valid only until the next block is requested.
+    The march allocates no array per block.  Per arc it sets up the prior
+    and two (max(hypotheses, 2), nodes, paths) scratch buffers sized for
+    the largest block: the posterior's mean and variance (then the
+    volatility) are rows of the first, and the second is the other stages'
+    scratch.  ``Z`` is written into the rows that :class:`_Innovations`
+    turns into the increments and ``W``.  Every block overwrites them, so a
+    yielded block is valid only until the next block is requested.
     """
     p = cfg.partition
     steps = p.steps_per_arc
@@ -462,8 +448,8 @@ def _march(cfg: RapConfig, i_blocks, x: np.ndarray, with_innovations: bool,
             tmp = work(count)[1][0]                  # free outside the posterior
             z = z_rows[:count] if innovations is None else innovations.start(nodes, i_block)
             residual(nodes, i_block, z, tmp)
-            var_a, root_qv, h3 = _at_nodes(table, nodes)
-            mean, vol, uf = posterior(z, _at_nodes(g_suffix, nodes), var_a)
+            va, root_qv, h3 = _at_nodes(table, nodes)
+            mean, vol, uf = posterior(z, _at_nodes(g_suffix, nodes), va)
             m = xt[arc:arc + 1] if nodes.start == arc * steps else mean
             if vol is not None:                      # the posterior variance, in place
                 np.multiply(vol, root_qv, out=vol)
