@@ -58,7 +58,6 @@ from .ibmot import (
     IbmotProblem,
     IbmotSolution,
     brute_force_small,
-    gaussian_quantile_partial_moments,
     ibmot_objective_mc,
     ibmot_objective_quantile,
     lp_oracle,

@@ -236,8 +236,8 @@ def _write_json(path: Path, payload: dict) -> None:
                     encoding="utf-8")
 
 
-def _se_band_checks(values: np.ndarray, target: float, n: int) -> dict:
-    se = float(np.std(values, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+def _se_band_checks(values: np.ndarray, target: float) -> dict:
+    se = float(np.std(values, ddof=1)) / math.sqrt(values.size)
     dev = abs(float(np.mean(values)) - target)
     return {"mean": float(np.mean(values)), "target": target,
             "se": se, "pass": bool(dev <= 3.0 * se + 1e-12)}
@@ -300,6 +300,9 @@ def _cmd_fam(doc: dict, args) -> int:
     max_files = _option(doc, "max_path_files", 16, _whole)
     if max_files < 0:
         raise ConfigError(f"max_path_files must be non-negative, got {max_files}")
+    if n_paths == 1:                                 # the sampler rejects counts below 1
+        raise ConfigError("the martingale-mean band needs a standard error, "
+                          "so at least 2 paths, got 1")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cfg = _rap_config(doc)
@@ -309,7 +312,7 @@ def _cmd_fam(doc: dict, args) -> int:
 
     # martingale mean pinned to E[X_0] at every node
     x0_mean = float(np.mean(trace.x[:, 0]))
-    node_checks = [_se_band_checks(trace.m_paths[:, k], x0_mean, n_paths)
+    node_checks = [_se_band_checks(trace.m_paths[:, k], x0_mean)
                    for k in range(0, trace.grid.size, max(1, trace.grid.size // 8))]
     diag["martingale_mean"] = {
         "pass": bool(all(c["pass"] for c in node_checks)),

@@ -103,6 +103,21 @@ def _any(flags) -> bool:
     return flags if isinstance(flags, bool) else bool(flags.any())
 
 
+def _fold(ufunc, rows, out):
+    """``ufunc`` over the leading axis of ``rows``, folded in index order
+    into ``out``: ``((rows[0] . rows[1]) . rows[2]) ...``.  ``ufunc.reduce``
+    takes this order only where the rows are not single elements (at one
+    node and one path it sums pairwise), so the fold keeps the bits
+    independent of the block layout."""
+    if len(rows) == 1:
+        np.copyto(out, rows[0])
+        return out
+    ufunc(rows[0], rows[1], out=out)
+    for row in rows[2:]:
+        ufunc(out, row, out=out)
+    return out
+
+
 def _posterior_from_atoms(s, logw, work, resid, g, var_a, with_variance=True):
     """Posterior mean/variance of the last suffix target given Gaussian evidence.
 
@@ -124,9 +139,9 @@ def _posterior_from_atoms(s, logw, work, resid, g, var_a, with_variance=True):
     ufunc writes its ``out=`` buffer in the operand order of the plain
     expressions (``0.5 * z * z / var_a`` is ``((0.5 * z) * z) / var_a``,
     ``wts * y * y`` is ``(wts * y) * y`` with ``wts * y`` formed once for
-    the mean), and the reductions run over the outermost axis of
-    C-contiguous buffers, so numpy adds the hypothesis rows one after
-    another: the results are bit-identical to the plain expressions.
+    the mean), and the sums and the maximum over hypotheses fold the rows
+    in index order (:func:`_fold`), so every element is the same bits for
+    any block shape and path count.
     """
     hypotheses = logw.shape[0]
     outs, atoms = work[0], work[1][:hypotheses]
@@ -145,17 +160,17 @@ def _posterior_from_atoms(s, logw, work, resid, g, var_a, with_variance=True):
     else:
         np.divide(penalty, var_a, out=penalty)
     logw = np.subtract(logw, penalty, out=penalty)
-    peak = np.maximum.reduce(logw, axis=0, out=outs[0])
+    peak = _fold(np.maximum, logw, outs[0])
     underflow = int(np.count_nonzero(peak < _LOG_UNDERFLOW))
     wts = np.subtract(logw, peak, out=logw)
     np.exp(wts, out=wts)
-    np.divide(wts, np.add.reduce(wts, axis=0, out=outs[0]), out=wts)
+    np.divide(wts, _fold(np.add, wts, outs[0]), out=wts)
     wy = np.multiply(wts, y, out=wts)
-    mean = np.add.reduce(wy, axis=0, out=outs[1])
+    mean = _fold(np.add, wy, outs[1])
     if not with_variance:
         return mean, None, underflow
     np.multiply(wy, y, out=wy)
-    var = np.add.reduce(wy, axis=0, out=outs[0])
+    var = _fold(np.add, wy, outs[0])
     mean_sq = np.multiply(mean, mean, out=atoms[0])
     np.subtract(var, mean_sq, out=var)
     return mean, np.maximum(var, 0.0, out=var), underflow
@@ -395,10 +410,9 @@ def _march(cfg: RapConfig, i_blocks, x: np.ndarray, with_innovations: bool,
     drift), the posterior over the suffixes ``(X_{m+1}, ..., X_{m+L})`` of
     the targets the observation on arc ``m`` reveals, the volatility and the
     innovations increments.  Every element sees the ufuncs of the
-    node-by-node formulas in their operand order and ``W`` accumulates node
-    by node, so the rows are the same bits for any split into blocks.  (At
-    one path numpy sums a one-node block's hypotheses in another order than
-    a longer block's, which can move the last bit.)
+    node-by-node formulas in their operand order, the posterior folds its
+    hypotheses in index order and ``W`` accumulates node by node, so the
+    rows are the same bits for any split into blocks.
 
     The march allocates no array per block.  Per arc it sets up the prior
     and two (max(hypotheses, 2), nodes, paths) scratch buffers sized for
@@ -685,41 +699,32 @@ class _Innovations:
         return rows[:count]
 
 
-def innovations_from_arrays(cfg: RapConfig, i_vals: np.ndarray,
-                            m_vals: np.ndarray, x: np.ndarray) -> np.ndarray:
+def innovations_from_arrays(cfg: RapConfig, i_vals: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Left-point Euler reconstruction of the innovations Brownian motion.
 
-    Takes whole ``I`` and ``M`` paths, given as (paths, nodes) arrays, and
-    applies the increment :func:`fam_paths` marches with
-    (:class:`_Innovations`), over the same blocks of nodes.  Requires a
-    standard configuration (the drift formulas come from the driver
-    factorization).  ``W`` is returned as the (paths, nodes) view of a
-    time-major buffer.
+    Runs :func:`_march` over the rows of the whole ``I`` paths ``i_vals``
+    (paths, nodes), fed in the blocks of :func:`_node_blocks`, for the
+    targets ``x`` (paths, n+1), and keeps ``W``; ``M`` is recomputed from
+    ``I``.  Requires a standard configuration (the drift formulas come from
+    the driver factorization).  ``W`` is returned as the (paths, nodes)
+    view of a time-major buffer.
     """
     if not cfg.standard:
         raise ConfigError("innovations are defined for standard configurations")
-    p = cfg.partition
-    i_rows, m_rows = i_vals.T, m_vals.T
-    n_paths = i_rows.shape[1]
-    residual = _signal_residual(cfg, np.ascontiguousarray(x.T))
-    innovations = _Innovations(cfg, _grid_algebra(cfg), n_paths)
-    scratch = np.empty((_block_nodes(n_paths), n_paths))
+    i_rows = i_vals.T
     w_rows = np.empty(i_rows.shape)
-    for nodes in _node_blocks(p, n_paths):
-        i_block, arc = i_rows[nodes], nodes.start // p.steps_per_arc
-        z = innovations.start(nodes, i_block)
-        if arc == p.n_arcs:                          # the final date
-            w_rows[nodes] = innovations.finish(nodes, i_block)
-            continue
-        tmp = scratch[:len(i_block)]
-        residual(nodes, i_block, z, tmp)
-        w_rows[nodes] = innovations.finish(nodes, i_block, m_rows[nodes], x[:, arc], tmp)
+    i_blocks = (i_rows[nodes] for nodes in _node_blocks(cfg.partition, i_rows.shape[1]))
+    for out in _march(cfg, i_blocks, x, with_innovations=True, with_volatility=False):
+        w_rows[out.nodes] = out.w
     return w_rows.T
 
 
 def innovations_path(cfg: RapConfig, trace: FamTrace) -> np.ndarray:
-    """Innovations paths for an existing trace (stored back on the trace)."""
-    w = innovations_from_arrays(cfg, trace.i_paths, trace.m_paths, trace.x)
+    """Innovations paths for an existing trace (stored back on the trace).
+
+    ``W`` comes from the trace's ``I`` paths and targets; the martingale it
+    needs is recomputed from ``I``, not read from ``trace.m_paths``."""
+    w = innovations_from_arrays(cfg, trace.i_paths, trace.x)
     trace.w_paths = w
     return w
 

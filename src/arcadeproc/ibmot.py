@@ -54,7 +54,6 @@ __all__ = [
     "IbmotProblem",
     "IbmotSolution",
     "IbmotOptions",
-    "gaussian_quantile_partial_moments",
     "w2sq_discrete_vs_gaussian",
     "ibmot_objective_quantile",
     "ibmot_objective_mc",
@@ -80,7 +79,7 @@ _HALVINGS = 40             # backtracking halvings before a step is given up
 
 
 # ---------------------------------------------------------------------------
-# Gaussian quantile partial moments
+# Quantile-cell W2^2 and its gradient
 # ---------------------------------------------------------------------------
 
 def _phi_of_quantile(p: np.ndarray) -> np.ndarray:
@@ -92,41 +91,6 @@ def _phi_of_quantile(p: np.ndarray) -> np.ndarray:
     out[inner] = np.exp(-0.5 * z * z) / _SQRT_2PI
     return out
 
-
-def _z_phi_of_quantile(p: np.ndarray) -> np.ndarray:
-    """``z * phi(z)`` at the standard quantile of ``p``; 0 at the endpoints."""
-    p = np.asarray(p, dtype=float)
-    out = np.zeros_like(p)
-    inner = (p > 0.0) & (p < 1.0)
-    z = _special().ndtri(p[inner])
-    out[inner] = z * np.exp(-0.5 * z * z) / _SQRT_2PI
-    return out
-
-
-def gaussian_quantile_partial_moments(a, b, tau: float):
-    """First and second partial moments of the N(0, tau) quantile on [a, b].
-
-    ``int_a^b Q = sqrt(tau) (phi(z_a) - phi(z_b))`` and
-    ``int_a^b Q^2 = tau ((b - a) - (z_b phi(z_b) - z_a phi(z_a)))`` with
-    ``z_p`` the standard normal quantile; endpoint contributions vanish.
-    """
-    if tau <= 0.0:
-        raise ConfigError("quantile moments need tau > 0")
-    a_arr = np.asarray(a, dtype=float)
-    b_arr = np.asarray(b, dtype=float)
-    if np.any(a_arr < -1e-12) or np.any(b_arr > 1.0 + 1e-12) or np.any(a_arr > b_arr + 1e-12):
-        raise ConfigError("need 0 <= a <= b <= 1")
-    sqrt_tau = math.sqrt(tau)
-    first = sqrt_tau * (_phi_of_quantile(a_arr) - _phi_of_quantile(b_arr))
-    second = tau * ((b_arr - a_arr) - (_z_phi_of_quantile(b_arr) - _z_phi_of_quantile(a_arr)))
-    if np.isscalar(a) and np.isscalar(b):
-        return float(first), float(second)
-    return first, second
-
-
-# ---------------------------------------------------------------------------
-# Quantile-cell W2^2 and its gradient
-# ---------------------------------------------------------------------------
 
 def _w2sq_rows(prob_rows: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
     """Squared quantile distance of each row law to N(0, tau).

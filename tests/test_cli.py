@@ -482,6 +482,20 @@ class TestPathCounts:
         assert err["error"] == {"type": "config", "message": "n_paths must be positive"}
         assert not (out / "summary.json").exists() and not (out / "diagnostics.json").exists()
 
+    @pytest.mark.parametrize("where", ["command line", "config"])
+    def test_one_fam_path_is_config_error(self, tmp_path, capsys, where):
+        # the martingale-mean band needs a standard error, so two paths
+        doc = json.loads((CONFIGS / "fam_ou_standard.json").read_text())
+        if where == "config":
+            rc, out = _run(tmp_path, "one", {**doc, "n_paths": 1}, "fam")
+        else:
+            rc, out = _run(tmp_path, "one", doc, "fam", "--paths", "1")
+        assert rc == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "config"
+        assert "at least 2 paths" in err["error"]["message"]
+        assert not (out / "diagnostics.json").exists()
+
     def test_negative_max_path_files_is_config_error(self, tmp_path, capsys):
         doc = {**json.loads((CONFIGS / "fam_ou_standard.json").read_text()),
                "n_paths": 8, "max_path_files": -2}

@@ -295,6 +295,19 @@ class TestFamPaths:
         signal = table_coefficients(p, table, role="signal")
         return RapConfig(ArcadeConfig(brownian_driver(), hats), signal, kernel)
 
+    @staticmethod
+    def _leaking_three_arc_config(kernel, steps=20):
+        # g_2 leaks onto arc 0 and g_3 onto arcs 0 and 1
+        from arcadeproc import table_coefficients
+        p = Partition((0.0, 1.0, 2.0, 3.0), steps)
+        hats = piecewise_linear_coefficients(p)
+        table = hats.grid_matrix().copy()
+        g = p.grid
+        table[2] = table[2] + np.where(g <= 1.0, 0.3 * np.sin(np.pi * g) ** 2, 0.0)
+        table[3] = table[3] + np.where(g <= 2.0, 0.2 * np.sin(np.pi * g) ** 2, 0.0)
+        signal = table_coefficients(p, table, role="signal")
+        return RapConfig(ArcadeConfig(brownian_driver(), hats), signal, kernel)
+
     def test_full_conditioning_when_signal_leaks(self):
         cfg = self._leaking_two_arc_config(binary_chain_kernel(2))
         p = cfg.arcade.partition
@@ -320,16 +333,9 @@ class TestFamPaths:
         # g_2 leaks onto arc 0 and g_3 onto arcs 0 and 1, so the march
         # conditions on suffixes of 3, 2 and 1 targets on the three arcs; the
         # targets are independent, so E[X_3 | .] differs from E[X_{m+1} | .]
-        from arcadeproc import table_coefficients
         from arcadeproc.coupling import independent_pm1_chain
-        p = Partition((0.0, 1.0, 2.0, 3.0), 20)
-        hats = piecewise_linear_coefficients(p)
-        table = hats.grid_matrix().copy()
-        g = p.grid
-        table[2] = table[2] + np.where(g <= 1.0, 0.3 * np.sin(np.pi * g) ** 2, 0.0)
-        table[3] = table[3] + np.where(g <= 2.0, 0.2 * np.sin(np.pi * g) ** 2, 0.0)
-        signal = table_coefficients(p, table, role="signal")
-        cfg = RapConfig(ArcadeConfig(brownian_driver(), hats), signal, independent_pm1_chain(3))
+        cfg = self._leaking_three_arc_config(independent_pm1_chain(3))
+        p = cfg.partition
         trace = fam_paths(cfg, 64, seed=30)
         for k in TestTiledMarch._nodes(cfg):
             t = float(p.grid[k])
@@ -554,12 +560,35 @@ class TestTiledMarch:
                                              trace.x[pidx, : arc + 1].tolist())
                 assert trace.m_paths[pidx, k] == pytest.approx(want, abs=1e-10)
 
-    @pytest.mark.parametrize("n_paths, steps", [(1, 129), (777, 333)])
-    def test_innovations_path_reproduces_trace(self, n_paths, steps):
-        cfg = _bridge_rap(Partition((0.0, 1.0, 2.0), steps), binary_chain_kernel(2))
+    @staticmethod
+    def _innovations_config(kind, steps):
+        """A two-arc chain, or one arc of a discrete law, a Gaussian
+        posterior or an OU driver with a mean of its own."""
+        if kind == "chain":
+            return _bridge_rap(Partition((0.0, 1.0, 2.0), steps), binary_chain_kernel(2))
+        p = Partition((0.0, 1.0), steps)
+        if kind == "ou":
+            d = ou_driver(theta=1.0, sigma=1.0, mu=1.5, d0=-0.5, t_ref=0.0)
+            f = standard_coefficients(d, p)
+            return RapConfig(ArcadeConfig(d, f), f.with_role("signal"),
+                             binary_pm1_kernel(), standard=True)
+        return _bridge_rap(p, binary_pm1_kernel() if kind == "binary_pm1"
+                           else gaussian_n01_kernel())
+
+    @pytest.mark.parametrize("kind, n_paths, steps", [
+        pytest.param("chain", 1, 129, id="1-129"),
+        pytest.param("chain", 777, 333, id="777-333"),
+        *(pytest.param(kind, n_paths, 200, id=f"{kind}-{n_paths}")
+          for kind in ("binary_pm1", "gaussian", "ou") for n_paths in (1, 2, 256)),
+    ])
+    def test_innovations_path_reproduces_trace(self, kind, n_paths, steps):
+        # innovations_path re-runs the march on the stored I rows, so W must
+        # be the trace's bits
+        cfg = self._innovations_config(kind, steps)
         trace = fam_paths(cfg, n_paths, seed=24)
         w = trace.w_paths.copy()
-        assert np.array_equal(innovations_path(cfg, trace), w)
+        assert innovations_path(cfg, trace).tobytes() == w.tobytes()
+        assert trace.w_paths.tobytes() == w.tobytes()
         assert np.all(w[:, 0] == 0.0)
 
     @pytest.mark.parametrize("n_paths", [1, 777])
@@ -889,3 +918,18 @@ class TestBlockLayout:
         assert trace.m_paths.T.tobytes() == by_block[0].tobytes()
         assert trace.underflow_count == by_block[3]
 
+    def test_one_path_eight_hypotheses_match_one_node_blocks(self):
+        # g_2 and g_3 leak onto arc 0, so its posterior sums over the 2^3
+        # suffixes of binary_chain_3; ufunc.reduce sums 8 or more single
+        # elements pairwise, which a one-node, one-path block would hit
+        cfg = TestFamPaths._leaking_three_arc_config(binary_chain_kernel(3), steps=130)
+        rap, x = build_rap_paths(cfg, 1, seed=32)
+        i_rows = rap.values.T
+        blocked = list(_node_blocks(cfg.partition, 1))
+        assert max(s.stop - s.start for s in blocked) == 64
+        by_block = self._march_rows(cfg, i_rows, x, blocked)
+        one_node = [slice(k, k + 1) for k in range(cfg.partition.grid.size)]
+        by_node = self._march_rows(cfg, i_rows, x, one_node)
+        for got, want in zip(by_block[:2], by_node[:2]):        # M and vol; W is off
+            assert got.tobytes() == want.tobytes()
+        assert by_block[3] == by_node[3]

@@ -13,7 +13,6 @@ from arcadeproc import (
     NumericError,
     brute_force_small,
     gaussian_marginal,
-    gaussian_quantile_partial_moments,
     ibmot_objective_mc,
     ibmot_objective_quantile,
     lp_oracle,
@@ -28,6 +27,7 @@ from arcadeproc.ibmot import (
     _golden_section,
     _gradient_from_joint,
     _objective_from_joint,
+    _phi_of_quantile,
     _w2sq_rows,
     discretize_affine_kernel,
     induced_correlation,
@@ -37,46 +37,41 @@ from arcadeproc.ibmot import (
 PHI0 = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-def _quad_moments(a, b, tau):
-    if a >= b:
-        return 0.0, 0.0
+def _quad_first_moment(a, b, tau):
     f1, _ = integrate.quad(lambda u: np.sqrt(tau) * ndtri(u), a, b, limit=200)
-    f2, _ = integrate.quad(lambda u: tau * ndtri(u) ** 2, a, b, limit=200)
-    return f1, f2
+    return f1
+
+
+def _first_moment(a, b, tau):
+    """``int_a^b`` of the N(0, tau) quantile, ``sqrt(tau) (phi(z_a) - phi(z_b))``:
+    the quantile-cell integral that ``_w2sq_rows`` takes from ``_phi_of_quantile``."""
+    phi_a, phi_b = _phi_of_quantile(np.array([a, b]))
+    return float(np.sqrt(tau) * (phi_a - phi_b))
 
 
 class TestPartialMoments:
+    """The first partial moment of the Gaussian quantile from
+    ``_phi_of_quantile``, against closed values and quadrature."""
+
     def test_full_interval(self):
-        first, second = gaussian_quantile_partial_moments(0.0, 1.0, 1.7)
-        assert first == pytest.approx(0.0, abs=1e-15)
-        assert second == pytest.approx(1.7, abs=1e-12)
+        assert _first_moment(0.0, 1.0, 1.7) == pytest.approx(0.0, abs=1e-15)
 
     def test_half_interval_value(self):
-        first, second = gaussian_quantile_partial_moments(0.0, 0.5, 1.0)
+        first = _first_moment(0.0, 0.5, 1.0)
         assert first == pytest.approx(-PHI0, abs=1e-12)
         assert first == pytest.approx(-0.3989423, abs=5e-8)
-        assert second == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("a,b,tau", [
         (0.1, 0.9, 1.0), (0.0, 0.25, 2.0), (0.6, 1.0, 0.5), (0.33, 0.34, 1.3),
     ])
     def test_against_quadrature(self, a, b, tau):
-        first, second = gaussian_quantile_partial_moments(a, b, tau)
-        q1, q2 = _quad_moments(a, b, tau)
-        assert first == pytest.approx(q1, abs=1e-10)
-        assert second == pytest.approx(q2, abs=1e-10)
+        assert _first_moment(a, b, tau) == pytest.approx(_quad_first_moment(a, b, tau),
+                                                         abs=1e-10)
 
     def test_odd_symmetry(self):
         a, b, tau = 0.2, 0.45, 1.3
-        f_ab, _ = gaussian_quantile_partial_moments(a, b, tau)
-        f_sym, _ = gaussian_quantile_partial_moments(1.0 - b, 1.0 - a, tau)
-        assert f_ab == pytest.approx(-f_sym, abs=1e-13)
-
-    def test_rejects_bad_intervals(self):
-        with pytest.raises(ConfigError):
-            gaussian_quantile_partial_moments(0.6, 0.4, 1.0)
-        with pytest.raises(ConfigError):
-            gaussian_quantile_partial_moments(0.0, 1.0, 0.0)
+        assert _first_moment(a, b, tau) == pytest.approx(-_first_moment(1.0 - b, 1.0 - a, tau),
+                                                         abs=1e-13)
 
 
 class TestW2Squared:
@@ -94,6 +89,17 @@ class TestW2Squared:
         right, _ = integrate.quad(lambda z: (1.0 - z) ** 2 * norm.pdf(z),
                                   0.0, np.inf)
         assert got == pytest.approx(left + right, abs=1e-10)
+
+    def test_unequal_weights_match_quadrature(self):
+        # cell boundaries at 0.1 and 0.4 put Phi^{-1} away from the median
+        weights, values, tau = [0.1, 0.3, 0.6], [-1.5, 0.2, 0.9], 1.3
+        got = w2sq_discrete_vs_gaussian(weights, values, tau)
+        from scipy.stats import norm
+        edges = ndtri(np.concatenate([[0.0], np.cumsum(weights)[:-1], [1.0]]))
+        want = sum(integrate.quad(lambda z, y=y: (y - np.sqrt(tau) * z) ** 2 * norm.pdf(z),
+                                  lo, hi)[0]
+                   for y, lo, hi in zip(values, edges[:-1], edges[1:]))
+        assert got == pytest.approx(want, abs=1e-10)
 
     def test_fine_gaussian_row_approaches_shift(self):
         x, tau = 0.8, 1.0
