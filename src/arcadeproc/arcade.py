@@ -50,6 +50,8 @@ __all__ = [
     "markov_factorization_check",
 ]
 
+_PROBES_PER_ARC = 7   # equispaced interior probes per arc in the Markov check
+
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
@@ -319,17 +321,15 @@ class MarkovCheckReport:
         return out
 
 
-def _arc_probes(p: Partition, m: int, count: int = 7) -> np.ndarray:
+def _arc_probes(p: Partition, m: int) -> np.ndarray:
     lo, hi = p.dates[m], p.dates[m + 1]
-    return lo + (hi - lo) * np.arange(1, count + 1) / (count + 1)
+    return lo + (hi - lo) * np.arange(1, _PROBES_PER_ARC + 1) / (_PROBES_PER_ARC + 1)
 
 
-def markov_factorization_check(
-    cfg: ArcadeConfig, tol: float = 1e-8, probes_per_arc: int = 7
-) -> MarkovCheckReport:
+def markov_factorization_check(cfg: ArcadeConfig, tol: float = 1e-8) -> MarkovCheckReport:
     """Test ``K_A(r,t) K_A(s,s) = K_A(r,s) K_A(s,t)`` within arcs, 0 across.
 
-    Deterministic probes: ``probes_per_arc`` equispaced interior points per
+    Deterministic probes: seven equispaced interior points per
     arc; all within-arc triples ``r <= s < t`` enter the relative residual,
     all cross-arc pairs enter the absolute decorrelation bound.  On a pass
     the factor functions are extracted with the mid-arc anchor construction.
@@ -338,7 +338,7 @@ def markov_factorization_check(
     :func:`ap_cov` evaluates for the (probes, probes) grid.
     """
     p = cfg.partition
-    arcs = [_arc_probes(p, m, probes_per_arc) for m in range(p.n_arcs)]
+    arcs = [_arc_probes(p, m) for m in range(p.n_arcs)]
     coefs = [cfg.coeffs.matrix(pts) for pts in arcs]
 
     def kmat(ma: int, mb: int) -> np.ndarray:

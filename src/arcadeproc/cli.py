@@ -102,10 +102,18 @@ def _config_stage(fn):
 
 
 def _whole(value) -> int:
-    """An integer option: a fractional number is rejected, not truncated."""
-    if not isinstance(value, int) and not float(value).is_integer():
-        raise ValueError(f"expected a whole number, got {value!r}")
+    """An integer option: a fraction or a boolean is rejected, not truncated or read as 1."""
+    if isinstance(value, bool) or not (isinstance(value, int) or float(value).is_integer()):
+        raise ValueError(f"expected a whole number, got {json.dumps(value)}")
     return int(value)
+
+
+def _flag(doc: dict, key: str) -> bool:
+    """A JSON boolean option, false when absent (``"no"`` is not read as true)."""
+    value = doc.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key!r} must be true or false, not {json.dumps(value)}")
+    return value
 
 
 def _require(doc: dict, key: str, context: str):
@@ -196,7 +204,7 @@ def _rap_config(doc: dict) -> RapConfig:
         signal = noise.with_role("signal")
     kernel = _build_kernel(doc, "config")
     return RapConfig(ArcadeConfig(driver, noise), signal, kernel,
-                     standard=bool(doc.get("standard", False)))
+                     standard=_flag(doc, "standard"))
 
 
 @_config_stage
@@ -274,14 +282,14 @@ def _cmd_simulate(doc: dict, args) -> int:
             "empirical": float(np.var(bundle.values[:, np.argmin(np.abs(p.grid - mid))])),
             "analytic": float(ap_cov(cfg, mid, mid)),
         }
-        if _section(doc, "checks", {}).get("markov", False):
+        if _flag(_section(doc, "checks", {}), "markov"):
             summary["markov_check"] = markov_factorization_check(cfg).as_dict()
     elif kind == "rap":
         cfg = _rap_config(doc)
         bundle, x = build_rap_paths(cfg, n_paths, seed)
         summary["max_pinning_residual"] = float(
             np.max(np.abs(bundle.values[:, p.date_indices] - x)))
-        if _section(doc, "checks", {}).get("nearly_markov", False):
+        if _flag(_section(doc, "checks", {}), "nearly_markov"):
             summary["nearly_markov"] = nearly_markov_check(cfg).as_dict()
     else:
         raise ConfigError(f"unknown simulate kind {kind!r}")
@@ -391,8 +399,9 @@ def _cmd_check(doc: dict, args) -> int:
         p = _build_partition(doc)
         driver = _build_driver(doc)
         cs = _build_coefficients(doc, "coefficients", p, driver, "noise")
-        rep = validate_coefficient_set(cs, _option(doc, "tol", 1e-9, float),
-                                       doc.get("continuity_c"))
+        continuity_c = (_option(doc, "continuity_c", None, float)
+                        if doc.get("continuity_c") is not None else None)
+        rep = validate_coefficient_set(cs, _option(doc, "tol", 1e-9, float), continuity_c)
         report.update(rep.as_dict())
     elif kind == "markov":
         p = _build_partition(doc)

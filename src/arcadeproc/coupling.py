@@ -160,6 +160,8 @@ class UniformMarginal:
 
     def discretize(self, m: int, method: str = "cell_mean") -> DiscreteMarginal:
         # for the uniform law cell means coincide with mid-quantile atoms
+        if method not in ("cell_mean", "midpoint"):
+            raise ConfigError(f"unknown discretization method {method!r}")
         q = (np.arange(m) + 0.5) / m
         return DiscreteMarginal(self.quantile(q), np.full(m, 1.0 / m))
 

@@ -73,6 +73,8 @@ __all__ = [
 ]
 
 _LOG_UNDERFLOW = -700.0
+_QUAD_REL_TOL = 1e-9         # agreement of successive Simpson posterior means
+_QUAD_MAX_PANELS = 2 ** 15   # panel count at which the doubling gives up
 
 
 # ---------------------------------------------------------------------------
@@ -555,14 +557,12 @@ def fam_filter_bruteforce(cfg: RapConfig, t: float, i_t: float, x_observed) -> f
     return float(wts @ paths[:, -1])
 
 
-def fam_filter_continuous(cfg: RapConfig, t: float, i_t: float, x_observed,
-                          rel_tol: float = 1e-9, max_panels: int = 2 ** 15
-                          ) -> tuple[float, float]:
+def fam_filter_continuous(cfg: RapConfig, t: float, i_t: float, x_observed) -> tuple[float, float]:
     """Posterior mean and variance by adaptive composite-Simpson quadrature.
 
     The integrand is the conditional target density times the Gaussian
     observation likelihood, truncated at eight combined standard deviations;
-    the panel count doubles until successive estimates agree to ``rel_tol``.
+    the panel count doubles until successive estimates agree to ``_QUAD_REL_TOL``.
     Returns ``(mean, variance)``.
     """
     m, pinned, x_m, base, g, va = _filter_context(cfg, t, x_observed)
@@ -586,7 +586,7 @@ def fam_filter_continuous(cfg: RapConfig, t: float, i_t: float, x_observed,
 
     prev = None
     panels = 64
-    while panels <= max_panels:
+    while panels <= _QUAD_MAX_PANELS:
         ys = np.linspace(lo, hi, panels + 1)
         h = (hi - lo) / panels
         w0, w1, w2 = integrands(ys)
@@ -600,12 +600,12 @@ def fam_filter_continuous(cfg: RapConfig, t: float, i_t: float, x_observed,
             raise NumericError("posterior normalization underflowed")
         mean = z1 / z0
         var = max(z2 / z0 - mean * mean, 0.0)
-        if prev is not None and abs(mean - prev) <= rel_tol * (1.0 + abs(mean)):
+        if prev is not None and abs(mean - prev) <= _QUAD_REL_TOL * (1.0 + abs(mean)):
             return mean, var
         prev = mean
         panels *= 2
     raise NumericError(
-        f"quadrature did not converge below {rel_tol} within {max_panels} panels"
+        f"quadrature did not converge below {_QUAD_REL_TOL} within {_QUAD_MAX_PANELS} panels"
     )
 
 

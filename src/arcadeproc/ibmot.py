@@ -24,8 +24,9 @@ returned kernel.  Where the call functions of the marginals touch, no
 martingale coupling crosses, and the dual would not be attained; the
 problem is split there first (irreducible components, Beiglboeck &
 Juillet, Ann. Probab. 2016).  A brute-force search over the polytope's null direction
-(feasible point from the exact simplex LP oracle, refined by golden section
-on objective values) provides an independent oracle on small instances.
+(from the minimum-norm solution of the equality system, refined by bounded
+Brent minimization on objective values) provides an independent oracle on
+small instances.
 """
 
 from __future__ import annotations
@@ -76,6 +77,7 @@ _MAX_RATIO = 10.0          # cap on sqrt(T / spread) in the default start
 _DAMP = 0.1                # Newton damping per unit of gradient norm
 _FLAT = 1000.0             # ulps of D below which a step's rise is not tested
 _HALVINGS = 40             # backtracking halvings before a step is given up
+_GRID_POINTS = 4001        # brute-force grid scan along the free direction
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +162,8 @@ class IbmotProblem:
     target_second_moment: float | None = None
 
     def __post_init__(self):
-        if self.horizon <= 0.0:
-            raise ConfigError("horizon must be positive")
+        if not 0.0 < self.horizon < math.inf:
+            raise ConfigError(f"horizon must be positive and finite, got {self.horizon!r}")
         if self.validate:
             ok, worst, witness = convex_order_report(self.mu, self.nu, tol=1e-9)
             if not ok:
@@ -199,6 +201,13 @@ class IbmotProblem:
 class IbmotOptions:
     gap_tol: float = 1e-7
     max_iter: int = 5000
+
+    def __post_init__(self):
+        if not 0.0 <= self.gap_tol < math.inf:
+            raise ConfigError(f"gap_tol must be finite and >= 0, got {self.gap_tol!r}")
+        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer))
+                or self.max_iter < 0):
+            raise ConfigError(f"max_iter must be an integer >= 0, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -322,32 +331,12 @@ def induced_correlation(problem: IbmotProblem, gamma: np.ndarray) -> float | Non
 def lp_oracle(costs: np.ndarray, problem: IbmotProblem) -> np.ndarray:
     """Exact vertex minimizer of ``<costs, pi>`` over the transport polytope.
 
-    One cold two-phase simplex solve.  The solver does not use it: it is the
-    independent LP certificate behind ``brute_force_small`` and the tests.
+    One cold two-phase simplex solve, used by neither the solver nor
+    ``brute_force_small``; the tests check it against vertex enumeration.
     """
     a, b = problem.constraint_matrix()
     res = linprog_simplex(np.asarray(costs, dtype=float).ravel(), a, b)
     return res.x.reshape(problem.shape)
-
-
-def _golden_section(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Minimize a one-dimensional convex function on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    t = 0.5 * (a + b)
-    return t, f(t)
 
 
 # ---------------------------------------------------------------------------
@@ -703,59 +692,57 @@ def _backtrack(problem: IbmotProblem, point: _DualPoint,
 # Brute-force oracle for small instances
 # ---------------------------------------------------------------------------
 
-def brute_force_small(problem: IbmotProblem, grid_points: int = 4001
-                      ) -> tuple[np.ndarray, float]:
+def brute_force_small(problem: IbmotProblem) -> tuple[np.ndarray, float]:
     """Independent optimum by dense search along the polytope's free direction.
 
     Valid when the feasible set has affine dimension <= 1 (e.g. 2x3
-    instances).  Finds a feasible point, walks the null direction of the
-    equality system to its positivity bounds, grid-scans the objective (the
-    rows of every grid kernel in one stacked evaluation), and refines by
-    golden section (the grid brackets the convex objective's
-    minimizer, the refinement pins it to 1e-12).  The refinement uses
-    objective values only, not the solver's slope formula, so the oracle
-    stays independent of the code it certifies.
+    instances).  One SVD of the equality system gives its minimum-norm
+    solution and null direction, walked to the positivity bounds: that
+    interval is the whole feasible set (``InfeasibleError`` when empty).  A
+    grid scan brackets the convex objective's minimizer and bounded Brent
+    minimization refines it, on objective values only, so the oracle stays
+    independent of the solver's slope formula.
     """
-    a, _ = problem.constraint_matrix()
-    x0 = lp_oracle(np.zeros(problem.shape), problem).ravel()
-    _, svals, vt = np.linalg.svd(a)
+    from scipy.optimize import minimize_scalar
+
+    a, b = problem.constraint_matrix()
+    u, svals, vt = np.linalg.svd(a)
     rank = int(np.sum(svals > 1e-10 * svals[0]))
+    x0 = vt[:rank].T @ ((u[:, :rank].T @ b) / svals[:rank])
+    if np.max(np.abs(a @ x0 - b)) > _KERNEL_TOL:
+        raise InfeasibleError("the polytope's equality system has no solution")
     null = vt[rank:]
-    if null.shape[0] == 0:
-        pi = x0.reshape(problem.shape)
-        return pi, _objective_from_joint(problem, pi)
     if null.shape[0] > 1:
         raise ConfigError(
             f"brute-force oracle supports one free direction, found {null.shape[0]}"
         )
-    d = null[0]
-    with np.errstate(divide="ignore"):
-        bounds = -x0 / np.where(np.abs(d) > 1e-14, d, np.nan)
-    lo = np.nanmax(np.where(d > 1e-14, bounds, -np.inf))
-    hi = np.nanmin(np.where(d < -1e-14, bounds, np.inf))
-    lo = float(lo) if np.isfinite(lo) else 0.0
-    hi = float(hi) if np.isfinite(hi) else 0.0
-    if hi < lo:
-        lo, hi = hi, lo
-
-    thetas = np.linspace(lo, hi, grid_points)
+    d = null[0] if null.shape[0] else np.zeros_like(x0)
+    up, down = d > 1e-14, d < -1e-14
+    lo = float(np.max(-x0[up] / d[up], initial=-np.inf))
+    hi = float(np.min(-x0[down] / d[down], initial=np.inf))
+    if lo > hi + _KERNEL_TOL or np.any(x0[~(up | down)] < -_KERNEL_TOL):
+        raise InfeasibleError("the martingale transport polytope is empty")
     shape = problem.shape
+    if not up.any():                    # no free direction: the polytope is x0
+        pi = np.clip(x0, 0.0, None).reshape(shape)
+        return pi, _objective_from_joint(problem, pi)
+    lo, hi = min(lo, hi), max(lo, hi)   # a single point, up to rounding
+
+    def kernel_at(theta):
+        return np.clip(x0 + np.multiply.outer(theta, d), 0.0, None).reshape(
+            *np.shape(theta), *shape)
+
     mu_w = problem.mu.weights
-
-    def value_at(theta: float) -> float:
-        pi = np.clip(x0 + theta * d, 0.0, None).reshape(shape)
-        return _objective_from_joint(problem, pi)
-
-    pis = np.clip(x0 + thetas[:, None] * d, 0.0, None).reshape(grid_points, *shape)
-    rows = (pis / mu_w[:, None]).reshape(-1, shape[1])
+    thetas = np.linspace(lo, hi, _GRID_POINTS)
+    rows = (kernel_at(thetas) / mu_w[:, None]).reshape(-1, shape[1])
     w2 = _w2sq_rows(rows, problem.nu.values, problem.horizon)
-    vals = w2.reshape(grid_points, shape[0]) @ mu_w
-    best = int(np.argmin(vals))
-    left = thetas[max(best - 1, 0)]
-    right = thetas[min(best + 1, grid_points - 1)]
-    theta, val = _golden_section(value_at, float(left), float(right), 1e-12)
-    pi = np.clip(x0 + theta * d, 0.0, None).reshape(shape)
-    return pi, val
+    best = int(np.argmin(w2.reshape(_GRID_POINTS, shape[0]) @ mu_w))
+    left, right = thetas[max(best - 1, 0)], thetas[min(best + 1, _GRID_POINTS - 1)]
+    # Brent's tolerance grows with |x|: search the offset from ``left``
+    res = minimize_scalar(lambda s: _objective_from_joint(problem, kernel_at(left + s)),
+                          bounds=(0.0, right - left), method="bounded",
+                          options={"xatol": 1e-12})
+    return kernel_at(left + res.x), float(res.fun)
 
 
 # ---------------------------------------------------------------------------
@@ -822,8 +809,8 @@ class McObjective:
 
 
 def ibmot_objective_mc(kernel: CouplingKernel, horizon: float, n_paths: int,
-                       seed: int, steps: int = 1000, t0: float = 0.0,
-                       block_size: int = 20000) -> McObjective:
+                       seed: int, steps: int = 1000, block_size: int = 20000
+                       ) -> McObjective:
     """Path estimators of the objective on the randomized Brownian bridge.
 
     Estimator one integrates the weighted squared terminal error
@@ -834,14 +821,14 @@ def ibmot_objective_mc(kernel: CouplingKernel, horizon: float, n_paths: int,
     least two paths.  Both are reduced node row by node row as the path
     march yields them, so no ``M`` or ``W`` array is kept.
     """
-    ti, ep = _mc_path_estimators(_bridge_config(kernel, horizon, steps, t0),
+    ti, ep = _mc_path_estimators(_bridge_config(kernel, horizon, steps),
                                  n_paths, seed, block_size)
     return McObjective(*_paired_mean_se(ti, ep), int(ti.size))
 
 
-def _bridge_config(kernel: CouplingKernel, horizon: float, steps: int, t0: float):
-    """The standard randomized Brownian bridge on ``[t0, t0 + horizon]``."""
-    coeffs = piecewise_linear_coefficients(Partition((t0, t0 + horizon), steps_per_arc=steps))
+def _bridge_config(kernel: CouplingKernel, horizon: float, steps: int):
+    """The standard randomized Brownian bridge on ``[0, horizon]``."""
+    coeffs = piecewise_linear_coefficients(Partition((0.0, horizon), steps_per_arc=steps))
     return RapConfig(
         arcade=ArcadeConfig(brownian_driver(), coeffs),
         signal=coeffs.with_role("signal"),

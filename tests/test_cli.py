@@ -290,6 +290,33 @@ class TestIbmot:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"]["type"] == "config"
 
+    IB23 = {"mu": [[-1.0, 0.5], [1.0, 0.5]],
+            "nu": [[-2.0, 0.25], [0.0, 0.5], [2.0, 0.25]], "T": 1.0, "seed": 1}
+
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_horizon_is_config_error(self, tmp_path, capsys, horizon):
+        # a horizon that is not finite must not reach the Newton step
+        rc, out = _run(tmp_path, "ibT", dict(self.IB23, T=horizon), "ibmot")
+        assert rc == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "config"
+        assert "horizon" in err["error"]["message"]
+        assert not (out / "solution.json").exists()
+
+    @pytest.mark.parametrize("options, word", [
+        ({"gap": float("nan")}, "gap_tol"),
+        ({"gap": -1}, "gap_tol"),
+        ({"max_iter": -3}, "max_iter"),
+    ], ids=["gap_nan", "gap_negative", "max_iter_negative"])
+    def test_invalid_solver_option_is_config_error(self, tmp_path, capsys, options, word):
+        # an invalid option is the config's fault, not a numeric failure (exit 4)
+        rc, out = _run(tmp_path, "ibopt", dict(self.IB23, options=options), "ibmot")
+        assert rc == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "config"
+        assert word in err["error"]["message"]
+        assert not (out / "solution.json").exists()
+
     def test_point_mass_mu_writes_null_correlation(self, tmp_path):
         # a point mass has no variance, so the induced correlation is undefined
         doc = {"mu": [[0.0, 1.0]], "nu": [[-1.0, 0.5], [1.0, 0.5]], "T": 1.0, "seed": 1}
@@ -363,6 +390,18 @@ class TestCheck:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"]["type"] == "config"
         assert word in err["error"]["message"]
+        assert not (out / "check.json").exists()
+
+    def test_unknown_uniform_method_is_config_error(self, tmp_path, capsys):
+        # rejected as it is for a normal marginal, though both methods agree here
+        doc = {"kind": "convex_order",
+               "mu": {"dist": "uniform", "lo": -1, "hi": 1, "atoms": 5, "method": "bogus"},
+               "nu": {"dist": "uniform", "lo": -2, "hi": 2, "atoms": 5, "method": "midpoint"}}
+        rc, out = _run(tmp_path, "chkmeth", doc, "check")
+        assert rc == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "config"
+        assert "bogus" in err["error"]["message"]
         assert not (out / "check.json").exists()
 
     NAN = float("nan")
@@ -464,6 +503,29 @@ class TestIntegerOptions:
         rc, out = _run(tmp_path, "whole", doc, "simulate")
         assert rc == EXIT_OK
         assert json.loads((out / "summary.json").read_text())["n_paths"] == 10
+
+
+class TestJsonTypes:
+    """A flag must be a JSON boolean and a number a JSON number: a string or
+    a boolean in their place is a config error, not read as truthy or as 1."""
+
+    @pytest.mark.parametrize("command, doc, word", [
+        ("simulate", {**BASE_AP, "kind": "rap", "coefficients": {"family": "lagrange"},
+                      "coupling": {"preset": "antithetic_pm1", "params": {"n_arcs": 5}},
+                      "standard": "no"}, "'standard' must be true or false"),
+        ("simulate", {**BASE_AP, "checks": {"markov": "no"}}, "'markov' must be true or false"),
+        ("simulate", {**BASE_AP, "partition": {"dates": [0, 2, 4], "steps_per_arc": True}},
+         "whole number"),
+        ("check", {"kind": "coefficients", "partition": {"dates": [0.0, 1.0], "steps_per_arc": 4},
+                   "coefficients": {"family": "lagrange"}, "continuity_c": "big"}, "big"),
+    ], ids=["standard_string", "checks_string", "steps_per_arc_bool", "continuity_c_string"])
+    def test_wrong_json_type_is_config_error(self, tmp_path, capsys, command, doc, word):
+        rc, out = _run(tmp_path, "jtype", doc, command)
+        assert rc == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "config"
+        assert word in err["error"]["message"]
+        assert not list(out.glob("*.json"))
 
 
 class TestPathCounts:

@@ -627,7 +627,7 @@ class TestStreamedReducers:
         from arcadeproc.ibmot import _bridge_config, _mc_path_estimators, ibmot_objective_mc
 
         kernel = uniform_mot_kernel()
-        cfg = _bridge_config(kernel, 1.0, 332, 0.0)
+        cfg = _bridge_config(kernel, 1.0, 332)
         grid = cfg.partition.grid
         assert grid.size == 333
         dt = np.diff(grid)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.optimize import minimize_scalar
 from scipy.special import ndtri
 
 from arcadeproc import (
@@ -24,7 +25,6 @@ from arcadeproc.coupling import DiscreteMarginal, brownian_coupling, uniform_mot
 from arcadeproc.ibmot import (
     _dual_hessian,
     _dual_point,
-    _golden_section,
     _gradient_from_joint,
     _objective_from_joint,
     _phi_of_quantile,
@@ -135,7 +135,7 @@ class TestGradient:
         mu = uniform_marginal(-1.0, 1.0, 4)
         nu = uniform_marginal(-2.0, 2.0, 6)
         problem = IbmotProblem(mu, nu, 1.0)
-        pi = lp_oracle(np.zeros(problem.shape), problem)
+        pi = solve_ibmot(problem).joint()
         grad = _gradient_from_joint(problem, pi)
         rows = pi / mu.weights[:, None]
         for i in range(4):
@@ -180,9 +180,7 @@ class TestObjectiveForms:
         mu = uniform_marginal(-1.0, 1.0, 9)
         nu = uniform_marginal(-2.0, 2.0, 9)
         problem = IbmotProblem(mu, nu, 1.0)
-        pi = lp_oracle(np.zeros(problem.shape), problem)
-        gamma = pi / mu.weights[:, None]
-        q = ibmot_objective_quantile(problem, gamma)
+        q = ibmot_objective_quantile(problem, solve_ibmot(problem).gamma)
         bound = nu.second_moment() - mu.second_moment()
         assert q.k_i <= bound + 1e-9
 
@@ -209,6 +207,13 @@ class TestProblem:
         with pytest.raises(InfeasibleError) as err:
             IbmotProblem(mu, nu, 1.0)
         assert err.value.witness["kind"] == "call_function"
+
+    def test_options_take_zero_but_reject_negative_and_fractional(self):
+        IbmotOptions(gap_tol=0.0, max_iter=0)
+        for bad in ({"gap_tol": -1e-9}, {"gap_tol": np.inf}, {"max_iter": 2.0},
+                    {"max_iter": True}):
+            with pytest.raises(ConfigError):
+                IbmotOptions(**bad)
 
 
 class TestLpOracle:
@@ -270,28 +275,7 @@ class TestSolver:
         # converged solves match brute force; truncated solves (max_iter 1-3,
         # gap_tol 0) never sit further above the optimum than their gap says,
         # and may only fail while their kernel still has a negative entry
-        rng = np.random.default_rng(5)
-        done = 0
-        while done < 20:
-            x = np.sort(rng.uniform(-1.0, 1.0, size=2))
-            w = rng.dirichlet(np.ones(2))
-            spread = rng.uniform(0.6, 1.5)
-            y = np.asarray([x[0] - spread, float(w @ x), x[1] + spread])
-            y.sort()
-            mu = DiscreteMarginal(x, w)
-            # build a nu from a feasible joint so the polytope is nonempty
-            mid_w = rng.uniform(0.2, 0.6)
-            lam = np.asarray([
-                [(x[0] - y[1]) / (y[0] - y[1]), (y[0] - x[0]) / (y[0] - y[1]), 0.0],
-                [0.0, (y[2] - x[1]) / (y[2] - y[1]), (x[1] - y[1]) / (y[2] - y[1])],
-            ])
-            lam[0] = (1 - mid_w) * lam[0] + mid_w * _three_point(x[0], y)
-            lam[1] = (1 - mid_w) * lam[1] + mid_w * _three_point(x[1], y)
-            nu_w = w @ lam
-            if np.any(nu_w <= 1e-6):
-                continue
-            nu = DiscreteMarginal(y, nu_w)
-            problem = IbmotProblem(mu, nu, 1.0)
+        for problem in _two_by_three_problems():
             sol = solve_ibmot(problem, IbmotOptions(gap_tol=1e-8, max_iter=500))
             _, val_bf = brute_force_small(problem)
             assert sol.objective_quantile == pytest.approx(val_bf, abs=1e-5)
@@ -303,7 +287,6 @@ class TestSolver:
                     continue
                 assert part.objective_quantile - val_bf <= part.duality_gap + 1e-9
                 assert part.objective_quantile - part.duality_gap <= val_bf + 1e-9
-            done += 1
 
     def test_gap_belongs_to_returned_kernel(self):
         # a solve stopped by max_iter reports objective minus a lower bound
@@ -381,19 +364,20 @@ class TestSolver:
         problem = IbmotProblem(mu, nu, 1.0)
         values = []
         pi = lp_oracle(np.zeros(problem.shape), problem)
-        from arcadeproc.ibmot import _golden_section
         val = _objective_from_joint(problem, pi)
         for _ in range(40):
             values.append(val)
             grad = _gradient_from_joint(problem, pi)
             v = lp_oracle(grad, problem)
             d = v - pi
-            th, val = _golden_section(
-                lambda t: _objective_from_joint(problem, pi + t * d), 0.0, 1.0, 1e-10)
+            res = minimize_scalar(lambda t: _objective_from_joint(problem, pi + t * d),
+                                  bounds=(0.0, 1.0), method="bounded",
+                                  options={"xatol": 1e-12})
+            val = float(res.fun)
             if val > values[-1]:
                 val = values[-1]
                 break
-            pi = pi + th * d
+            pi = pi + res.x * d
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -557,6 +541,58 @@ def _three_point(x, y):
     # barycentric weights of x against (y0, y2) plus the middle atom
     lam02 = (y[2] - x) / (y[2] - y[0])
     return np.asarray([0.5 * lam02, 0.5, 0.5 * (1 - lam02)])
+
+
+def _two_by_three_problems(count=20, seed=5):
+    """Random 2x3 problems whose nu comes from a feasible joint, so the
+    polytope is nonempty."""
+    rng = np.random.default_rng(seed)
+    problems = []
+    while len(problems) < count:
+        x = np.sort(rng.uniform(-1.0, 1.0, size=2))
+        w = rng.dirichlet(np.ones(2))
+        spread = rng.uniform(0.6, 1.5)
+        y = np.asarray([x[0] - spread, float(w @ x), x[1] + spread])
+        y.sort()
+        mid_w = rng.uniform(0.2, 0.6)
+        lam = np.asarray([
+            [(x[0] - y[1]) / (y[0] - y[1]), (y[0] - x[0]) / (y[0] - y[1]), 0.0],
+            [0.0, (y[2] - x[1]) / (y[2] - y[1]), (x[1] - y[1]) / (y[2] - y[1])],
+        ])
+        lam[0] = (1 - mid_w) * lam[0] + mid_w * _three_point(x[0], y)
+        lam[1] = (1 - mid_w) * lam[1] + mid_w * _three_point(x[1], y)
+        nu_w = w @ lam
+        if np.any(nu_w <= 1e-6):
+            continue
+        problems.append(IbmotProblem(DiscreteMarginal(x, w), DiscreteMarginal(y, nu_w), 1.0))
+    return problems
+
+
+class TestBruteForceOracle:
+    def test_makes_no_lp_call(self, monkeypatch):
+        # the feasible set comes from the SVD of the equality system alone
+        def no_lp(*args, **kwargs):
+            raise AssertionError("brute_force_small called the LP")
+
+        monkeypatch.setattr("arcadeproc.ibmot.lp_oracle", no_lp)
+        monkeypatch.setattr("arcadeproc.ibmot.linprog_simplex", no_lp)
+        for problem in _two_by_three_problems():
+            sol = solve_ibmot(problem, IbmotOptions(gap_tol=1e-8, max_iter=500))
+            _, val_bf = brute_force_small(problem)
+            assert sol.objective_quantile == pytest.approx(val_bf, abs=1e-5)
+
+    @pytest.mark.parametrize("mu, nu", [
+        (([0.5], [1.0]), ([-1.0, 1.0], [0.75, 0.25])),
+        (([-3.0, 3.0], [0.5, 0.5]), ([-2.0, 2.0], [0.5, 0.5])),
+        (([-1.5, 1.5], [0.5, 0.5]), ([-2.0, 0.0, 2.0], [0.25, 0.5, 0.25])),
+    ], ids=["means_differ", "atom_outside_support", "empty_interval"])
+    def test_empty_polytope_is_infeasible(self, mu, nu):
+        # no solution of the equality system, a pinned negative entry, and a
+        # free direction whose positivity bounds cross
+        problem = IbmotProblem(DiscreteMarginal(*map(np.asarray, mu)),
+                               DiscreteMarginal(*map(np.asarray, nu)), 1.0, validate=False)
+        with pytest.raises(InfeasibleError):
+            brute_force_small(problem)
 
 
 class TestMcCrossChecks:
