@@ -51,6 +51,8 @@ __all__ = [
 ]
 
 _PROBES_PER_ARC = 7   # equispaced interior probes per arc in the Markov check
+# indices (r, s, t) of the within-arc probe triples r <= s < t
+_TRIPLES = np.nonzero(np.fromfunction(lambda r, s, t: (r <= s) & (s < t), (_PROBES_PER_ARC,) * 3))
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -349,17 +351,13 @@ def markov_factorization_check(cfg: ArcadeConfig, tol: float = 1e-8) -> MarkovCh
                                        coefs[mb][:, cols]).reshape(arcs[ma].size, arcs[mb].size)
 
     max_resid = 0.0
-    for m, pts in enumerate(arcs):
+    a, b, c = _TRIPLES
+    for m in range(p.n_arcs):
         kmat_m = kmat(m, m)
-        var = np.diag(kmat_m)
-        npts = pts.size
-        for a in range(npts):
-            for b in range(a, npts - 1):
-                for c in range(b + 1, npts):
-                    lhs = kmat_m[a, c] * var[b]
-                    rhs = kmat_m[a, b] * kmat_m[b, c]
-                    scale = max(abs(lhs), abs(rhs), _VAR_FLOOR)
-                    max_resid = max(max_resid, abs(lhs - rhs) / scale)
+        lhs = kmat_m[a, c] * kmat_m[b, b]
+        rhs = kmat_m[a, b] * kmat_m[b, c]
+        scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), _VAR_FLOOR)
+        max_resid = max(max_resid, float(np.max(np.abs(lhs - rhs) / scale)))
 
     cross_max = 0.0
     for ma in range(p.n_arcs):

@@ -49,6 +49,7 @@ from .errors import (
     DomainError,
     InfeasibleError,
     NumericError,
+    check_keys,
 )
 from .fam import fam_paths, ito_isometry_check
 from .ibmot import (
@@ -58,12 +59,10 @@ from .ibmot import (
     solve_ibmot,
 )
 from .partition import (
+    _BUILTIN_FAMILIES,
     CoefficientSet,
     Partition,
     carryover_noise_coefficients,
-    elliptic_coefficients,
-    lagrange_coefficients,
-    piecewise_linear_coefficients,
     table_coefficients,
     validate_coefficient_set,
 )
@@ -123,8 +122,9 @@ def _require(doc: dict, key: str, context: str):
 
 
 @_config_stage
-def _section(doc: dict, key: str, default=None) -> dict:
-    """The JSON object ``doc[key]``; ``default`` when the key is absent or
+def _section(doc: dict, key: str, known, default=None) -> dict:
+    """The JSON object ``doc[key]``, with no key outside ``known`` (None
+    leaves the keys to the reader); ``default`` when the key is absent or
     null, and a missing section when ``default`` is None."""
     sub = doc.get(key)
     if sub is None:
@@ -133,36 +133,61 @@ def _section(doc: dict, key: str, default=None) -> dict:
         return default
     if not isinstance(sub, dict):
         raise ConfigError(f"{key!r} must be a JSON object, not {json.dumps(sub)}")
+    if known is not None:
+        check_keys(sub, known, f"the {key!r} section")
     return sub
 
 
 @_config_stage
+def _kind(doc: dict, command: str, keys: dict, default: str | None = None) -> str:
+    """The ``kind`` of a ``command`` config (``default`` when absent), once
+    the config holds no top-level key outside ``keys[kind]``."""
+    kind = _require(doc, "kind", "config") if default is None else doc.get("kind", default)
+    if kind not in keys:
+        raise ConfigError(f"unknown {command} kind {kind!r}")
+    check_keys(doc, keys[kind], f"a {command} {kind} config")
+    return kind
+
+
+# The top-level keys each command reads, per simulate and check kind.
+_RAP_KEYS = ("partition", "driver", "coefficients", "signal", "coupling", "standard")
+_SIMULATE_KEYS = {
+    "driver": ("kind", "seed", "n_paths", "partition", "driver"),
+    "ap": ("kind", "seed", "n_paths", "partition", "driver", "coefficients", "checks"),
+    "rap": ("kind", "seed", "n_paths", *_RAP_KEYS, "checks"),
+}
+_FAM_KEYS = ("seed", "n_paths", *_RAP_KEYS, "max_path_files", "isometry")
+_IBMOT_KEYS = ("seed", "mu", "nu", "T", "options", "mc_check")
+_CHECK_KEYS = {
+    "coefficients": ("kind", "partition", "driver", "coefficients", "tol", "continuity_c"),
+    "markov": ("kind", "partition", "driver", "coefficients", "tol"),
+    "nearly_markov": ("kind", *_RAP_KEYS, "tol"),
+    "kernel": ("kind", "coupling"),
+    "convex_order": ("kind", "mu", "nu", "tol"),
+}
+
+
+@_config_stage
 def _build_partition(doc: dict) -> Partition:
-    sub = _section(doc, "partition")
+    sub = _section(doc, "partition", ("dates", "steps_per_arc"))
     return Partition(tuple(_require(sub, "dates", "partition")),
                      _whole(sub.get("steps_per_arc", 50)))
 
 
 @_config_stage
 def _build_driver(doc: dict):
-    sub = _section(doc, "driver", {"preset": "brownian"})
-    return driver_preset(_require(sub, "preset", "driver"), **_section(sub, "params", {}))
+    sub = _section(doc, "driver", ("preset", "params"), {"preset": "brownian"})
+    return driver_preset(_require(sub, "preset", "driver"), **_section(sub, "params", None, {}))
 
 
 @_config_stage
 def _build_coefficients(doc: dict, key: str, p: Partition, driver,
                         default_role: str) -> CoefficientSet:
-    sub = _section(doc, key)
+    sub = _section(doc, key, ("family", "role", "table"))
     family = _require(sub, "family", key)
     role = sub.get("role", default_role)
-    if family == "piecewise_linear":
-        return piecewise_linear_coefficients(p, role)
-    if family == "lagrange":
-        return lagrange_coefficients(p, role)
-    if family == "lagrange_damped":
-        return CoefficientSet(p, "lagrange_damped", role)
-    if family == "elliptic":
-        return elliptic_coefficients(p, role)
+    if family in _BUILTIN_FAMILIES:
+        return CoefficientSet(p, family, role)
     if family == "standard":
         return standard_coefficients(driver, p, "closed_form").with_role(role)
     if family == "standard_gram":
@@ -182,14 +207,16 @@ def _build_marginal(doc, context: str) -> tuple[DiscreteMarginal, float | None]:
     if isinstance(doc, list):
         return DiscreteMarginal.from_pairs(doc), None
     dist = _require(doc, "dist", context)
+    params = {"normal": ("mean", "var"), "uniform": ("lo", "hi")}
+    if dist not in params:
+        raise ConfigError(f"unknown marginal dist {dist!r}")
+    check_keys(doc, ("dist", "atoms", "method", *params[dist]), f"the {context!r} marginal")
     atoms = _whole(doc.get("atoms", 15))
     method = doc.get("method", "cell_mean")
     if dist == "normal":
         law = GaussianMarginal(float(doc.get("mean", 0.0)), float(_require(doc, "var", context)))
-    elif dist == "uniform":
-        law = UniformMarginal(float(_require(doc, "lo", context)), float(_require(doc, "hi", context)))
     else:
-        raise ConfigError(f"unknown marginal dist {dist!r}")
+        law = UniformMarginal(float(_require(doc, "lo", context)), float(_require(doc, "hi", context)))
     return law.discretize(atoms, method), law.second_moment()
 
 
@@ -229,10 +256,7 @@ def _build_kernel(doc: dict, context: str):
 
 @_config_stage
 def _ibmot_options(doc: dict) -> IbmotOptions:
-    opt_doc = _section(doc, "options", {})
-    unknown = sorted(set(opt_doc) - {"gap", "max_iter"})
-    if unknown:
-        raise ConfigError(f"unknown ibmot options {unknown}; known: 'gap', 'max_iter'")
+    opt_doc = _section(doc, "options", ("gap", "max_iter"), {})
     return IbmotOptions(
         gap_tol=float(opt_doc.get("gap", 1e-7)),
         max_iter=_whole(opt_doc.get("max_iter", 5000)),
@@ -256,7 +280,7 @@ def _se_band_checks(values: np.ndarray, target: float) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(doc: dict, args) -> int:
-    kind = doc.get("kind", "ap")
+    kind = _kind(doc, "simulate", _SIMULATE_KEYS, "ap")
     seed = _resolve_seed(doc, args)
     n_paths = _option(doc, "n_paths", 10, _whole) if args.paths is None else args.paths
     out = Path(args.out)
@@ -282,17 +306,15 @@ def _cmd_simulate(doc: dict, args) -> int:
             "empirical": float(np.var(bundle.values[:, np.argmin(np.abs(p.grid - mid))])),
             "analytic": float(ap_cov(cfg, mid, mid)),
         }
-        if _flag(_section(doc, "checks", {}), "markov"):
+        if _flag(_section(doc, "checks", ("markov",), {}), "markov"):
             summary["markov_check"] = markov_factorization_check(cfg).as_dict()
     elif kind == "rap":
         cfg = _rap_config(doc)
         bundle, x = build_rap_paths(cfg, n_paths, seed)
         summary["max_pinning_residual"] = float(
             np.max(np.abs(bundle.values[:, p.date_indices] - x)))
-        if _flag(_section(doc, "checks", {}), "nearly_markov"):
+        if _flag(_section(doc, "checks", ("nearly_markov",), {}), "nearly_markov"):
             summary["nearly_markov"] = nearly_markov_check(cfg).as_dict()
-    else:
-        raise ConfigError(f"unknown simulate kind {kind!r}")
 
     bundle.to_csv(out / "paths.csv")
     summary["config_hash"] = bundle.meta.get("config_hash", "")
@@ -303,6 +325,7 @@ def _cmd_simulate(doc: dict, args) -> int:
 
 
 def _cmd_fam(doc: dict, args) -> int:
+    check_keys(doc, _FAM_KEYS, "a fam config")
     seed = _resolve_seed(doc, args)
     n_paths = _option(doc, "n_paths", 128, _whole) if args.paths is None else args.paths
     max_files = _option(doc, "max_path_files", 16, _whole)
@@ -341,8 +364,8 @@ def _cmd_fam(doc: dict, args) -> int:
         diag["martingale_vs_process_max_dev"] = float(
             np.max(np.abs(trace.m_paths[:, 1:-1] - trace.i_paths[:, 1:-1])))
 
-    iso_doc = _section(doc, "isometry", {})
-    if iso_doc:
+    if doc.get("isometry") is not None:                  # present, even if empty
+        iso_doc = _section(doc, "isometry", ("n_paths",))
         report = ito_isometry_check(cfg, _option(iso_doc, "n_paths", 20000, _whole), seed)
         diag["isometry"] = report.as_dict()
         diag["isometry"]["pass"] = bool(report.z_score <= 3.0)
@@ -356,6 +379,7 @@ def _cmd_fam(doc: dict, args) -> int:
 
 
 def _cmd_ibmot(doc: dict, args) -> int:
+    check_keys(doc, _IBMOT_KEYS, "an ibmot config")
     seed = _resolve_seed(doc, args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -369,8 +393,8 @@ def _cmd_ibmot(doc: dict, args) -> int:
     payload["seed"] = seed
     payload["version"] = __version__
 
-    mc_doc = _section(doc, "mc_check", {})
-    if mc_doc:
+    if doc.get("mc_check") is not None:                  # present, even if empty
+        mc_doc = _section(doc, "mc_check", ("coupling", "n_paths", "steps"))
         kernel = _build_kernel(mc_doc, "mc_check")
         mc = ibmot_objective_mc(kernel, horizon,
                                 _option(mc_doc, "n_paths", 20000, _whole), seed,
@@ -391,9 +415,9 @@ def _cmd_ibmot(doc: dict, args) -> int:
 
 
 def _cmd_check(doc: dict, args) -> int:
+    kind = _kind(doc, "check", _CHECK_KEYS)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    kind = _require(doc, "kind", "config")
     report: dict = {"kind": kind, "version": __version__}
     if kind == "coefficients":
         p = _build_partition(doc)
@@ -423,8 +447,6 @@ def _cmd_check(doc: dict, args) -> int:
         nu, _ = _build_marginal(_require(doc, "nu", "config"), "nu")
         ok, worst, witness = convex_order_report(mu, nu, _option(doc, "tol", 1e-9, float))
         report.update({"pass": bool(ok), "worst_violation": worst, "witness": witness})
-    else:
-        raise ConfigError(f"unknown check kind {kind!r}")
     _write_json(out / "check.json", report)
     if not args.quiet:
         print(f"check {kind}: pass={report.get('pass')}")

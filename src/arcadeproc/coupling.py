@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, call_preset
+from .errors import ConfigError, call_preset, check_keys
 from .streams import stream_rng
 
 __all__ = [
@@ -105,7 +105,7 @@ class DiscreteMarginal:
 
     def call_value(self, k: float) -> float:
         """Integrated call function ``E[(X - k)^+]``."""
-        return float(np.maximum(self.values - k, 0.0) @ self.weights)
+        return float(_call_values(self, np.asarray([k], dtype=float))[0])
 
     def cdf(self, x) -> np.ndarray:
         cum = np.concatenate([[0.0], np.cumsum(self.weights)])
@@ -298,6 +298,17 @@ class StepKernel:
         return {"kind": type(self).__name__}
 
 
+def _nearest(values: np.ndarray, x, tol: float, message: str) -> np.ndarray:
+    """Index of the entry of the increasing ``values`` nearest to each ``x``;
+    ``ConfigError(message)`` if one is farther than ``tol``."""
+    idx = np.clip(np.searchsorted(values, x), 0, values.size - 1)
+    left = np.clip(idx - 1, 0, values.size - 1)
+    idx = np.where(np.abs(values[left] - x) < np.abs(values[idx] - x), left, idx)
+    if np.max(np.abs(values[idx] - x)) > tol:
+        raise ConfigError(message)
+    return idx
+
+
 @dataclass(frozen=True)
 class DiscreteRowKernel(StepKernel):
     """Row-stochastic matrix over fixed current/next atom grids."""
@@ -314,6 +325,8 @@ class DiscreteRowKernel(StepKernel):
             raise ConfigError("gamma shape must be (len(x), len(y))")
         if not all(np.all(np.isfinite(v)) for v in (x, y, g)):
             raise ConfigError("kernel atoms and gamma must be finite")
+        if np.any(np.diff(x) <= 0):
+            raise ConfigError("kernel x_values must be strictly increasing")
         if np.any(g < -1e-15):
             raise ConfigError("gamma has negative entries")
         rows = g.sum(axis=1)
@@ -324,14 +337,8 @@ class DiscreteRowKernel(StepKernel):
         object.__setattr__(self, "gamma", np.clip(g, 0.0, None))
 
     def _row_index(self, x: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.x_values, x)
-        idx = np.clip(idx, 0, self.x_values.size - 1)
-        left = np.clip(idx - 1, 0, self.x_values.size - 1)
-        use_left = np.abs(self.x_values[left] - x) < np.abs(self.x_values[idx] - x)
-        idx = np.where(use_left, left, idx)
-        if np.max(np.abs(self.x_values[idx] - x)) > 1e-9 * max(1.0, float(np.max(np.abs(self.x_values)))):
-            raise ConfigError("conditioning value is not an atom of the kernel")
-        return idx
+        return _nearest(self.x_values, x, 1e-9 * max(1.0, float(np.max(np.abs(self.x_values)))),
+                        "conditioning value is not an atom of the kernel")
 
     def sample(self, x, rng):
         x = np.asarray(x, dtype=float)
@@ -585,6 +592,11 @@ def _merge_atoms(values: np.ndarray, weights: np.ndarray,
 # Convex order
 # ---------------------------------------------------------------------------
 
+def _call_values(law: DiscreteMarginal, strikes: np.ndarray) -> np.ndarray:
+    """The call function ``E[(X - k)^+]`` of ``law`` at each of ``strikes``."""
+    return np.maximum(law.values[None, :] - strikes[:, None], 0.0) @ law.weights
+
+
 def convex_order_report(mu: DiscreteMarginal, nu: DiscreteMarginal,
                         tol: float = 1e-9) -> tuple[bool, float, dict]:
     """Equal means plus dominated call functions at every atom of both supports.
@@ -599,7 +611,8 @@ def convex_order_report(mu: DiscreteMarginal, nu: DiscreteMarginal,
     if mean_gap > tol:
         witness = {"kind": "mean", "mu_mean": mu.mean(), "nu_mean": nu.mean()}
     strikes = np.union1d(mu.values, nu.values)
-    gaps = np.asarray([mu.call_value(k) - nu.call_value(k) for k in strikes])
+    mu_calls, nu_calls = _call_values(mu, strikes), _call_values(nu, strikes)
+    gaps = mu_calls - nu_calls
     j = int(np.argmax(gaps))
     if gaps[j] > worst:
         worst = float(gaps[j])
@@ -607,8 +620,8 @@ def convex_order_report(mu: DiscreteMarginal, nu: DiscreteMarginal,
         witness = {
             "kind": "call_function",
             "strike": float(strikes[j]),
-            "mu_call": mu.call_value(float(strikes[j])),
-            "nu_call": nu.call_value(float(strikes[j])),
+            "mu_call": float(mu_calls[j]),
+            "nu_call": float(nu_calls[j]),
         }
     ok = mean_gap <= tol and gaps[j] <= tol
     return ok, float(worst), witness
@@ -709,21 +722,6 @@ def comonotone_kernel(mu: DiscreteMarginal, nu: DiscreteMarginal) -> CouplingKer
     return CouplingKernel(mu, (step,), name="comonotone")
 
 
-def builtin_kernels() -> dict[str, CouplingKernel]:
-    """Catalog of named, validated couplings."""
-    return {
-        "binary_pm1": binary_pm1_kernel(),
-        "uniform_mot": uniform_mot_kernel(),
-        "gaussian_n01": gaussian_n01_kernel(),
-        "brownian": brownian_coupling(),
-        "antithetic_pm1": antithetic_pm1_chain(),
-        "independent_pm1": independent_pm1_chain(),
-        "comonotone_uniform": comonotone_uniform_kernel(),
-        "binary_chain_2": binary_chain_kernel(2),
-        "deterministic": deterministic_kernel(),
-    }
-
-
 _PRESET_FACTORIES = {
     "binary_pm1": binary_pm1_kernel,
     "uniform_mot": uniform_mot_kernel,
@@ -737,15 +735,30 @@ _PRESET_FACTORIES = {
 }
 
 
+def builtin_kernels() -> dict[str, CouplingKernel]:
+    """Catalog of named, validated couplings: each preset at its default
+    parameters, under its kernel's name (``binary_chain`` is ``binary_chain_2``)."""
+    kernels = (factory() for factory in _PRESET_FACTORIES.values())
+    return {kernel.name: kernel for kernel in kernels}
+
+
 def kernel_from_json(doc: dict) -> CouplingKernel:
-    """Build a coupling from a JSON document: preset or explicit matrices."""
+    """Build a coupling from a JSON document: a preset, or explicit matrices
+    whose ``gamma`` rows follow their ``atoms_mu`` pairs in any order of the
+    atoms.  A key the document's form does not read is a ``ConfigError``."""
     if "preset" in doc:
+        check_keys(doc, ("preset", "params"), "coupling")
         return call_preset("coupling", _PRESET_FACTORIES, doc["preset"], doc.get("params", {}))
     if "atoms_mu" in doc:
-        mu = DiscreteMarginal.from_pairs(doc["atoms_mu"])
-        y = np.asarray(doc["values_nu"], dtype=float)
+        check_keys(doc, ("atoms_mu", "values_nu", "gamma"), "coupling")
+        pairs = np.asarray(doc["atoms_mu"], dtype=float)
         gamma = np.asarray(doc["gamma"], dtype=float)
-        step = DiscreteRowKernel(mu.values, y, gamma)
+        if pairs.ndim != 2 or pairs.shape[1] != 2 or gamma.shape[:1] != pairs.shape[:1]:
+            raise ConfigError("atoms_mu must hold one [value, weight] pair per row of gamma")
+        order = np.argsort(pairs[:, 0])
+        mu = DiscreteMarginal(pairs[order, 0], pairs[order, 1])
+        step = DiscreteRowKernel(mu.values, np.asarray(doc["values_nu"], dtype=float),
+                                 gamma[order])
         return CouplingKernel(mu, (step,), name="discrete_kernel")
     raise ConfigError("coupling document needs 'preset' or 'atoms_mu'")
 

@@ -473,6 +473,19 @@ def simulate_driver(d: GaussMarkovDriver, p: Partition, n_paths: int, seed: int,
     return PathBundle(grid=g, values=vals.T, seed=seed, meta=meta)
 
 
+def _cholesky_draw(cov: np.ndarray, active: np.ndarray, jitter: float,
+                   rng: np.random.Generator, n_paths: int) -> np.ndarray:
+    """``n_paths`` rows of ``N(0, cov)`` by dense Cholesky: the ``active``
+    block of ``cov``, its diagonal raised by ``jitter``, is factored, and the
+    other nodes are 0."""
+    idx = np.flatnonzero(active)
+    chol = np.zeros(cov.shape)
+    if idx.size:
+        chol[np.ix_(idx, idx)] = np.linalg.cholesky(cov[np.ix_(idx, idx)]
+                                                    + jitter * np.eye(idx.size))
+    return rng.standard_normal((n_paths, cov.shape[0])) @ chol.T
+
+
 def simulate_driver_cholesky(d: GaussMarkovDriver, p: Partition, n_paths: int,
                              seed: int, jitter: float = 1e-12) -> PathBundle:
     """Reference sampler: dense Cholesky of the grid covariance matrix.
@@ -482,18 +495,10 @@ def simulate_driver_cholesky(d: GaussMarkovDriver, p: Partition, n_paths: int,
     on nearly singular covariances.
     """
     g = p.grid
-    cov = d.cov(g[:, None], g[None, :])
-    cov = cov + jitter * np.eye(g.size)
     # degenerate leading nodes make the matrix singular; factor the active block
-    active = np.asarray(d.variance(g)) > _VAR_FLOOR
-    chol = np.zeros((g.size, g.size))
-    idx = np.where(active)[0]
-    if idx.size:
-        sub = cov[np.ix_(idx, idx)]
-        chol[np.ix_(idx, idx)] = np.linalg.cholesky(sub)
-    rng = stream_rng(seed, "D")
-    z = rng.standard_normal((n_paths, g.size))
-    vals = np.asarray(d.mean(g))[None, :] + z @ chol.T
+    vals = np.asarray(d.mean(g))[None, :] + _cholesky_draw(
+        d.cov(g[:, None], g[None, :]), np.asarray(d.variance(g)) > _VAR_FLOOR, jitter,
+        stream_rng(seed, "D"), n_paths)
     meta = {"kind": "driver_cholesky", "driver": d.config_dict(),
             "partition": p.config_dict()}
     meta["config_hash"] = config_hash(meta)

@@ -56,3 +56,11 @@ def call_preset(kind: str, factories: dict, name: str, params: dict):
     except TypeError as exc:
         raise ConfigError(f"{kind} preset {name!r}: {exc}") from None
     return factories[name](**params)
+
+
+def check_keys(doc: dict, known, context: str) -> None:
+    """Reject a key of the JSON object ``doc`` that is not in ``known``: a
+    misspelled key must not silently drop what it asked for."""
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown keys {unknown} in {context}; known: {sorted(known)}")

@@ -9,8 +9,8 @@ filter is full conditioning with a one-target suffix.  Elsewhere
 ``L = n - m``.  For Gaussian noise the observation likelihood is normal with
 mean ``sum_i g_i(t) X_i + mu_A(t)`` and variance ``sigma_A^2(t)``, so the
 filter is a weighted average over the suffix hypotheses (discrete targets),
-a conjugate normal update (Gaussian targets, one-target suffixes), or an
-adaptive quadrature (generic continuous densities).
+a conjugate normal update (Gaussian targets, one-target suffixes), or
+``scipy.integrate.quad``, imported on call (:func:`fam_filter_continuous`).
 
 The module also produces the martingale's volatility coefficient
 ``Var[X | .] * sqrt(H1' H2 - H1 H2') / (H1(T_{m+1}) H2(t) - H1(t) H2(T_{m+1}))``,
@@ -73,8 +73,7 @@ __all__ = [
 ]
 
 _LOG_UNDERFLOW = -700.0
-_QUAD_REL_TOL = 1e-9         # agreement of successive Simpson posterior means
-_QUAD_MAX_PANELS = 2 ** 15   # panel count at which the doubling gives up
+_QUAD_REL_TOL = 1e-9         # relative accuracy of the quadrature posterior moments
 
 
 # ---------------------------------------------------------------------------
@@ -558,13 +557,17 @@ def fam_filter_bruteforce(cfg: RapConfig, t: float, i_t: float, x_observed) -> f
 
 
 def fam_filter_continuous(cfg: RapConfig, t: float, i_t: float, x_observed) -> tuple[float, float]:
-    """Posterior mean and variance by adaptive composite-Simpson quadrature.
+    """Posterior mean and variance by adaptive quadrature (``scipy.integrate.quad``).
 
     The integrand is the conditional target density times the Gaussian
-    observation likelihood, truncated at eight combined standard deviations;
-    the panel count doubles until successive estimates agree to ``_QUAD_REL_TOL``.
-    Returns ``(mean, variance)``.
+    observation likelihood, truncated at eight combined standard deviations.
+    Each moment is integrated to ``_QUAD_REL_TOL`` relative to itself or,
+    for the first two, to the normalization ``z0`` (a relative bound alone
+    fails where the posterior mean is 0).  Returns ``(mean, variance)``;
+    ``NumericError`` if ``z0`` underflows or a quadrature does not converge.
     """
+    from scipy.integrate import quad
+
     m, pinned, x_m, base, g, va = _filter_context(cfg, t, x_observed)
     if pinned is not None:
         return pinned, 0.0
@@ -579,34 +582,19 @@ def fam_filter_continuous(cfg: RapConfig, t: float, i_t: float, x_observed) -> t
     lo = min(m0 - 8.0 * sd0, center_like - 8.0 * sd_like if np.isfinite(sd_like) else m0 - 8.0 * sd0)
     hi = max(m0 + 8.0 * sd0, center_like + 8.0 * sd_like if np.isfinite(sd_like) else m0 + 8.0 * sd0)
 
-    def integrands(y):
-        like = np.exp(-0.5 * (i_t - base - g_next * y) ** 2 / va)
-        w = pdf(y) * like
-        return w, w * y, w * y * y
+    def moment(power: int, epsabs: float) -> float:
+        value, _, _, *failed = quad(
+            lambda y: pdf(y) * np.exp(-0.5 * (i_t - base - g_next * y) ** 2 / va) * y ** power,
+            lo, hi, epsabs=epsabs, epsrel=_QUAD_REL_TOL, full_output=1)
+        if failed:
+            raise NumericError(f"quadrature did not converge below {_QUAD_REL_TOL}: {failed[0]}")
+        return value
 
-    prev = None
-    panels = 64
-    while panels <= _QUAD_MAX_PANELS:
-        ys = np.linspace(lo, hi, panels + 1)
-        h = (hi - lo) / panels
-        w0, w1, w2 = integrands(ys)
-        coef = np.ones(panels + 1)
-        coef[1:-1:2] = 4.0
-        coef[2:-1:2] = 2.0
-        z0 = h / 3.0 * float(coef @ w0)
-        z1 = h / 3.0 * float(coef @ w1)
-        z2 = h / 3.0 * float(coef @ w2)
-        if z0 <= 0.0:
-            raise NumericError("posterior normalization underflowed")
-        mean = z1 / z0
-        var = max(z2 / z0 - mean * mean, 0.0)
-        if prev is not None and abs(mean - prev) <= _QUAD_REL_TOL * (1.0 + abs(mean)):
-            return mean, var
-        prev = mean
-        panels *= 2
-    raise NumericError(
-        f"quadrature did not converge below {_QUAD_REL_TOL} within {_QUAD_MAX_PANELS} panels"
-    )
+    z0 = moment(0, 0.0)
+    if z0 <= 0.0:
+        raise NumericError("posterior normalization underflowed")
+    mean = moment(1, _QUAD_REL_TOL * z0) / z0
+    return mean, max(moment(2, _QUAD_REL_TOL * z0) / z0 - mean * mean, 0.0)
 
 
 def fam_volatility(cfg: RapConfig, t: float, i_t: float, x_observed) -> float:

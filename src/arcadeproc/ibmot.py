@@ -41,6 +41,7 @@ from .coupling import (
     AffineBranchKernel,
     CouplingKernel,
     DiscreteMarginal,
+    _call_values,
     _special,
     convex_order_report,
 )
@@ -179,18 +180,10 @@ class IbmotProblem:
     def constraint_matrix(self) -> tuple[np.ndarray, np.ndarray]:
         """Equality system of the martingale transport polytope (vars pi_ij)."""
         m, n = self.shape
-        x, yv = self.mu.values, self.nu.values
-        a = np.zeros((2 * m + n, m * n))
-        b = np.zeros(2 * m + n)
-        for i in range(m):
-            a[i, i * n: (i + 1) * n] = 1.0
-            b[i] = self.mu.weights[i]
-        for j in range(n):
-            a[m + j, j::n] = 1.0
-            b[m + j] = self.nu.weights[j]
-        for i in range(m):
-            a[m + n + i, i * n: (i + 1) * n] = yv - x[i]
-        return a, b
+        rows = np.kron(np.eye(m), np.ones(n))            # row i: the mass of row i
+        bary = np.where(rows > 0.0, np.tile(self.nu.values, m) - self.mu.values[:, None], 0.0)
+        a = np.vstack([rows, np.tile(np.eye(n), m), bary])
+        return a, np.concatenate([self.mu.weights, self.nu.weights, np.zeros(m)])
 
     def config_dict(self) -> dict:
         return {"mu": self.mu.config_dict(), "nu": self.nu.config_dict(),
@@ -575,8 +568,7 @@ def _components(problem: IbmotProblem):
     x, mu_w = problem.mu.values, problem.mu.weights
     y, nu_w = problem.nu.values, problem.nu.weights
     kinks = np.union1d(x, y)
-    slack = (np.maximum(y[None, :] - kinks[:, None], 0.0) @ nu_w
-             - np.maximum(x[None, :] - kinks[:, None], 0.0) @ mu_w)
+    slack = _call_values(problem.nu, kinks) - _call_values(problem.mu, kinks)
     cuts = kinks[slack <= _TOUCH * (y[-1] - y[0])]
     point = np.isin(x, cuts)
     if point.any():
@@ -761,26 +753,16 @@ def discretize_affine_kernel(kernel: CouplingKernel, m_atoms: int
     if len(kernel.steps) != 1 or not isinstance(kernel.steps[0], AffineBranchKernel):
         raise ConfigError("discretization helper expects a one-step affine-branch kernel")
     mu = kernel.initial.discretize(m_atoms)
-    step = kernel.steps[0]
-    pairs: dict[float, int] = {}
-    y_all: list[float] = []
-    entries = []
-    for i, x in enumerate(mu.values):
-        for a_sl, c_ic, p in step.branches:
-            yv = float(a_sl * x + c_ic)
-            if yv not in pairs:
-                pairs[yv] = len(y_all)
-                y_all.append(yv)
-            entries.append((i, pairs[yv], p))
-    order = np.argsort(y_all)
-    remap = {old: new for new, old in enumerate(order)}
-    y_sorted = np.asarray(y_all, dtype=float)[order]
-    gamma = np.zeros((mu.values.size, y_sorted.size))
-    for i, j, p in entries:
-        gamma[i, remap[j]] += p
+    slope, icept, prob = np.asarray(kernel.steps[0].branches).T
+    m = mu.values.size
+    y, col = np.unique((np.multiply.outer(mu.values, slope) + icept).ravel(),
+                       return_inverse=True)
+    gamma = np.zeros((m, y.size))
+    # unbuffered, in row-then-branch order: a repeated (row, value) sums as the loop did
+    np.add.at(gamma, (np.repeat(np.arange(m), prob.size), col.ravel()), np.tile(prob, m))
     nu_w = mu.weights @ gamma
     keep = nu_w > 0
-    nu = DiscreteMarginal(y_sorted[keep], nu_w[keep])
+    nu = DiscreteMarginal(y[keep], nu_w[keep])
     gamma = gamma[:, keep]
     problem = IbmotProblem(mu, nu, horizon=1.0)
     ex2 = float(mu.weights @ (gamma @ (nu.values ** 2)))

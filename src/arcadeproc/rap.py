@@ -29,11 +29,12 @@ from .arcade import (
     build_ap_paths,
     markov_factorization_check,
 )
-from .coupling import CouplingKernel
+from .coupling import CouplingKernel, _nearest
 from .drivers import (
     _VAR_FLOOR,
     GaussMarkovDriver,
     PathBundle,
+    _cholesky_draw,
     _driver_blocks,
     _stack_blocks,
     brownian_driver,
@@ -295,7 +296,7 @@ def mimic_process(target: PathBundle, p: Partition,
     the per-path sup distance is measured across the partition grid.
     ``noise_scale`` rescales the arcade (0 turns the noise off).
     """
-    idx = _locate_nodes(target.grid, p.grid)
+    idx = _nearest(target.grid, p.grid, 1e-9, "target grid does not refine the partition grid")
     y_nodes = target.values[:, idx]                     # (P, K)
     x = y_nodes[:, p.date_indices]                      # (P, n+1)
     coeffs = piecewise_linear_coefficients(p)
@@ -316,17 +317,6 @@ def mimic_process(target: PathBundle, p: Partition,
     return MimicResult(bundle, x, sup)
 
 
-def _locate_nodes(fine: np.ndarray, coarse: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(fine, coarse)
-    idx = np.clip(idx, 0, fine.size - 1)
-    left = np.clip(idx - 1, 0, fine.size - 1)
-    use_left = np.abs(fine[left] - coarse) < np.abs(fine[idx] - coarse)
-    idx = np.where(use_left, left, idx)
-    if np.max(np.abs(fine[idx] - coarse)) > 1e-9:
-        raise ConfigError("target grid does not refine the partition grid")
-    return idx
-
-
 def fbm_paths(grid: Sequence[float], n_paths: int, seed: int,
               hurst: float = 0.75) -> PathBundle:
     """Fractional Brownian paths by dense Cholesky (mimicry demo plumbing)."""
@@ -336,13 +326,7 @@ def fbm_paths(grid: Sequence[float], n_paths: int, seed: int,
         g[:, None] ** two_h + g[None, :] ** two_h
         - np.abs(g[:, None] - g[None, :]) ** two_h
     )
-    active = g > 0
-    chol = np.zeros((g.size, g.size))
-    idx = np.where(active)[0]
-    sub = cov[np.ix_(idx, idx)] + 1e-12 * np.eye(idx.size)
-    chol[np.ix_(idx, idx)] = np.linalg.cholesky(sub)
-    rng = stream_rng(seed, "fbm")
-    vals = rng.standard_normal((n_paths, g.size)) @ chol.T
+    vals = _cholesky_draw(cov, g > 0, 1e-12, stream_rng(seed, "fbm"), n_paths)
     meta = {"kind": "fbm", "hurst": hurst}
     return PathBundle(grid=g, values=vals, seed=seed, meta=meta)
 

@@ -6,13 +6,14 @@ auditable:
 
 * stream "D" drives Gauss-Markov path noise,
 * stream "X" draws target random vectors,
-* further labels ("fbm", ...) are used by demos.
+* stream "fbm" draws the fractional Brownian paths of the mimicry demo.
 
 A stream is a ``numpy.random.Generator`` seeded with
 ``SeedSequence(entropy=seed, spawn_key=(label_code, block))``, where
 ``label_code`` is the fixed byte code of the label below and ``block`` is a
 path-block index.  Distinct labels or blocks therefore never share state,
-which guarantees the independence of target draws from driver noise.
+which guarantees the independence of target draws from driver noise.  Any
+other label is a ``KeyError``.
 
 Draw layout.  Stream "D" of a block is read row-wise by the date-first
 sampler: ``n+1`` rows for the driver at the dates, then one row per interior
@@ -31,22 +32,14 @@ _LABEL_CODES = {
     "D": 0x44,
     "X": 0x58,
     "fbm": 0xF1,
-    "misc": 0x99,
 }
 
 _MASK64 = (1 << 64) - 1
 
 
 def label_code(label: str) -> int:
-    """Return the stable integer code of a stream label."""
-    try:
-        return _LABEL_CODES[label]
-    except KeyError:
-        # Unknown labels hash deterministically from their bytes.
-        code = 0
-        for b in label.encode("utf-8"):
-            code = (code * 257 + b + 1) & _MASK64
-        return code
+    """Return the fixed integer code of a stream label (``KeyError`` for an unknown one)."""
+    return _LABEL_CODES[label]
 
 
 def stream_rng(seed: int, label: str, block: int = 0) -> np.random.Generator:

@@ -219,6 +219,24 @@ class TestMarkovCheck:
             rep = markov_factorization_check(cfg, tol=1e-8)
             assert rep.passed, f"dates {dates}: residual {rep.max_triple_residual}"
 
+    @pytest.mark.parametrize("coeffs, dates, steps", [
+        (piecewise_linear_coefficients, (0.0, 2.0, 4.0, 6.0, 8.0, 10.0), 40),
+        (lagrange_coefficients, (0.0, 1.0, 2.0), 16),
+    ], ids=["stitched_ap", "lagrange"])
+    def test_triple_residual_matches_the_loop(self, coeffs, dates, steps):
+        p = Partition(dates, steps)
+        cfg = ArcadeConfig(brownian_driver(), coeffs(p))
+        want = 0.0
+        for m in range(p.n_arcs):
+            pts = p.dates[m] + (p.dates[m + 1] - p.dates[m]) * np.arange(1, 8) / 8
+            k = ap_cov(cfg, pts[:, None], pts[None, :])
+            for a in range(7):
+                for b in range(a, 6):
+                    for c in range(b + 1, 7):
+                        lhs, rhs = k[a, c] * k[b, b], k[a, b] * k[b, c]
+                        want = max(want, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-14))
+        assert markov_factorization_check(cfg).max_triple_residual == want
+
     def test_standard_factorization_identity(self, ou_unit):
         # K_A(s,t) = [f_{m+1}(s) H2(T_{m+1})] x [(H1/H2)(T_{m+1}) H2(t) - H1(t)]
         p = Partition((0.0, 1.0, 2.0, 3.0), 16)

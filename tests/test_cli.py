@@ -367,6 +367,19 @@ class TestCheck:
         assert rc == EXIT_OK
         assert json.loads((out / "check.json").read_text())["martingale"] is True
 
+    def test_kernel_rows_follow_unsorted_atoms(self, tmp_path):
+        written = {"kind": "kernel", "coupling": {
+            "atoms_mu": [[1.0, 0.5], [-1.0, 0.5]], "values_nu": [-2.0, 0.0, 2.0],
+            "gamma": [[0.0, 0.5, 0.5], [0.5, 0.5, 0.0]]}}
+        in_order = {"kind": "kernel", "coupling": {
+            "atoms_mu": [[-1.0, 0.5], [1.0, 0.5]], "values_nu": [-2.0, 0.0, 2.0],
+            "gamma": [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]}}
+        (rc1, out1), (rc2, out2) = (_run(tmp_path, name, doc, "check")
+                                    for name, doc in (("rev", written), ("fwd", in_order)))
+        assert rc1 == rc2 == EXIT_OK
+        assert (out1 / "check.json").read_bytes() == (out2 / "check.json").read_bytes()
+        assert json.loads((out1 / "check.json").read_text())["martingale"] is True
+
     def test_convex_order_validator(self, tmp_path):
         doc = {"kind": "convex_order",
                "mu": {"dist": "uniform", "lo": -1, "hi": 1, "atoms": 21},
@@ -574,6 +587,48 @@ class TestPathCounts:
         rc, out = _run(tmp_path, "nofiles", doc, "fam")
         assert rc == EXIT_OK
         assert json.loads((out / "diagnostics.json").read_text())["path_files"] == []
+
+
+class TestConfigKeys:
+    """A key that no reader of its section reads is a config error (exit 2)
+    naming the key and the section, and a section that is present is run,
+    even when empty."""
+
+    FAM = json.loads((CONFIGS / "fam_tanh.json").read_text())
+    IBMOT = {"mu": [[-1.0, 0.5], [1.0, 0.5]], "nu": [[-2.0, 0.25], [0.0, 0.5], [2.0, 0.25]],
+             "T": 1.0, "seed": 4}
+
+    @pytest.mark.parametrize("command, doc, key, where", [
+        ("simulate", {**BASE_AP, "checks": {"markv": True}}, "markv", "'checks'"),
+        ("ibmot", {**IBMOT, "mc_check": {"coupling": {"preset": "binary_pm1"}, "stepz": 5}},
+         "stepz", "'mc_check'"),
+        ("simulate", {**BASE_AP, "n_path": 12}, "n_path", "simulate ap config"),
+        ("check", {"kind": "kernel", "coupling": {"preset": "uniform_mot"}, "tol": 1e-9},
+         "tol", "check kernel config"),
+    ], ids=["checks.markv", "mc_check.stepz", "top_level.n_path", "check_kernel.tol"])
+    def test_unknown_key_is_config_error(self, tmp_path, capsys, command, doc, key, where):
+        rc, out = _run(tmp_path, "keys", doc, command)
+        assert rc == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "config"
+        assert repr(key) in err["error"]["message"] and where in err["error"]["message"]
+        assert not list(out.glob("*.json"))
+
+    def test_empty_isometry_section_runs_the_default_check(self, tmp_path):
+        assert self.FAM["isometry"] == {"n_paths": 20000}
+        (rc1, out1), (rc2, out2) = (_run(tmp_path, name, doc, "fam", "--paths", "4")
+                                    for name, doc in (("set", self.FAM),
+                                                      ("empty", {**self.FAM, "isometry": {}})))
+        assert rc1 == rc2 == EXIT_OK
+        assert "isometry" in json.loads((out2 / "diagnostics.json").read_text())
+        assert (out1 / "diagnostics.json").read_bytes() == (out2 / "diagnostics.json").read_bytes()
+
+    def test_empty_mc_check_section_needs_a_coupling(self, tmp_path, capsys):
+        rc, out = _run(tmp_path, "mc", {**self.IBMOT, "mc_check": {}}, "ibmot")
+        assert rc == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert "'coupling'" in err["error"]["message"]
+        assert not (out / "solution.json").exists()
 
 
 class TestColdStart:

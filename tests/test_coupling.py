@@ -14,6 +14,7 @@ from arcadeproc import (
     uniform_marginal,
 )
 from arcadeproc.coupling import (
+    _PRESET_FACTORIES,
     AffineBranchKernel,
     CouplingKernel,
     DeterministicAffineKernel,
@@ -201,6 +202,35 @@ class TestKernels:
         kern = DiscreteRowKernel(x, y, gamma)
         resid = kern.martingale_residual(x)
         assert resid == pytest.approx(0.0, abs=1e-12)
+
+    def test_catalog_holds_every_preset_at_its_defaults(self):
+        # the two-arc chain is named for its arc count
+        assert list(builtin_kernels()) == [
+            "binary_chain_2" if name == "binary_chain" else name for name in _PRESET_FACTORIES]
+        assert "binary_chain_2" in builtin_kernels()
+
+    def test_unsorted_x_values_rejected(self):
+        # searchsorted needs increasing atoms: an unsorted kernel could not find its own
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            DiscreteRowKernel(np.array([1.0, -1.0]), np.array([-2.0, 0.0, 2.0]),
+                              np.array([[0.0, 0.5, 0.5], [0.5, 0.5, 0.0]]))
+
+    def test_json_rows_follow_their_atoms(self):
+        written = {"atoms_mu": [[1.0, 0.5], [-1.0, 0.5]], "values_nu": [-2.0, 0.0, 2.0],
+                   "gamma": [[0.0, 0.5, 0.5], [0.5, 0.5, 0.0]]}
+        sorted_doc = {"atoms_mu": [[-1.0, 0.5], [1.0, 0.5]], "values_nu": [-2.0, 0.0, 2.0],
+                      "gamma": [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]}
+        kern, want = kernel_from_json(written), kernel_from_json(sorted_doc)
+        assert kern.martingale and want.martingale
+        assert kern.config_dict() == want.config_dict()
+
+    @pytest.mark.parametrize("doc", [
+        {"preset": "binary_pm1", "param": {}},
+        {"atoms_mu": [[0.0, 1.0]], "values_nu": [0.0], "gamma": [[1.0]], "gama": [[1.0]]},
+    ], ids=["preset", "explicit"])
+    def test_unknown_key_rejected(self, doc):
+        with pytest.raises(ConfigError, match="unknown keys"):
+            kernel_from_json(doc)
 
     def test_martingale_flag_is_verified_not_trusted(self):
         x = np.array([-1.0, 1.0])

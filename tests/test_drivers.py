@@ -74,6 +74,11 @@ class TestCovariance:
 
 
 class TestSimulation:
+    def test_unknown_stream_label_raises(self):
+        # labels map to fixed codes; none is derived from an unlisted name
+        with pytest.raises(KeyError):
+            stream_rng(1, "misc")
+
     def test_brownian_unit_variance(self):
         p = Partition((0.0, 1.0), 10)
         bundle = simulate_driver(brownian_driver(), p, 100_000, seed=1)

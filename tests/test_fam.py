@@ -112,6 +112,13 @@ class TestContinuousFilter:
         oracle = np.trapezoid(like * ys, ys) / np.trapezoid(like, ys)
         assert mean == pytest.approx(oracle, abs=1e-6)
 
+    def test_zero_posterior_mean(self, unit_partition):
+        # the first moment is 0 here, so it needs an absolute bound as well
+        cfg = _bridge_rap(unit_partition, gaussian_n01_kernel())
+        mean, var = fam_filter_continuous(cfg, 0.5, 0.0, [0.0])
+        assert abs(mean) <= 1e-12
+        assert abs(var - 0.5) <= 1e-9
+
     def test_boundary(self, unit_partition):
         cfg = _bridge_rap(unit_partition, gaussian_n01_kernel())
         mean, var = fam_filter_continuous(cfg, 0.0, 5.0, [0.7])

@@ -216,6 +216,45 @@ class TestProblem:
                 IbmotOptions(**bad)
 
 
+    def test_constraint_matrix_matches_the_loop_construction(self):
+        mu = DiscreteMarginal(np.asarray([-0.5, 0.1, 0.4]), np.asarray([0.3, 0.3, 0.4]))
+        nu = DiscreteMarginal(np.asarray([-2.0, -0.3, 0.6, 1.5]),
+                              np.asarray([0.1, 0.4, 0.3, 0.2]))
+        problem = IbmotProblem(mu, nu, 1.0, validate=False)   # the system needs no order
+        m, n = problem.shape
+        want_a, want_b = np.zeros((2 * m + n, m * n)), np.zeros(2 * m + n)
+        for i in range(m):
+            want_a[i, i * n: (i + 1) * n] = 1.0
+            want_b[i] = mu.weights[i]
+            want_a[m + n + i, i * n: (i + 1) * n] = nu.values - mu.values[i]
+        for j in range(n):
+            want_a[m + j, j::n] = 1.0
+            want_b[m + j] = nu.weights[j]
+        a, b = problem.constraint_matrix()
+        assert (a.shape, a.tobytes(), b.tobytes()) == (want_a.shape, want_a.tobytes(),
+                                                       want_b.tobytes())
+
+
+def _discretize_affine_loop(kernel, m_atoms):
+    """The dict-and-loop construction ``discretize_affine_kernel`` replaced."""
+    mu = kernel.initial.discretize(m_atoms)
+    pairs, y_all, entries = {}, [], []
+    for i, x in enumerate(mu.values):
+        for a_sl, c_ic, p in kernel.steps[0].branches:
+            yv = float(a_sl * x + c_ic)
+            if yv not in pairs:
+                pairs[yv] = len(y_all)
+                y_all.append(yv)
+            entries.append((i, pairs[yv], p))
+    order = np.argsort(y_all)
+    remap = {old: new for new, old in enumerate(order)}
+    gamma = np.zeros((mu.values.size, len(y_all)))
+    for i, j, p in entries:
+        gamma[i, remap[j]] += p
+    keep = mu.weights @ gamma > 0
+    return np.asarray(y_all)[order][keep], gamma[:, keep]
+
+
 class TestLpOracle:
     def test_point_polytope(self):
         mu = DiscreteMarginal(np.asarray([0.0]), np.asarray([1.0]))
@@ -599,6 +638,12 @@ class TestMcCrossChecks:
     def test_uniform_mot_estimators_agree(self):
         mc = ibmot_objective_mc(uniform_mot_kernel(), 1.0, 20_000, seed=1, steps=500)
         assert abs(mc.diff) <= 3.0 * mc.diff_se
+
+    def test_discretization_matches_the_loop_construction(self):
+        problem, gamma, _ = discretize_affine_kernel(uniform_mot_kernel(), 200)
+        y, want = _discretize_affine_loop(uniform_mot_kernel(), 200)
+        assert problem.nu.values.tobytes() == y.tobytes()
+        assert (gamma.shape, gamma.tobytes()) == (want.shape, want.tobytes())
 
     def test_quantile_upper_bounds_mc(self):
         problem, gamma, ex2 = discretize_affine_kernel(uniform_mot_kernel(), 200)
