@@ -1,13 +1,14 @@
 """Target random vectors: marginals, couplings, convex order, sampling.
 
 A coupling is modelled as a Markov chain in the targets: an initial marginal
-for ``X_0`` plus one conditional step kernel per arc.  Step kernels expose
-their conditional law given the current value either as atoms (discrete and
-affine-branch kernels) or as a Gaussian, which is exactly what the filtering
-layer needs.  Martingale flags are verified, never trusted.
+for ``X_0`` plus one conditional step kernel per arc.  A step kernel's
+conditional law given the current value is atoms (``atoms_given``) or a
+Gaussian (``gaussian_given``), and the filters, the sampler, the probe walk
+that verifies martingale flags (never trusted), the pushforward and the
+suffix enumeration all read it there.
 
 Sampling draws from the dedicated "X" stream so target draws are independent
-of driver noise by construction.
+of driver noise by construction; :mod:`arcadeproc.streams` gives the layout.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ __all__ = [
 ]
 
 _W_TOL = 1e-12
-_MG_TOL = 1e-9
+_MG_TOL = 1e-9              # martingale residual a verified flag allows
+_MERGE_TOL = 1e-12          # relative gap below which pushforward atoms merge
 
 
 @functools.cache
@@ -90,7 +92,10 @@ class DiscreteMarginal:
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[Sequence[float]]) -> "DiscreteMarginal":
+        """The law of ``[value, weight]`` pairs in any order; ``ConfigError`` for another shape."""
         arr = np.asarray(pairs, dtype=float)
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise ConfigError(f"a discrete law needs [value, weight] pairs, got shape {arr.shape}")
         order = np.argsort(arr[:, 0])
         return cls(arr[order, 0], arr[order, 1])
 
@@ -197,7 +202,24 @@ class GaussianMarginal:
         return self.mu + math.sqrt(self.var) * rng.standard_normal(n)
 
     def discretize(self, m: int, method: str = "cell_mean") -> DiscreteMarginal:
-        return gaussian_marginal(self.mu, self.var, m, method)
+        """Equal-weight m-point discretization.
+
+        ``cell_mean`` places each atom at the conditional mean of its
+        probability cell, which preserves the mean exactly and keeps second
+        moments much closer to the continuous law than mid-quantile atoms;
+        ``midpoint`` uses the (k - 1/2)/m quantiles.
+        """
+        if m < 1:
+            raise ConfigError("need at least one atom")
+        if method == "midpoint":
+            z = _special().ndtri((np.arange(m) + 0.5) / m)
+        elif method == "cell_mean":                 # the pdf at the cell edges, 0 at +-inf
+            phi = np.exp(-0.5 * _special().ndtri(np.arange(m + 1) / m) ** 2)
+            phi /= math.sqrt(2 * math.pi)
+            z = m * (phi[:-1] - phi[1:])
+        else:
+            raise ConfigError(f"unknown discretization method {method!r}")
+        return DiscreteMarginal(self.mu + math.sqrt(self.var) * z, np.full(m, 1.0 / m))
 
     def config_dict(self) -> dict:
         return {"dist": "normal", "mean": self.mu, "var": self.var}
@@ -239,29 +261,8 @@ def uniform_marginal(lo: float, hi: float, m: int) -> DiscreteMarginal:
 
 
 def gaussian_marginal(mu: float, var: float, m: int, method: str = "cell_mean") -> DiscreteMarginal:
-    """Equal-weight m-point discretization of N(mu, var).
-
-    ``cell_mean`` places each atom at the conditional mean of its probability
-    cell, which preserves the mean exactly and keeps second moments much
-    closer to the continuous law than mid-quantile atoms; ``midpoint`` uses
-    the (k - 1/2)/m quantiles.
-    """
-    if m < 1:
-        raise ConfigError("need at least one atom")
-    GaussianMarginal(mu, var)       # rejects a negative or non-finite var
-    sd = math.sqrt(var)
-    if method == "midpoint":
-        z = _special().ndtri((np.arange(m) + 0.5) / m)
-    elif method == "cell_mean":
-        edges = np.arange(m + 1) / m
-        zed = np.empty(m + 1)
-        zed[0], zed[-1] = -np.inf, np.inf
-        zed[1:-1] = _special().ndtri(edges[1:-1])
-        phi = np.where(np.isfinite(zed), np.exp(-0.5 * zed ** 2) / math.sqrt(2 * math.pi), 0.0)
-        z = m * (phi[:-1] - phi[1:])
-    else:
-        raise ConfigError(f"unknown discretization method {method!r}")
-    return DiscreteMarginal(mu + sd * z, np.full(m, 1.0 / m))
+    """Equal-weight m-point discretization of N(mu, var) (:meth:`GaussianMarginal.discretize`)."""
+    return GaussianMarginal(mu, var).discretize(m, method)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +275,15 @@ class StepKernel:
     conditional_kind = "atoms"  # or "gaussian"
 
     def sample(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError
+        """One draw from :meth:`atoms_given` per entry of ``x``: one uniform each, which
+        picks the first atom whose normalized cumulative weight exceeds it, as
+        ``Generator.choice(p=...)`` does.  Gaussian and deterministic kernels override it."""
+        values, probs = self.atoms_given(np.asarray(x, dtype=float))
+        cum = np.cumsum(probs, axis=-1)
+        cum /= cum[..., -1:]
+        u = rng.random(cum.shape[:-1])
+        pick = np.count_nonzero(cum <= u[..., None], axis=-1)
+        return np.take_along_axis(values, pick[..., None], axis=-1)[..., 0]
 
     def atoms_given(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Return (values, probs) with shape (len(x), n_atoms)."""
@@ -340,14 +349,6 @@ class DiscreteRowKernel(StepKernel):
         return _nearest(self.x_values, x, 1e-9 * max(1.0, float(np.max(np.abs(self.x_values)))),
                         "conditioning value is not an atom of the kernel")
 
-    def sample(self, x, rng):
-        x = np.asarray(x, dtype=float)
-        rows = self.gamma[self._row_index(x)]
-        u = rng.random(x.size)
-        cum = np.cumsum(rows, axis=1)
-        pick = (u[:, None] > cum).sum(axis=1)
-        return self.y_values[np.clip(pick, 0, self.y_values.size - 1)]
-
     def atoms_given(self, x):
         x = np.asarray(x, dtype=float)
         rows = self.gamma[self._row_index(x)]
@@ -377,14 +378,6 @@ class AffineBranchKernel(StepKernel):
         if any(p <= 0 for _, _, p in br):
             raise ConfigError("branch probabilities must be positive")
         object.__setattr__(self, "branches", br)
-
-    def sample(self, x, rng):
-        x = np.asarray(x, dtype=float)
-        probs = np.asarray([p for _, _, p in self.branches])
-        pick = rng.choice(len(self.branches), size=x.size, p=probs)
-        slopes = np.asarray([a for a, _, _ in self.branches])[pick]
-        icepts = np.asarray([c for _, c, _ in self.branches])[pick]
-        return slopes * x + icepts
 
     def atoms_given(self, x):
         x = np.asarray(x, dtype=float)
@@ -419,15 +412,6 @@ class GaussianStepKernel(StepKernel):
         x = np.asarray(x, dtype=float)
         return self.slope * x + self.intercept, float(self.var)
 
-    def density_given(self, x: float):
-        mean = self.slope * x + self.intercept
-        var = self.var
-
-        def pdf(y):
-            return np.exp(-0.5 * (np.asarray(y) - mean) ** 2 / var) / math.sqrt(2 * math.pi * var)
-
-        return pdf, mean, var
-
     def config_dict(self):
         return {"kind": "gaussian_step", "var": self.var,
                 "slope": self.slope, "intercept": self.intercept}
@@ -461,9 +445,6 @@ class IndependentStepKernel(StepKernel):
 
     marginal: DiscreteMarginal
 
-    def sample(self, x, rng):
-        return self.marginal.sample(np.asarray(x).size, rng)
-
     def atoms_given(self, x):
         x = np.asarray(x, dtype=float)
         shape = x.shape + (self.marginal.values.size,)
@@ -485,7 +466,7 @@ class CouplingKernel:
     initial: object
     steps: tuple[StepKernel, ...]
     name: str = "custom"
-    martingale: bool = field(default=False)
+    martingale: bool = field(init=False)        # verified, never passed in
 
     def __post_init__(self):
         if not self.steps:
@@ -497,36 +478,27 @@ class CouplingKernel:
     def n_targets(self) -> int:
         return len(self.steps) + 1
 
-    def _probe_values(self) -> np.ndarray:
-        init = self.initial
-        if isinstance(init, DiscreteMarginal):
-            return init.values
-        if isinstance(init, DegenerateMarginal):
-            return np.asarray([init.value])
-        qs = np.linspace(0.005, 0.995, 41)
-        return np.asarray(init.quantile(qs), dtype=float)
-
-    def verify_martingale(self, tol: float = _MG_TOL) -> bool:
-        """Check ``E[X_{k+1} | X_k = x] = x`` on probe values, step by step."""
-        probe = self._probe_values()
+    def verify_martingale(self) -> bool:
+        """Check ``E[X_{k+1} | X_k = x] = x`` to ``_MG_TOL`` on probe values,
+        step by step: the atoms of a discrete ``X_0`` (else 41 of its
+        quantiles), then the atoms each atom-valued step reaches from them;
+        a Gaussian step keeps the probes."""
+        if isinstance(self.initial, DiscreteMarginal):
+            probe = self.initial.values
+        else:
+            probe = np.asarray(self.initial.quantile(np.linspace(0.005, 0.995, 41)), dtype=float)
         for step in self.steps:
             try:
-                if step.martingale_residual(probe) > tol:
+                if step.martingale_residual(probe) > _MG_TOL:
                     return False
+                if step.conditional_kind == "atoms":
+                    probe = np.unique(step.atoms_given(probe)[0])
             except ConfigError:
                 return False
-            # propagate probes through deterministic/affine maps where cheap
-            if isinstance(step, DeterministicAffineKernel):
-                probe = step.slope * probe + step.intercept
-            elif isinstance(step, DiscreteRowKernel):
-                probe = step.y_values
-            elif isinstance(step, AffineBranchKernel):
-                vals = np.concatenate([a * probe + c for a, c, _ in step.branches])
-                probe = np.unique(vals)
-            # Gaussian steps keep the same probe grid
         return True
 
     def sample(self, n_samples: int, seed: int, block: int = 0) -> np.ndarray:
+        """``n_samples`` draws of ``(X_0, ..., X_n)`` from stream "X" of ``block``."""
         rng = stream_rng(seed, "X", block)
         out = np.empty((n_samples, self.n_targets))
         out[:, 0] = self.initial.sample(n_samples, rng)
@@ -573,13 +545,12 @@ class CouplingKernel:
         }
 
 
-def _merge_atoms(values: np.ndarray, weights: np.ndarray,
-                 tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def _merge_atoms(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(values)
     v, w = values[order], weights[order]
     out_v, out_w = [v[0]], [w[0]]
     for vi, wi in zip(v[1:], w[1:]):
-        if vi - out_v[-1] <= tol * max(1.0, abs(vi)):
+        if vi - out_v[-1] <= _MERGE_TOL * max(1.0, abs(vi)):
             out_w[-1] += wi
         else:
             out_v.append(vi)
@@ -702,21 +673,12 @@ def deterministic_kernel(value: float = 0.0, n_arcs: int = 1) -> CouplingKernel:
 
 
 def comonotone_kernel(mu: DiscreteMarginal, nu: DiscreteMarginal) -> CouplingKernel:
-    """Northwest-corner quantile coupling of two discrete marginals."""
-    m, n = mu.values.size, nu.values.size
-    gamma = np.zeros((m, n))
-    remaining_mu = mu.weights.copy()
-    remaining_nu = nu.weights.copy()
-    i = j = 0
-    while i < m and j < n:
-        mass = min(remaining_mu[i], remaining_nu[j])
-        gamma[i, j] += mass
-        remaining_mu[i] -= mass
-        remaining_nu[j] -= mass
-        if remaining_mu[i] <= 1e-15:
-            i += 1
-        if j < n and remaining_nu[j] <= 1e-15:
-            j += 1
+    """Quantile coupling of two discrete marginals: atom ``(i, j)`` carries
+    the overlap of the CDF cells ``[F_mu(i-1), F_mu(i)]`` and
+    ``[F_nu(j-1), F_nu(j)]``."""
+    f_mu, f_nu = (np.concatenate([[0.0], np.cumsum(law.weights)]) for law in (mu, nu))
+    gamma = np.maximum(np.minimum.outer(f_mu[1:], f_nu[1:])
+                       - np.maximum.outer(f_mu[:-1], f_nu[:-1]), 0.0)
     gamma /= gamma.sum(axis=1, keepdims=True)
     step = DiscreteRowKernel(mu.values, nu.values, gamma)
     return CouplingKernel(mu, (step,), name="comonotone")
@@ -751,12 +713,12 @@ def kernel_from_json(doc: dict) -> CouplingKernel:
         return call_preset("coupling", _PRESET_FACTORIES, doc["preset"], doc.get("params", {}))
     if "atoms_mu" in doc:
         check_keys(doc, ("atoms_mu", "values_nu", "gamma"), "coupling")
-        pairs = np.asarray(doc["atoms_mu"], dtype=float)
+        mu = DiscreteMarginal.from_pairs(doc["atoms_mu"])
         gamma = np.asarray(doc["gamma"], dtype=float)
-        if pairs.ndim != 2 or pairs.shape[1] != 2 or gamma.shape[:1] != pairs.shape[:1]:
+        if gamma.shape[:1] != mu.values.shape:
             raise ConfigError("atoms_mu must hold one [value, weight] pair per row of gamma")
-        order = np.argsort(pairs[:, 0])
-        mu = DiscreteMarginal(pairs[order, 0], pairs[order, 1])
+        # row r of gamma belongs to the r-th written pair, which from_pairs sorted
+        order = np.argsort(np.asarray(doc["atoms_mu"], dtype=float)[:, 0])
         step = DiscreteRowKernel(mu.values, np.asarray(doc["values_nu"], dtype=float),
                                  gamma[order])
         return CouplingKernel(mu, (step,), name="discrete_kernel")

@@ -16,7 +16,11 @@ The module also produces the martingale's volatility coefficient
 ``Var[X | .] * sqrt(H1' H2 - H1 H2') / (H1(T_{m+1}) H2(t) - H1(t) H2(T_{m+1}))``,
 the innovations Brownian motion recovered from the paths, and a Monte Carlo
 isometry check tying ``E[(X_n - X_0)^2]`` to the integrated squared
-volatility.
+volatility.  The formula is the nearly-Markov one (``L = 1``): on a
+full-conditioning arc the march's volatility column is the same fold of the
+posterior variance of ``X_n``, which is not the FAM volatility there (its
+``Var[X_n | F_t]`` does not vanish at the arc's end), and
+:func:`fam_volatility` raises ``ConfigError``.
 
 Along simulated paths the filter and the innovations reconstruction are one
 forward march over blocks of grid nodes (:func:`_march`).  A block is a
@@ -55,7 +59,6 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .arcade import ap_mean, ap_variance
-from .coupling import GaussianStepKernel
 from .drivers import _VAR_FLOOR, _arc_algebra, _block_nodes, _node_blocks
 from .errors import ConfigError, DegenerateError, DomainError, NumericError
 from .rap import RapConfig, _rap_blocks, build_rap_paths
@@ -254,6 +257,16 @@ def _arc_posterior(steps, x_prev, max_nodes: int = 1, with_variance: bool = True
 # Arc bookkeeping
 # ---------------------------------------------------------------------------
 
+def _suffix_length(cfg: RapConfig, arc: int) -> int:
+    """The number ``L`` of targets ``(X_{m+1}, ..., X_{m+L})`` the posterior
+    on arc ``m = arc`` conditions on: 1 where every later signal coefficient
+    ``g_{m+2}, ..., g_n`` vanishes (to 1e-12) at the arc's grid nodes, else
+    ``n - m`` (full conditioning)."""
+    steps = cfg.partition.steps_per_arc
+    later = cfg.signal.grid_values[arc + 2:, arc * steps:(arc + 1) * steps]
+    return 1 if np.all(np.abs(later) <= 1e-12) else cfg.partition.n_arcs - arc
+
+
 def _grid_algebra(cfg: RapConfig):
     """The driver's arc algebra at the nodes ``grid[:-1]`` the marches visit."""
     p = cfg.partition
@@ -302,7 +315,8 @@ class FamTrace:
 
     The path arrays are ``(paths, nodes)`` transposed views of C-contiguous
     ``(nodes, paths)`` buffers, like :attr:`PathBundle.values`; ``x`` holds
-    the targets, shape (paths, n+1).
+    the targets, shape (paths, n+1).  On a full-conditioning arc
+    ``vol_paths`` is not the FAM volatility (see the module docstring).
     """
 
     grid: np.ndarray
@@ -345,7 +359,9 @@ def fam_paths(cfg: RapConfig, n_paths: int, seed: int, block: int = 0,
     On an arc where every later signal coefficient vanishes the posterior is
     over the next target only; elsewhere it is over the chain's remaining
     targets (atom-valued kernels only), and the martingale is the posterior
-    mean of the last one.
+    mean of the last one.  There the volatility column applies the
+    nearly-Markov formula to that posterior's variance, which is not the
+    FAM volatility.
     """
     if with_innovations is None:
         with_innovations = cfg.standard
@@ -427,9 +443,6 @@ def _march(cfg: RapConfig, i_blocks, x: np.ndarray, with_innovations: bool,
     steps = p.steps_per_arc
     n = p.n_arcs
     gmat = cfg.signal.grid_values                   # (n+1, K)
-    # L = 1 on an arc where g_{m+2}, ..., g_n vanish at every node, else n - m
-    lengths = [1 if np.all(np.abs(gmat[arc + 2:, arc * steps:(arc + 1) * steps]) <= 1e-12)
-               else n - arc for arc in range(n)]
     var_a = np.asarray(ap_variance(cfg.arcade, p.grid), dtype=float)
     interior = np.arange(p.grid.size) % steps != 0
     degenerate = np.flatnonzero(interior & (var_a <= _VAR_FLOOR))
@@ -451,7 +464,8 @@ def _march(cfg: RapConfig, i_blocks, x: np.ndarray, with_innovations: bool,
     blocks = iter(i_blocks)
     start = 0
 
-    for arc, length in enumerate(lengths):
+    for arc in range(n):
+        length = _suffix_length(cfg, arc)
         posterior, work = _arc_posterior(cfg.coupling.steps[arc: arc + length], x[:, arc],
                                          _block_nodes(n_paths), with_volatility)
         g_suffix = gmat[arc + 1: arc + 1 + length]
@@ -518,15 +532,20 @@ def _filter_context(cfg: RapConfig, t: float, x_observed):
     return m, None, float(x_obs[m]), base, g, va
 
 
-def _next_target_posterior(cfg: RapConfig, m: int, x_m: float, resid: float, g, va: float):
-    """Posterior mean and variance of ``X_{m+1}`` at one point inside arc ``m``."""
-    posterior, _ = _arc_posterior(cfg.coupling.steps[m: m + 1], [x_m])
-    mean, var, _ = posterior(np.full((1, 1), resid), g[:1, None, None], np.full((1, 1), va))
+def _point_posterior(cfg: RapConfig, m: int, x_m: float, resid: float, g, va: float):
+    """Posterior mean and variance at one point inside arc ``m`` of the last
+    target of the suffix :func:`_march` conditions on there
+    (:func:`_suffix_length`)."""
+    length = _suffix_length(cfg, m)
+    posterior, _ = _arc_posterior(cfg.coupling.steps[m: m + length], [x_m])
+    mean, var, _ = posterior(np.full((1, 1), resid), g[:length, None, None], np.full((1, 1), va))
     return float(mean[0, 0]), float(var[0, 0])
 
 
 def fam_filter_discrete(cfg: RapConfig, t: float, i_t: float, x_observed) -> float:
-    """Posterior mean of the next target for atom-valued couplings.
+    """The martingale at ``t`` for atom-valued couplings, as :func:`_march`
+    computes it: the posterior mean of ``X_{m+1}``, or of ``X_n`` on an arc
+    where a later signal coefficient does not vanish (full conditioning).
 
     At a date the martingale equals the matching target exactly (boundary
     convention).  Interior evaluation requires positive noise variance.
@@ -536,7 +555,7 @@ def fam_filter_discrete(cfg: RapConfig, t: float, i_t: float, x_observed) -> flo
         return pinned
     if cfg.coupling.steps[m].conditional_kind != "atoms":
         raise ConfigError("discrete filter needs an atom-valued step kernel")
-    return _next_target_posterior(cfg, m, x_m, i_t - base, g, va)[0]
+    return _point_posterior(cfg, m, x_m, i_t - base, g, va)[0]
 
 
 def fam_filter_bruteforce(cfg: RapConfig, t: float, i_t: float, x_observed) -> float:
@@ -572,9 +591,10 @@ def fam_filter_continuous(cfg: RapConfig, t: float, i_t: float, x_observed) -> t
     if pinned is not None:
         return pinned, 0.0
     step = cfg.coupling.steps[m]
-    if not isinstance(step, GaussianStepKernel):
-        raise ConfigError("continuous filter needs a density-backed step kernel")
-    pdf, m0, v0 = step.density_given(x_m)
+    if step.conditional_kind != "gaussian" or _suffix_length(cfg, m) > 1:
+        raise ConfigError("continuous filter needs a Gaussian step kernel and a "
+                          "signal that reveals only the next target on the arc")
+    m0, v0 = step.gaussian_given(x_m)
     g_next = float(g[0])
     sd_like = math.sqrt(va) / abs(g_next) if abs(g_next) > 1e-300 else math.inf
     center_like = (i_t - base) / g_next if np.isfinite(sd_like) else m0
@@ -584,7 +604,8 @@ def fam_filter_continuous(cfg: RapConfig, t: float, i_t: float, x_observed) -> t
 
     def moment(power: int, epsabs: float) -> float:
         value, _, _, *failed = quad(
-            lambda y: pdf(y) * np.exp(-0.5 * (i_t - base - g_next * y) ** 2 / va) * y ** power,
+            lambda y: (np.exp(-0.5 * (y - m0) ** 2 / v0) / math.sqrt(2 * math.pi * v0)
+                       * np.exp(-0.5 * (i_t - base - g_next * y) ** 2 / va) * y ** power),
             lo, hi, epsabs=epsabs, epsrel=_QUAD_REL_TOL, full_output=1)
         if failed:
             raise NumericError(f"quadrature did not converge below {_QUAD_REL_TOL}: {failed[0]}")
@@ -598,15 +619,22 @@ def fam_filter_continuous(cfg: RapConfig, t: float, i_t: float, x_observed) -> t
 
 
 def fam_volatility(cfg: RapConfig, t: float, i_t: float, x_observed) -> float:
-    """Volatility coefficient ``Var[X | .] sqrt(h2(t)) / h3(t)`` at interior t."""
+    """Volatility coefficient ``Var[X_{m+1} | .] sqrt(h2(t)) / h3(t)`` at interior t.
+
+    The formula is the nearly-Markov one: on an arc where a later signal
+    coefficient does not vanish (full conditioning) it is a ``ConfigError``.
+    """
     m, pinned, x_m, base, g, va = _filter_context(cfg, t, x_observed)
     if pinned is not None:
         raise DomainError("volatility formula is undefined at the dates")
+    if _suffix_length(cfg, m) > 1:
+        raise ConfigError(f"the signal reveals targets ahead of arc {m}, where the "
+                          "volatility formula does not hold")
     alg = _arc_algebra(cfg.arcade.driver, cfg.partition.dates, m, t)
     h2, h3 = float(alg.qv), float(alg.right)
     if h3 <= _VAR_FLOOR:
         raise DomainError("volatility denominator vanishes at the arc endpoint")
-    pvar = _next_target_posterior(cfg, m, x_m, i_t - base, g, va)[1]
+    pvar = _point_posterior(cfg, m, x_m, i_t - base, g, va)[1]
     return pvar * math.sqrt(max(h2, 0.0)) / h3
 
 

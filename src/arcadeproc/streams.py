@@ -17,11 +17,14 @@ other label is a ``KeyError``.
 
 Draw layout.  Stream "D" of a block is read row-wise by the date-first
 sampler: ``n+1`` rows for the driver at the dates, then one row per interior
-grid node in time order, each row ``n_paths`` wide.  Stream "X" draws one
-``n_paths``-wide column per target, ``X_0`` first.  A path therefore depends
-on the path count of its block: the same seed with another ``n_paths`` (or
-another ``block_size`` in the Monte Carlo reducers) gives other paths, while
-a fixed seed, path count and block size reproduce every value exactly.
+grid node in time order, each row ``n_paths`` wide.  Stream "X" draws per
+target, ``X_0`` first, ``n_paths`` uniforms for a law with atoms or a uniform
+``X_0`` (one per path, read against the cumulative weights or scaled), as
+many standard normals for a Gaussian law, and nothing for a point-mass
+``X_0`` or a deterministic step.  A path therefore depends on the path
+count of its block: the same seed with another ``n_paths`` (or another
+``block_size`` in the Monte Carlo reducers) gives other paths, while a fixed
+seed, path count and block size reproduce every value exactly.
 """
 
 from __future__ import annotations

@@ -405,6 +405,17 @@ class TestCheck:
         assert word in err["error"]["message"]
         assert not (out / "check.json").exists()
 
+    @pytest.mark.parametrize("mu", [[1.0, 2.0], [[1.0, 0.5, 0.5]]], ids=["flat", "triple"])
+    def test_marginal_that_is_not_pairs_is_config_error(self, tmp_path, capsys, mu):
+        doc = {"kind": "convex_order", "mu": mu,
+               "nu": {"dist": "uniform", "lo": -2, "hi": 2, "atoms": 21}}
+        rc, out = _run(tmp_path, "chkpairs", doc, "check")
+        assert rc == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "config"
+        assert "[value, weight] pairs" in err["error"]["message"]
+        assert not (out / "check.json").exists()
+
     def test_unknown_uniform_method_is_config_error(self, tmp_path, capsys):
         # rejected as it is for a normal marginal, though both methods agree here
         doc = {"kind": "convex_order",

@@ -13,13 +13,18 @@ from arcadeproc import (
     sample_coupling,
     uniform_marginal,
 )
+from arcadeproc import coupling
 from arcadeproc.coupling import (
+    _MG_TOL,
     _PRESET_FACTORIES,
     AffineBranchKernel,
     CouplingKernel,
+    DegenerateMarginal,
     DeterministicAffineKernel,
     DiscreteRowKernel,
     GaussianMarginal,
+    GaussianStepKernel,
+    IndependentStepKernel,
     UniformMarginal,
     antithetic_pm1_chain,
     binary_pm1_kernel,
@@ -28,6 +33,7 @@ from arcadeproc.coupling import (
     convex_order_report,
     uniform_mot_kernel,
 )
+from arcadeproc.streams import stream_rng
 
 from conftest import assert_within_3se
 
@@ -333,3 +339,200 @@ class TestSampling:
     def test_affine_branch_probability_validation(self):
         with pytest.raises(ConfigError):
             AffineBranchKernel(((1.0, 0.0, 0.7), (1.0, 0.0, 0.2)))
+
+
+# ---------------------------------------------------------------------------
+# One conditional law per step kernel: references for the sampler, the probe
+# walk and the quantile coupling as each was written per class
+# ---------------------------------------------------------------------------
+
+def _per_class_step_sample(step, x, rng):
+    """The step samplers each kernel class carried before ``StepKernel.sample``."""
+    if isinstance(step, DiscreteRowKernel):
+        rows = step.gamma[step._row_index(x)]
+        u = rng.random(x.size)
+        pick = (u[:, None] > np.cumsum(rows, axis=1)).sum(axis=1)
+        return step.y_values[np.clip(pick, 0, step.y_values.size - 1)]
+    if isinstance(step, AffineBranchKernel):
+        pick = rng.choice(len(step.branches), size=x.size,
+                          p=np.asarray([p for _, _, p in step.branches]))
+        slopes = np.asarray([a for a, _, _ in step.branches])[pick]
+        return slopes * x + np.asarray([c for _, c, _ in step.branches])[pick]
+    if isinstance(step, IndependentStepKernel):
+        return step.marginal.sample(x.size, rng)
+    return step.sample(x, rng)                  # Gaussian and deterministic steps kept theirs
+
+
+def _per_class_sample(kernel, n, seed, block):
+    rng = stream_rng(seed, "X", block)
+    out = np.empty((n, kernel.n_targets))
+    out[:, 0] = kernel.initial.sample(n, rng)
+    for k, step in enumerate(kernel.steps):
+        out[:, k + 1] = _per_class_step_sample(step, out[:, k], rng)
+    return out
+
+
+def _isinstance_probe_walk(kernel):
+    """The martingale check's probe walk as an ``isinstance`` chain."""
+    init = kernel.initial
+    if isinstance(init, DiscreteMarginal):
+        probe = init.values
+    elif isinstance(init, DegenerateMarginal):
+        probe = np.asarray([init.value])
+    else:
+        probe = np.asarray(init.quantile(np.linspace(0.005, 0.995, 41)), dtype=float)
+    for step in kernel.steps:
+        try:
+            if step.martingale_residual(probe) > _MG_TOL:
+                return False
+        except ConfigError:
+            return False
+        if isinstance(step, DeterministicAffineKernel):
+            probe = step.slope * probe + step.intercept
+        elif isinstance(step, DiscreteRowKernel):
+            probe = step.y_values
+        elif isinstance(step, AffineBranchKernel):
+            probe = np.unique(np.concatenate([a * probe + c for a, c, _ in step.branches]))
+    return True
+
+
+def _northwest_corner(mu, nu):
+    """The quantile coupling's kernel rows by the northwest-corner loop."""
+    gamma = np.zeros((mu.values.size, nu.values.size))
+    rem_mu, rem_nu = mu.weights.copy(), nu.weights.copy()
+    i = j = 0
+    while i < mu.values.size and j < nu.values.size:
+        mass = min(rem_mu[i], rem_nu[j])
+        gamma[i, j] += mass
+        rem_mu[i] -= mass
+        rem_nu[j] -= mass
+        if rem_mu[i] <= 1e-15:
+            i += 1
+        if j < nu.values.size and rem_nu[j] <= 1e-15:
+            j += 1
+    return gamma / gamma.sum(axis=1, keepdims=True)
+
+
+_PM1 = DiscreteMarginal(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
+_PM1_WALK = AffineBranchKernel(((1.0, -1.0, 0.5), (1.0, 1.0, 0.5)))
+_TWO_GRID = np.array([-2.0, 0.0, 2.0])
+
+
+def _sampled_kernels():
+    third = 1.0 / 3.0
+    return {
+        **builtin_kernels(),
+        "comonotone_row": comonotone_kernel(gaussian_marginal(0.0, 1.0, 7),
+                                            gaussian_marginal(0.0, 2.0, 11)),
+        "three_branches": CouplingKernel(UniformMarginal(-1.0, 1.0), (AffineBranchKernel(
+            ((1.0, -1.0, third), (1.0, 0.0, third), (1.0, 1.0, third))),)),
+        "independent_step": CouplingKernel(_PM1, (IndependentStepKernel(DiscreteMarginal(
+            np.array([-2.0, 0.5, 3.0]), np.array([0.2, 0.7, 0.1]))),)),
+    }
+
+
+def _mixed_chains():
+    identity = DiscreteRowKernel(_TWO_GRID, _TWO_GRID, np.eye(3))
+    spread = DiscreteRowKernel(_TWO_GRID, np.array([-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0]),
+                               np.array([[0.5, 0, 0.5, 0, 0, 0, 0], [0, 0, 0.5, 0, 0.5, 0, 0],
+                                         [0, 0, 0, 0, 0.5, 0, 0.5]]))
+    biased = DiscreteRowKernel(_TWO_GRID, _TWO_GRID,
+                               np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0]]))
+    return {
+        "row_after_affine": CouplingKernel(_PM1, (_PM1_WALK, spread)),
+        "identity_row_after_affine": CouplingKernel(_PM1, (_PM1_WALK, identity)),
+        "biased_row_after_affine": CouplingKernel(_PM1, (_PM1_WALK, biased)),
+        "gaussian_before_row": CouplingKernel(GaussianMarginal(0.0, 1.0),
+                                              (GaussianStepKernel(var=1.0), spread)),
+        "row_then_affine_then_gaussian": CouplingKernel(
+            DegenerateMarginal(0.0), (DiscreteRowKernel(np.array([0.0]), _TWO_GRID,
+                                                        np.array([[0.25, 0.5, 0.25]])),
+                                      _PM1_WALK, GaussianStepKernel(var=2.0))),
+    }
+
+
+class TestOneConditionalLaw:
+    @pytest.mark.parametrize("name", list(_sampled_kernels()))
+    def test_sampler_matches_the_per_class_samplers(self, name):
+        kernel = _sampled_kernels()[name]
+        for seed in range(20):
+            for block in range(3):
+                got = kernel.sample(1000, seed, block)
+                assert got.tobytes() == _per_class_sample(kernel, 1000, seed, block).tobytes(), \
+                    f"seed {seed} block {block}"
+
+    @pytest.mark.parametrize("name", list(builtin_kernels()) + list(_mixed_chains()))
+    def test_probe_walk_matches_the_isinstance_walk(self, name):
+        kernel = {**builtin_kernels(), **_mixed_chains()}[name]
+        assert kernel.martingale is _isinstance_probe_walk(kernel)
+
+    def test_mixed_chain_flags(self):
+        # the walk must reach the row kernel's atoms through the affine step
+        flags = {name: kernel.martingale for name, kernel in _mixed_chains().items()}
+        assert flags == {"row_after_affine": True, "identity_row_after_affine": True,
+                         "biased_row_after_affine": False, "gaussian_before_row": False,
+                         "row_then_affine_then_gaussian": True}
+
+    def test_comonotone_overlap_matches_northwest_corner(self):
+        rng = np.random.default_rng(25)
+        laws = [(uniform_marginal(-1.0, 1.0, m), uniform_marginal(-2.0, 2.0, k))
+                for m, k in ((8, 8), (3, 6), (6, 3), (5, 7), (1, 4))]
+        for _ in range(500):
+            sizes = rng.integers(1, 13, size=2)
+            laws.append(tuple(DiscreteMarginal(np.sort(rng.choice(100, size, replace=False)) / 10,
+                                               rng.dirichlet(np.ones(size)))
+                              for size in sizes))
+        for mu, nu in laws:
+            got = comonotone_kernel(mu, nu).steps[0].gamma
+            want = _northwest_corner(mu, nu)
+            assert np.array_equal(got > 0.0, want > 0.0)
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_martingale_flag_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            CouplingKernel(_PM1, (_PM1_WALK,), martingale=True)
+
+    @pytest.mark.parametrize("pairs", [[1.0, 2.0], [[1.0, 0.5, 0.0]], [[[1.0, 1.0]]], []])
+    def test_from_pairs_rejects_other_shapes(self, pairs):
+        with pytest.raises(ConfigError, match=r"\[value, weight\] pairs"):
+            DiscreteMarginal.from_pairs(pairs)
+
+
+class TestStreamLayout:
+    """Stream "X" draws, per target and ``X_0`` first, one uniform per path
+    for a law with atoms or a uniform ``X_0``, one standard normal per path
+    for a Gaussian law, and nothing for a point mass or a deterministic step."""
+
+    CASES = {
+        "discrete_x0_branch": (binary_pm1_kernel(), ("random", "random")),
+        "uniform_x0_branch": (uniform_mot_kernel(), ("uniform", "random")),
+        "gaussian_x0_gaussian_step": (brownian_coupling(), ("standard_normal",) * 2),
+        "point_mass_deterministic": (CouplingKernel(DegenerateMarginal(0.5), (
+            DeterministicAffineKernel(2.0), DeterministicAffineKernel(-1.0))), ()),
+        "discrete_x0_deterministic": (antithetic_pm1_chain(2), ("random",)),
+        "independent_step": (CouplingKernel(_PM1, (IndependentStepKernel(_PM1),)),
+                             ("random", "random")),
+        "row_step": (comonotone_kernel(uniform_marginal(-1.0, 1.0, 4),
+                                       uniform_marginal(-2.0, 2.0, 4)), ("random", "random")),
+        "point_mass_row_gaussian": (CouplingKernel(DegenerateMarginal(0.0), (
+            DiscreteRowKernel(np.array([0.0]), _TWO_GRID, np.array([[0.25, 0.5, 0.25]])),
+            GaussianStepKernel(var=1.0))), ("random", "standard_normal")),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_generator_advances_by_the_documented_draws(self, name, monkeypatch):
+        kernel, draws = self.CASES[name]
+        used = []
+
+        def recording_rng(*args):
+            used.append(stream_rng(*args))
+            return used[-1]
+
+        monkeypatch.setattr(coupling, "stream_rng", recording_rng)
+        for seed, block in ((3, 0), (3, 2), (11, 1)):
+            used.clear()
+            kernel.sample(257, seed, block)
+            want = stream_rng(seed, "X", block)
+            for draw in draws:
+                getattr(want, draw)(size=257)
+            assert used[0].bit_generator.state == want.bit_generator.state

@@ -128,6 +128,16 @@ class TestContinuousFilter:
         with pytest.raises(ConfigError):
             fam_filter_continuous(tanh_cfg, 0.5, 0.0, [1.0])
 
+    def test_leaking_gaussian_chain_is_config_error(self):
+        # the conjugate update sees only g_{m+1}; the march refuses this config too
+        chain = CouplingKernel(GaussianMarginal(0.0, 1.0),
+                               (GaussianStepKernel(var=1.0), GaussianStepKernel(var=1.0)))
+        cfg = TestFamPaths._leaking_two_arc_config(chain)
+        with pytest.raises(ConfigError, match="only the next target"):
+            fam_filter_continuous(cfg, 0.3, 0.5, [1.0])
+        mean, _ = fam_filter_continuous(cfg, 1.5, 0.5, [1.0, 0.2])   # the last arc
+        assert np.isfinite(mean)
+
 
 class TestVolatility:
     def test_sech_squared_closed_form(self, tanh_cfg):
@@ -181,6 +191,14 @@ class TestVolatility:
     def test_arc_endpoint_rejected(self, tanh_cfg):
         with pytest.raises(DomainError):
             fam_volatility(tanh_cfg, 1.0, 0.0, [1.0, 2.0])
+
+    def test_full_conditioning_arc_is_config_error(self):
+        # on arc 0 of this chain Var[X_2 | F_t] does not vanish as t -> T_1,
+        # so Var * sqrt(h2) / h3 is not the volatility there; arc 1 is Markov
+        cfg = TestFamPaths._leaking_two_arc_config(binary_chain_kernel(2))
+        with pytest.raises(ConfigError, match="ahead of arc 0"):
+            fam_volatility(cfg, 0.3, 0.5, [1.0])
+        assert np.isfinite(fam_volatility(cfg, 1.5, 0.5, [1.0, 2.0]))
 
     def test_zero_interior_noise_is_degenerate(self):
         # the driver and f_1 vanish on [0, 0.5], so the arcade has no noise
@@ -326,6 +344,25 @@ class TestFamPaths:
             want = fam_filter_bruteforce(cfg, t, float(trace.i_paths[pidx, k]),
                                          [float(trace.x[pidx, 0])])
             assert trace.m_paths[pidx, k] == pytest.approx(want, abs=1e-12)
+
+    def test_point_filters_follow_the_march_on_a_leaking_signal(self):
+        # on arc 0 the march conditions on (X_1, X_2); the point filter must too
+        cfg = self._leaking_two_arc_config(binary_chain_kernel(2))
+        p = cfg.partition
+        trace = fam_paths(cfg, 16, seed=8)
+        for k in (3, 10, 17, 23, 30, 37):
+            t = float(p.grid[k])
+            for pidx in range(0, 16, 3):
+                x_obs = trace.x[pidx, : p.arc_of(t) + 1].tolist()
+                i_t = float(trace.i_paths[pidx, k])
+                got = fam_filter_discrete(cfg, t, i_t, x_obs)
+                assert got == trace.m_paths[pidx, k]
+                assert got == pytest.approx(fam_filter_bruteforce(cfg, t, i_t, x_obs), abs=1e-12)
+        for t, i_t, x_obs in ((0.3, 0.5, [1.0]), (0.5, -1.2, [1.0]), (0.137, 2.0, [-1.0]),
+                              (0.871, -0.4, [1.0]), (1.29, 1.7, [1.0, 2.0]),
+                              (1.777, -0.3, [-1.0, 0.0])):
+            assert fam_filter_discrete(cfg, t, i_t, x_obs) == pytest.approx(
+                fam_filter_bruteforce(cfg, t, i_t, x_obs), abs=1e-12)
 
     def test_full_conditioning_of_gaussian_chain_is_config_error(self):
         # the suffix posterior needs atoms; a Gaussian chain whose signal
