@@ -7,7 +7,6 @@ from .arcade import (
     MarkovCheckReport,
     ap_cov,
     ap_mean,
-    ap_moments,
     ap_variance,
     build_ap_paths,
     markov_factorization_check,
@@ -17,17 +16,14 @@ from .coupling import (
     CouplingKernel,
     DiscreteMarginal,
     builtin_kernels,
-    check_convex_order,
     gaussian_marginal,
     kernel_from_json,
-    sample_coupling,
     uniform_marginal,
 )
 from .drivers import (
     GaussMarkovDriver,
     PathBundle,
     brownian_driver,
-    driver_covariance,
     driver_preset,
     driver_quadratic_variation,
     ou_driver,
@@ -70,7 +66,6 @@ from .partition import (
     carryover_noise_coefficients,
     damp_lagrange,
     elliptic_coefficients,
-    eval_coefficient,
     lagrange_coefficients,
     piecewise_linear_coefficients,
     table_coefficients,

@@ -45,7 +45,7 @@ __all__ = [
     "build_ap_paths",
     "ap_mean",
     "ap_cov",
-    "ap_moments",
+    "ap_variance",
     "standard_coefficients",
     "markov_factorization_check",
 ]
@@ -183,11 +183,6 @@ def _cov_given_coefficients(cfg: ArcadeConfig, s: np.ndarray, t: np.ndarray,
 
 def ap_variance(cfg: ArcadeConfig, t):
     return ap_cov(cfg, t, t)
-
-
-def ap_moments(cfg: ArcadeConfig, s, t) -> tuple[float, float, float]:
-    """Mean at ``s``, mean at ``t``, and covariance between them."""
-    return ap_mean(cfg, s), ap_mean(cfg, t), ap_cov(cfg, s, t)
 
 
 # ---------------------------------------------------------------------------

@@ -34,9 +34,7 @@ __all__ = [
     "DeterministicAffineKernel",
     "IndependentStepKernel",
     "CouplingKernel",
-    "check_convex_order",
     "convex_order_report",
-    "sample_coupling",
     "builtin_kernels",
     "kernel_from_json",
     "comonotone_kernel",
@@ -108,10 +106,6 @@ class DiscreteMarginal:
     def variance(self) -> float:
         return self.second_moment() - self.mean() ** 2
 
-    def call_value(self, k: float) -> float:
-        """Integrated call function ``E[(X - k)^+]``."""
-        return float(_call_values(self, np.asarray([k], dtype=float))[0])
-
     def cdf(self, x) -> np.ndarray:
         cum = np.concatenate([[0.0], np.cumsum(self.weights)])
         idx = np.searchsorted(self.values, np.asarray(x, dtype=float), side="right")
@@ -165,6 +159,8 @@ class UniformMarginal:
 
     def discretize(self, m: int, method: str = "cell_mean") -> DiscreteMarginal:
         # for the uniform law cell means coincide with mid-quantile atoms
+        if m < 1:
+            raise ConfigError("need at least one atom")
         if method not in ("cell_mean", "midpoint"):
             raise ConfigError(f"unknown discretization method {method!r}")
         q = (np.arange(m) + 0.5) / m
@@ -499,6 +495,8 @@ class CouplingKernel:
 
     def sample(self, n_samples: int, seed: int, block: int = 0) -> np.ndarray:
         """``n_samples`` draws of ``(X_0, ..., X_n)`` from stream "X" of ``block``."""
+        if n_samples < 1:
+            raise ConfigError("n_samples must be positive")
         rng = stream_rng(seed, "X", block)
         out = np.empty((n_samples, self.n_targets))
         out[:, 0] = self.initial.sample(n_samples, rng)
@@ -598,14 +596,8 @@ def convex_order_report(mu: DiscreteMarginal, nu: DiscreteMarginal,
     return ok, float(worst), witness
 
 
-def check_convex_order(mu: DiscreteMarginal, nu: DiscreteMarginal,
-                       tol: float = 1e-9) -> bool:
-    ok, _, _ = convex_order_report(mu, nu, tol)
-    return ok
-
-
 # ---------------------------------------------------------------------------
-# Builtins, JSON, sampling
+# Builtins and JSON
 # ---------------------------------------------------------------------------
 
 def binary_pm1_kernel() -> CouplingKernel:
@@ -723,11 +715,3 @@ def kernel_from_json(doc: dict) -> CouplingKernel:
                                  gamma[order])
         return CouplingKernel(mu, (step,), name="discrete_kernel")
     raise ConfigError("coupling document needs 'preset' or 'atoms_mu'")
-
-
-def sample_coupling(kernel: CouplingKernel, n_samples: int, seed: int,
-                    block: int = 0) -> np.ndarray:
-    """I.i.d. draws of the target vector from the dedicated 'X' stream."""
-    if n_samples < 1:
-        raise ConfigError("n_samples must be positive")
-    return kernel.sample(n_samples, seed, block)

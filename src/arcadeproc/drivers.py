@@ -15,14 +15,13 @@ the time-scaled Brownian motion ``t * B_t``.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, call_preset
+from .errors import ConfigError, call_preset
 from .partition import Partition
 from .streams import stream_rng
 
@@ -32,7 +31,6 @@ __all__ = [
     "brownian_driver",
     "ou_driver",
     "scaled_bm_driver",
-    "driver_covariance",
     "simulate_driver",
     "driver_quadratic_variation",
     "driver_preset",
@@ -278,29 +276,13 @@ class PathBundle:
     def n_paths(self) -> int:
         return self.values.shape[0]
 
-    def to_csv(self, target) -> None:
-        """Write ``t,path_0,...`` rows using shortest round-trip decimals."""
-        import os
-
-        close = False
-        if isinstance(target, (str, bytes, os.PathLike)):
-            fh = open(target, "w", encoding="utf-8")
-            close = True
-        else:
-            fh = target
-        try:
+    def to_csv(self, path) -> None:
+        """Write ``t,path_0,...`` rows to ``path`` using shortest round-trip decimals."""
+        with open(path, "w", encoding="utf-8") as fh:
             header = "t," + ",".join(f"path_{i}" for i in range(self.n_paths))
             fh.write(header + "\n")
             for t, row in zip(self.grid.tolist(), self.values.T.tolist()):
                 fh.write(repr(t) + "," + ",".join(map(repr, row)) + "\n")
-        finally:
-            if close:
-                fh.close()
-
-    def csv_bytes(self) -> bytes:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue().encode("utf-8")
 
 
 def config_hash(payload: dict) -> str:
@@ -311,17 +293,6 @@ def config_hash(payload: dict) -> str:
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
-
-def driver_covariance(d: GaussMarkovDriver, s, t, domain: tuple[float, float] | None = None):
-    """Covariance ``H1(min(s,t)) * H2(max(s,t))`` with optional domain check."""
-    if domain is not None:
-        lo, hi = domain
-        ss, tt = np.asarray(s, float), np.asarray(t, float)
-        if np.any(ss < lo) or np.any(ss > hi) or np.any(tt < lo) or np.any(tt > hi):
-            raise DomainError(f"covariance arguments outside [{lo}, {hi}]")
-    out = d.cov(s, t)
-    return float(out) if np.isscalar(s) and np.isscalar(t) else out
-
 
 def _sampling_law(d: GaussMarkovDriver, p: Partition):
     """Per grid node ``k``, the arrays ``(sd, near, far, const)`` of the exact

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -326,7 +326,6 @@ class FamTrace:
     x: np.ndarray
     w_paths: np.ndarray | None = None
     underflow_count: int = 0
-    meta: dict = field(default_factory=dict)
 
     @property
     def n_paths(self) -> int:
@@ -383,8 +382,7 @@ def fam_paths(cfg: RapConfig, n_paths: int, seed: int, block: int = 0,
         underflow += out.underflow
     return FamTrace(grid=cfg.partition.grid, i_paths=rap.values, m_paths=m_rows.T,
                     vol_paths=vol_rows.T, x=x,
-                    w_paths=None if w_rows is None else w_rows.T, underflow_count=underflow,
-                    meta={"config": cfg.config_dict(), "block": block, "seed": seed})
+                    w_paths=None if w_rows is None else w_rows.T, underflow_count=underflow)
 
 
 class _NodeBlock(NamedTuple):
@@ -512,9 +510,12 @@ def _filter_context(cfg: RapConfig, t: float, x_observed):
     there (the rest ``None``).  Inside the arc ``pinned`` is ``None``,
     ``x_m`` the current target, ``base`` the revealed signal plus arcade
     mean, ``g = (g_{m+1}(t), ..., g_n(t))`` and ``va`` the noise variance,
-    which must be positive."""
+    which must be positive.  A ``t`` within the domain tolerance outside
+    ``[T_0, T_n]`` is read as the end date."""
     p = cfg.partition
     x_obs = np.asarray(x_observed, dtype=float)
+    p.check_domain(t)
+    t = min(max(t, p.dates[0]), p.dates[-1])
     m = p.arc_of(t)
     if x_obs.size < m + 1:
         raise ConfigError(f"need the {m + 1} revealed targets up to T_{m}")

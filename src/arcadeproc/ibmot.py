@@ -185,10 +185,6 @@ class IbmotProblem:
         a = np.vstack([rows, np.tile(np.eye(n), m), bary])
         return a, np.concatenate([self.mu.weights, self.nu.weights, np.zeros(m)])
 
-    def config_dict(self) -> dict:
-        return {"mu": self.mu.config_dict(), "nu": self.nu.config_dict(),
-                "T": self.horizon}
-
 
 @dataclass(frozen=True)
 class IbmotOptions:
@@ -208,12 +204,6 @@ class QuantileObjective:
     value: float             # E[(X_1 - W_T)^2] in quantile form
     k_i: float               # completed square with the kernel's own E[X_1^2]
     k_i_target: float | None = None  # completed square with the exact target moment
-
-    def as_dict(self) -> dict:
-        out = {"squared_error_value": self.value, "k_i": self.k_i}
-        if self.k_i_target is not None:
-            out["k_i_target"] = self.k_i_target
-        return out
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ __all__ = [
     "Partition",
     "CoefficientSet",
     "ValidationReport",
-    "eval_coefficient",
     "damp_lagrange",
     "validate_coefficient_set",
     "piecewise_linear_coefficients",
@@ -87,10 +86,6 @@ class Partition:
     @property
     def n_arcs(self) -> int:
         return len(self.dates) - 1
-
-    @property
-    def t0(self) -> float:
-        return self.dates[0]
 
     @property
     def tn(self) -> float:
@@ -318,11 +313,6 @@ def table_coefficients(p: Partition, table: np.ndarray, role: str = "noise") -> 
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
-
-def eval_coefficient(cset: CoefficientSet, i: int, t):
-    """Functional form of :meth:`CoefficientSet.eval`."""
-    return cset.eval(i, t)
-
 
 def damp_lagrange(cset: CoefficientSet) -> CoefficientSet:
     """Apply the sign-preserving damping map to a Lagrange family."""

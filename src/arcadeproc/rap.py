@@ -281,9 +281,6 @@ class MimicResult:
     targets: np.ndarray
     sup_distances: np.ndarray
 
-    def median_sup_distance(self) -> float:
-        return float(np.median(self.sup_distances))
-
 
 def mimic_process(target: PathBundle, p: Partition,
                   driver: GaussMarkovDriver | None = None,
@@ -319,7 +316,10 @@ def mimic_process(target: PathBundle, p: Partition,
 
 def fbm_paths(grid: Sequence[float], n_paths: int, seed: int,
               hurst: float = 0.75) -> PathBundle:
-    """Fractional Brownian paths by dense Cholesky (mimicry demo plumbing)."""
+    """Fractional Brownian paths by dense Cholesky (mimicry demo plumbing);
+    ``hurst`` must lie in (0, 1]."""
+    if not 0.0 < hurst <= 1.0:
+        raise ConfigError(f"hurst must lie in (0, 1], got {hurst!r}")
     g = np.asarray(grid, dtype=float)
     two_h = 2.0 * hurst
     cov = 0.5 * (

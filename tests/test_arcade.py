@@ -9,7 +9,6 @@ from arcadeproc import (
     Partition,
     ap_cov,
     ap_mean,
-    ap_moments,
     brownian_driver,
     build_ap_paths,
     carryover_noise_coefficients,
@@ -102,8 +101,7 @@ class TestMoments:
         t = 0.3
         mu_d = lambda u: 1.0 + (-1.0 - 1.0) * np.exp(-u)
         want = mu_d(t) - (1 - t) * mu_d(0.0) - t * mu_d(1.0)
-        m_s, m_t, _ = ap_moments(cfg, 0.1, t)
-        assert m_t == pytest.approx(want, abs=1e-14)
+        assert ap_mean(cfg, t) == pytest.approx(want, abs=1e-14)
 
     def test_moments_match_simulation(self, five_arc_partition, ou_unit):
         cfg = ArcadeConfig(ou_unit, piecewise_linear_coefficients(five_arc_partition))

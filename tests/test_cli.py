@@ -393,6 +393,8 @@ class TestCheck:
         ({"dist": "normal", "mean": 0, "var": -1.0}, "var"),
         ([[0.0, 0.5], [float("nan"), 0.5]], "finite"),
         ([[0.0, float("nan")], [1.0, 0.5]], "finite"),
+        ({"dist": "uniform", "lo": -1, "hi": 1, "atoms": 0}, "at least one atom"),
+        ({"dist": "uniform", "lo": -1, "hi": 1, "atoms": -1}, "at least one atom"),
     ])
     def test_invalid_marginal_is_config_error(self, tmp_path, capsys, mu, word):
         # json accepts NaN; it must not reach the report as pass=false

@@ -7,10 +7,8 @@ from arcadeproc import (
     ConfigError,
     DiscreteMarginal,
     builtin_kernels,
-    check_convex_order,
     gaussian_marginal,
     kernel_from_json,
-    sample_coupling,
     uniform_marginal,
 )
 from arcadeproc import coupling
@@ -64,7 +62,8 @@ class TestDiscreteMarginal:
         m = DiscreteMarginal(np.array([-1.0, 0.5, 2.0]), np.array([0.25, 0.5, 0.25]))
         for k in (-2.0, 0.0, 1.0, 3.0):
             want = sum(w * max(v - k, 0.0) for v, w in zip(m.values, m.weights))
-            assert m.call_value(k) == pytest.approx(want, abs=1e-15)
+            got = coupling._call_values(m, np.asarray([k]))[0]
+            assert got == pytest.approx(want, abs=1e-15)
 
     def test_quantile_is_right_continuous(self):
         m = DiscreteMarginal(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
@@ -155,13 +154,13 @@ class TestParameterValidation:
 class TestConvexOrder:
     def test_reflexive(self):
         m = uniform_marginal(-1.0, 1.0, 21)
-        assert check_convex_order(m, m)
+        assert convex_order_report(m, m)[0]
 
     def test_uniform_dilation(self):
         mu = uniform_marginal(-1.0, 1.0, 21)
         nu = uniform_marginal(-2.0, 2.0, 21)
-        assert check_convex_order(mu, nu)
-        assert not check_convex_order(nu, mu)
+        assert convex_order_report(mu, nu)[0]
+        assert not convex_order_report(nu, mu)[0]
 
     def test_mean_mismatch(self):
         mu = DiscreteMarginal(np.array([1.0]), np.array([1.0]))
@@ -183,7 +182,7 @@ class TestConvexOrder:
             for k in range(len(kern.steps)):
                 mu_k = kern.pushforward(k)
                 nu_k = kern.pushforward(k + 1)
-                assert check_convex_order(mu_k, nu_k), name
+                assert convex_order_report(mu_k, nu_k)[0], name
 
 
 class TestKernels:
@@ -267,14 +266,14 @@ class TestKernels:
 class TestSampling:
     def test_antithetic_perfect_anticorrelation(self):
         kern = antithetic_pm1_chain(5)
-        draws = sample_coupling(kern, 5000, seed=1)
+        draws = kern.sample(5000, seed=1)
         assert draws.shape == (5000, 6)
         corr = np.corrcoef(draws[:, 0], draws[:, 1])[0, 1]
         assert corr == pytest.approx(-1.0, abs=1e-12)
         assert np.all(draws[:, 2] == draws[:, 0])
 
     def test_uniform_mot_conditional_mean(self):
-        draws = sample_coupling(uniform_mot_kernel(), 100_000, seed=2)
+        draws = uniform_mot_kernel().sample(100_000, seed=2)
         x0, x1 = draws[:, 0], draws[:, 1]
         for lo in (-1.0, -0.5, 0.0, 0.5):
             sel = (x0 >= lo) & (x0 < lo + 0.5)
@@ -284,7 +283,7 @@ class TestSampling:
                               f"E[X1-X0 | bin {lo}]")
 
     def test_brownian_covariance_matrix(self):
-        draws = sample_coupling(brownian_coupling(1.0, 1.0), 100_000, seed=3)
+        draws = brownian_coupling(1.0, 1.0).sample(100_000, seed=3)
         want = np.array([[1.0, 1.0], [1.0, 2.0]])
         for a in range(2):
             for b in range(2):
@@ -298,24 +297,28 @@ class TestSampling:
         n = 20_000
         band = 1.36 / np.sqrt(n)
         kern = brownian_coupling(1.0, 1.0)
-        draws = sample_coupling(kern, n, seed=4)
+        draws = kern.sample(n, seed=4)
         for col, law in ((0, GaussianMarginal(0.0, 1.0)), (1, GaussianMarginal(0.0, 2.0))):
             xs = np.sort(draws[:, col])
             emp = np.arange(1, n + 1) / n
             gap = np.max(np.abs(emp - law.cdf(xs)))
             assert gap <= band, f"column {col}: KS gap {gap} > {band}"
-        draws_u = sample_coupling(uniform_mot_kernel(), n, seed=5)
+        draws_u = uniform_mot_kernel().sample(n, seed=5)
         for col, law in ((0, UniformMarginal(-1.0, 1.0)), (1, UniformMarginal(-2.0, 2.0))):
             xs = np.sort(draws_u[:, col])
             emp = np.arange(1, n + 1) / n
             gap = np.max(np.abs(emp - law.cdf(xs)))
             assert gap <= band, f"uniform column {col}: KS gap {gap} > {band}"
 
+    def test_no_draws_is_config_error(self):
+        with pytest.raises(ConfigError, match="n_samples"):
+            binary_pm1_kernel().sample(0, seed=1)
+
     def test_seed_domain_separation(self):
         # same seed: target draws do not depend on how many driver draws happen
         kern = binary_pm1_kernel()
-        a = sample_coupling(kern, 100, seed=7)
-        b = sample_coupling(kern, 100, seed=7)
+        a = kern.sample(100, seed=7)
+        b = kern.sample(100, seed=7)
         assert np.array_equal(a, b)
 
     def test_kernel_from_json(self):

@@ -1,6 +1,5 @@
 """Driver covariances, exact sampling, quadratic variation, reproducibility."""
 
-import io
 import math
 
 import numpy as np
@@ -8,11 +7,9 @@ import pytest
 
 from arcadeproc import (
     ConfigError,
-    DomainError,
     GaussMarkovDriver,
     Partition,
     brownian_driver,
-    driver_covariance,
     driver_preset,
     driver_quadratic_variation,
     ou_driver,
@@ -32,22 +29,25 @@ from arcadeproc.streams import stream_rng
 from conftest import assert_within_3se
 
 
+def _csv_bytes(bundle, tmp_path):
+    """The bytes :meth:`PathBundle.to_csv` writes, through a file under ``tmp_path``."""
+    path = tmp_path / "paths.csv"
+    bundle.to_csv(path)
+    return path.read_bytes()
+
+
 class TestCovariance:
     def test_brownian_min(self):
-        assert driver_covariance(brownian_driver(), 1.0, 3.0) == 1.0
-        assert driver_covariance(brownian_driver(), 3.0, 1.0) == 1.0
+        assert brownian_driver().cov(1.0, 3.0) == 1.0
+        assert brownian_driver().cov(3.0, 1.0) == 1.0
 
     def test_ou_exponential(self):
         d = ou_driver(theta=1.0, sigma=np.sqrt(2.0))
-        assert driver_covariance(d, 0.0, 1.0) == pytest.approx(np.exp(-1.0), rel=1e-12)
+        assert d.cov(0.0, 1.0) == pytest.approx(np.exp(-1.0), rel=1e-12)
         assert d.variance(5.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_scaled_bm(self):
-        assert driver_covariance(scaled_bm_driver(), 1.0, 2.0) == 2.0
-
-    def test_domain_guard(self):
-        with pytest.raises(DomainError):
-            driver_covariance(brownian_driver(), -1.0, 2.0, domain=(0.0, 10.0))
+        assert scaled_bm_driver().cov(1.0, 2.0) == 2.0
 
     def test_markov_transition_identity(self):
         # K(r,t) = K(r,s) K(s,t) / K(s,s) exactly, by the factorized form
@@ -132,14 +132,14 @@ class TestSimulation:
                 se = np.hypot(pa.std(ddof=1), pb.std(ddof=1)) / np.sqrt(n)
                 assert_within_3se(pa.mean(), pb.mean(), se, f"chol vs seq ({a},{b})")
 
-    def test_reproducible_bytes(self):
+    def test_reproducible_bytes(self, tmp_path):
         p = Partition((0.0, 1.0), 20)
         one = simulate_driver(brownian_driver(), p, 50, seed=9)
         two = simulate_driver(brownian_driver(), p, 50, seed=9)
-        assert one.csv_bytes() == two.csv_bytes()
+        assert _csv_bytes(one, tmp_path) == _csv_bytes(two, tmp_path)
         assert one.meta["config_hash"] == two.meta["config_hash"]
         other = simulate_driver(brownian_driver(), p, 50, seed=10)
-        assert one.csv_bytes() != other.csv_bytes()
+        assert _csv_bytes(one, tmp_path) != _csv_bytes(other, tmp_path)
 
     @pytest.mark.parametrize("driver", [
         ou_driver(theta=0.8, sigma=1.3, mu=0.4, d0=-1.0),
@@ -292,18 +292,16 @@ class TestSimulation:
             assert_within_3se(np.var(col), float(d.variance(p.grid[k])), se,
                               f"Var[D_{p.grid[k]}]")
 
-    def test_csv_round_trip(self):
+    def test_csv_round_trip(self, tmp_path):
         p = Partition((0.0, 1.0), 3)
         bundle = simulate_driver(brownian_driver(), p, 4, seed=11)
-        buf = io.StringIO()
-        bundle.to_csv(buf)
-        lines = buf.getvalue().strip().splitlines()
+        lines = _csv_bytes(bundle, tmp_path).decode("utf-8").strip().splitlines()
         assert lines[0] == "t,path_0,path_1,path_2,path_3"
         parsed = np.asarray([[float(v) for v in line.split(",")] for line in lines[1:]])
         assert np.array_equal(parsed[:, 0], bundle.grid)
         assert np.array_equal(parsed[:, 1:], bundle.values.T)
 
-    def test_csv_text_is_the_per_value_repr(self):
+    def test_csv_text_is_the_per_value_repr(self, tmp_path):
         # shortest round-trip decimals, one repr(float(v)) per value; the
         # bundle refuses NaN and Inf, so the edge values here are finite
         grid = np.asarray([0.0, 0.1, 1e16])
@@ -312,7 +310,7 @@ class TestSimulation:
         expected = "t,path_0,path_1\n" + "".join(
             ",".join([repr(float(t))] + [repr(float(v)) for v in values[:, k]]) + "\n"
             for k, t in enumerate(grid))
-        assert bundle.csv_bytes().decode("utf-8") == expected
+        assert _csv_bytes(bundle, tmp_path).decode("utf-8") == expected
         assert expected.splitlines()[1] == "0.0,-0.0,1e+16"
         with pytest.raises(ConfigError, match="NaN"):
             PathBundle(grid=grid[:2], values=np.asarray([[0.0, np.nan]]), seed=0)

@@ -84,6 +84,19 @@ class TestDiscreteFilter:
     def test_symmetric_evidence(self, tanh_cfg):
         assert fam_filter_discrete(tanh_cfg, 0.4, 1.0, [1.0]) == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.parametrize("t, x_observed", [(1.0 - 5e-13, [1.0]),
+                                                (3.0 + 5e-13, [1.0, 2.0, 3.0])],
+                             ids=["before_T0", "after_Tn"])
+    def test_rounding_past_an_end_date_is_that_date(self, t, x_observed):
+        # the domain check admits 1e-12 of rounding; there the filters are
+        # pinned to the end date's target, as at the date itself
+        cfg = _bridge_rap(Partition((1.0, 2.0, 3.0), 10), binary_chain_kernel(2))
+        want = x_observed[-1]
+        assert fam_filter_discrete(cfg, t, 0.3, x_observed) == want
+        assert fam_filter_bruteforce(cfg, t, 0.3, x_observed) == want
+        with pytest.raises(DomainError, match="at the dates"):
+            fam_volatility(cfg, t, 0.3, x_observed)
+
     def test_underflow_fallback_nearest_atom(self, tanh_cfg):
         # evidence far in the tails still returns the closest branch value
         got = fam_filter_discrete(tanh_cfg, 0.999999, 2.0 - 1e-9, [1.0])

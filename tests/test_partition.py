@@ -11,7 +11,6 @@ from arcadeproc import (
     carryover_noise_coefficients,
     damp_lagrange,
     elliptic_coefficients,
-    eval_coefficient,
     lagrange_coefficients,
     ou_driver,
     piecewise_linear_coefficients,
@@ -67,6 +66,13 @@ class TestPartition:
         assert p.arc_of(3.0) == 1
         with pytest.raises(DomainError):
             p.arc_of(3.5)
+        with pytest.raises(DomainError):
+            p.arc_of(-0.5)
+        # the domain admits 1e-12 of rounding at either end, and no more
+        p.check_domain([-5e-13, 3.0 + 5e-13])
+        for t in (-2e-12, 3.0 + 2e-12):
+            with pytest.raises(DomainError):
+                p.arc_of(t)
 
 
 class TestNodeIdentities:
@@ -83,7 +89,6 @@ class TestNodeIdentities:
         p = Partition((0.0, 2.0, 4.0, 6.0, 8.0, 10.0), 10)
         cs = piecewise_linear_coefficients(p)
         assert cs.eval(1, 1.0) == 0.5
-        assert eval_coefficient(cs, 1, 1.0) == 0.5  # functional form
 
     def test_lagrange_product_value(self):
         # prod_{k != 0} (T_k - t)/(T_k - T_0) at t = 0.5 on {0, 1, 2}

@@ -269,8 +269,13 @@ class TestMimicry:
             dates = tuple(np.linspace(0.0, 10.0, n_arcs + 1))
             p = Partition(dates, steps_per_arc=800 // n_arcs)
             res = mimic_process(target, p, seed=12)
-            medians.append(res.median_sup_distance())
+            medians.append(np.median(res.sup_distances))
         assert medians[0] > medians[1] > medians[2]
+
+    @pytest.mark.parametrize("hurst", [1.5, -0.2, 0.0, float("nan")])
+    def test_fbm_hurst_outside_unit_interval_is_config_error(self, hurst):
+        with pytest.raises(ConfigError, match="hurst"):
+            fbm_paths(np.linspace(0.0, 1.0, 11), 4, seed=0, hurst=hurst)
 
     def test_self_interpolation_through_all_nodes(self):
         p = Partition((0.0, 1.0), 1)  # every node is a date
