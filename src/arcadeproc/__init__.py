@@ -56,7 +56,6 @@ from .ibmot import (
     brute_force_small,
     ibmot_objective_mc,
     ibmot_objective_quantile,
-    lp_oracle,
     solve_ibmot,
     w2sq_discrete_vs_gaussian,
 )

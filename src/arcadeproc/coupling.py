@@ -61,6 +61,23 @@ def _special():
     return special
 
 
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _pdf(z):
+    """The standard normal density."""
+    return np.exp(-0.5 * z * z) / _SQRT_2PI
+
+
+def _phi_of_quantile(p) -> np.ndarray:
+    """Normal density evaluated at the standard quantile of ``p``; 0 at 0/1."""
+    p = np.asarray(p, dtype=float)
+    out = np.zeros_like(p)
+    inner = (p > 0.0) & (p < 1.0)
+    out[inner] = _pdf(_special().ndtri(p[inner]))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Marginals
 # ---------------------------------------------------------------------------
@@ -210,8 +227,7 @@ class GaussianMarginal:
         if method == "midpoint":
             z = _special().ndtri((np.arange(m) + 0.5) / m)
         elif method == "cell_mean":                 # the pdf at the cell edges, 0 at +-inf
-            phi = np.exp(-0.5 * _special().ndtri(np.arange(m + 1) / m) ** 2)
-            phi /= math.sqrt(2 * math.pi)
+            phi = _phi_of_quantile(np.arange(m + 1) / m)
             z = m * (phi[:-1] - phi[1:])
         else:
             raise ConfigError(f"unknown discretization method {method!r}")

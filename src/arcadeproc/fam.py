@@ -560,10 +560,11 @@ def fam_filter_discrete(cfg: RapConfig, t: float, i_t: float, x_observed) -> flo
 
 
 def fam_filter_bruteforce(cfg: RapConfig, t: float, i_t: float, x_observed) -> float:
-    """Full conditional mean of the terminal target over all chain suffixes.
+    """Conditional mean of the terminal target over all chain suffixes.
 
-    Independent of the march's posterior; conditions jointly on every
-    remaining target using the complete signal sum.
+    Enumerates the remaining targets with the complete signal sum, given
+    the current ``I_t`` and the revealed targets as the march is, so the
+    two agree even where the signal leaks across arcs.
     """
     m, pinned, x_m, base, g, va = _filter_context(cfg, t, x_observed)
     if pinned is not None:

@@ -42,6 +42,8 @@ from .coupling import (
     CouplingKernel,
     DiscreteMarginal,
     _call_values,
+    _pdf,
+    _phi_of_quantile,
     _special,
     convex_order_report,
 )
@@ -50,6 +52,8 @@ from .errors import ConfigError, InfeasibleError, NumericError
 from .fam import _paired_mean_se, _paired_path_sums
 from .partition import Partition, piecewise_linear_coefficients
 from .rap import RapConfig
+# unused by the solver: perfbench/tracing.py wraps this name until the
+# benchmark drops its simplex metrics
 from .simplex import linprog_simplex
 
 __all__ = [
@@ -59,14 +63,12 @@ __all__ = [
     "w2sq_discrete_vs_gaussian",
     "ibmot_objective_quantile",
     "ibmot_objective_mc",
-    "lp_oracle",
     "solve_ibmot",
     "brute_force_small",
     "discretize_affine_kernel",
     "induced_correlation",
 ]
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _Q_CLIP = 1e-16
 _EPS = float(np.finfo(float).eps)
 _KERNEL_TOL = 1e-7         # feasibility tolerance of a returned kernel
@@ -85,16 +87,6 @@ _GRID_POINTS = 4001        # brute-force grid scan along the free direction
 # Quantile-cell W2^2 and its gradient
 # ---------------------------------------------------------------------------
 
-def _phi_of_quantile(p: np.ndarray) -> np.ndarray:
-    """Normal density evaluated at the standard quantile of ``p``; 0 at 0/1."""
-    p = np.asarray(p, dtype=float)
-    out = np.zeros_like(p)
-    inner = (p > 0.0) & (p < 1.0)
-    z = _special().ndtri(p[inner])
-    out[inner] = np.exp(-0.5 * z * z) / _SQRT_2PI
-    return out
-
-
 def _w2sq_rows(prob_rows: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
     """Squared quantile distance of each row law to N(0, tau).
 
@@ -111,7 +103,9 @@ def _w2sq_rows(prob_rows: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
 
 
 def w2sq_discrete_vs_gaussian(gamma_row, values, tau: float) -> float:
-    """W2^2 between one discrete conditional law and N(0, tau)."""
+    """W2^2 between one discrete conditional law and N(0, tau), ``tau`` finite and >= 0."""
+    if not 0.0 <= tau < math.inf:
+        raise ConfigError(f"tau must be a finite variance >= 0, got {tau!r}")
     row = np.asarray(gamma_row, dtype=float)
     if np.any(row < -1e-12):
         raise ConfigError("conditional law has negative weights")
@@ -308,21 +302,6 @@ def induced_correlation(problem: IbmotProblem, gamma: np.ndarray) -> float | Non
 
 
 # ---------------------------------------------------------------------------
-# Linear oracle
-# ---------------------------------------------------------------------------
-
-def lp_oracle(costs: np.ndarray, problem: IbmotProblem) -> np.ndarray:
-    """Exact vertex minimizer of ``<costs, pi>`` over the transport polytope.
-
-    One cold two-phase simplex solve, used by neither the solver nor
-    ``brute_force_small``; the tests check it against vertex enumeration.
-    """
-    a, b = problem.constraint_matrix()
-    res = linprog_simplex(np.asarray(costs, dtype=float).ravel(), a, b)
-    return res.x.reshape(problem.shape)
-
-
-# ---------------------------------------------------------------------------
 # Dual Newton solver
 # ---------------------------------------------------------------------------
 
@@ -335,6 +314,7 @@ class _DualPoint:
     rows: np.ndarray        # (m, n) row laws w_i(psi) minimizing F - psi . w
     residual: np.ndarray    # nu - sum_i mu_i w_i, the gradient of D
     z: np.ndarray           # (m, n-1) standardized cell boundaries
+    pdf: np.ndarray         # (m, n-1) phi(z)
     u: np.ndarray           # (m,) barycenter multipliers over 2 sqrt(tau)
     pools: tuple            # (b, e): each boundary's pool spans atoms b..e
 
@@ -360,13 +340,6 @@ def _pooled_slopes(a: np.ndarray, dy: np.ndarray):
     sizes = np.diff(bounds)
     fit = np.repeat(np.divide(sums, widths), sizes)
     return fit, (np.repeat(bounds[:-1], sizes), np.repeat(bounds[1:], sizes))
-
-
-def _rho(z: np.ndarray) -> np.ndarray:
-    """``z Phi(z) + phi(z)``, summed as ``max(z, 0) + rho(-|z|)`` so both tails
-    stay accurate."""
-    t = -np.abs(z)
-    return np.maximum(z, 0.0) + (t * _special().ndtr(t) + np.exp(-0.5 * t * t) / _SQRT_2PI)
 
 
 def _dual_point(problem: IbmotProblem, dpsi: np.ndarray,
@@ -401,14 +374,18 @@ def _dual_point(problem: IbmotProblem, dpsi: np.ndarray,
     u = _barycenter_roots(zeta, dy, x - y[0], y[-1] - x, y[-1] - y[0], u_start)
     z = zeta[None, :] - u[:, None]
     lower, upper = _special().ndtr(z), _special().ndtr(-z)
+    pdf = _pdf(z)
     # cell masses from the lower tail below the median, the upper above
     inner = np.where(z[:, :-1] > 0.0, upper[:, :-1] - upper[:, 1:],
                      lower[:, 1:] - lower[:, :-1])
     rows = np.hstack([lower[:, :1], inner, upper[:, -1:]])
+    # z Phi(z) + phi(z) as max(z, 0) + rho(-|z|), accurate in both tails
+    t = -np.abs(z)
+    rho = np.maximum(z, 0.0) + (t * np.where(z > 0.0, upper, lower) + pdf)
     row_value = (y[-1] ** 2 - psi[-1] + problem.horizon
-                 - two_rt * (u * (y[-1] - x) + _rho(z) @ dy))
+                 - two_rt * (u * (y[-1] - x) + rho @ dy))
     return _DualPoint(dpsi=dpsi, value=float(psi @ nu_w + mu_w @ row_value), rows=rows,
-                      residual=nu_w - mu_w @ rows, z=z, u=u, pools=pools)
+                      residual=nu_w - mu_w @ rows, z=z, pdf=pdf, u=u, pools=pools)
 
 
 def _barycenter_roots(zeta, dy, lower, upper, span, start):
@@ -432,7 +409,7 @@ def _barycenter_roots(zeta, dy, lower, upper, span, start):
         ua, sg = u[active], sign[active]
         d = ua[:, None] - zeta[None, :]
         resid = sg * (_special().ndtr(sg[:, None] * d) @ dy - target[active])   # increasing in u
-        slope = (np.exp(-0.5 * d * d) / _SQRT_2PI) @ dy
+        slope = _pdf(d) @ dy
         scale = 4.0 * _EPS * (1.0 + np.abs(ua))
         done = ((np.abs(resid) <= 8.0 * _EPS * target[active])
                 | (np.abs(resid) <= scale * slope)
@@ -460,7 +437,7 @@ def _dual_hessian(problem: IbmotProblem, point: _DualPoint) -> np.ndarray:
     mu_w = problem.mu.weights
     y = problem.nu.values
     n = y.size
-    p = np.exp(-0.5 * point.z * point.z) / _SQRT_2PI
+    p = point.pdf
     v = p * np.diff(y)
     total = v.sum(axis=1)
     coef = np.divide(mu_w, total, out=np.zeros_like(total), where=total > 0.0)

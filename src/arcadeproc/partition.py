@@ -105,10 +105,10 @@ class Partition:
         return _read_only(np.arange(self.n_arcs + 1) * self.steps_per_arc)
 
     def arc_of(self, t: float) -> int:
-        """Index m with ``T_m <= t < T_{m+1}`` (the last arc owns ``T_n``)."""
+        """Index m with ``T_m <= t < T_{m+1}`` (the end arcs own the domain's ends)."""
         self.check_domain(t)
         m = int(np.searchsorted(np.asarray(self.dates), t, side="right") - 1)
-        return min(m, self.n_arcs - 1)
+        return min(max(m, 0), self.n_arcs - 1)
 
     def check_domain(self, t) -> None:
         t = np.asarray(t, dtype=float)

@@ -317,10 +317,14 @@ def mimic_process(target: PathBundle, p: Partition,
 def fbm_paths(grid: Sequence[float], n_paths: int, seed: int,
               hurst: float = 0.75) -> PathBundle:
     """Fractional Brownian paths by dense Cholesky (mimicry demo plumbing);
-    ``hurst`` must lie in (0, 1]."""
+    ``hurst`` must lie in (0, 1] and the grid times in [0, inf)."""
     if not 0.0 < hurst <= 1.0:
         raise ConfigError(f"hurst must lie in (0, 1], got {hurst!r}")
+    if n_paths < 1:
+        raise ConfigError("n_paths must be positive")
     g = np.asarray(grid, dtype=float)
+    if not np.all(np.isfinite(g) & (g >= 0.0)):
+        raise ConfigError(f"fBm grid times must be finite and >= 0, got {grid!r}")
     two_h = 2.0 * hurst
     cov = 0.5 * (
         g[:, None] ** two_h + g[None, :] ** two_h

@@ -3,8 +3,10 @@
 import hashlib
 import importlib.metadata
 import json
+import math
 import os
 import pathlib
+import struct
 import subprocess
 import sys
 
@@ -712,6 +714,73 @@ class TestRerunsByteIdentical:
         assert outs[0] and outs[0] == outs[1]
 
 
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+
+
+def _ordinal(x: float) -> int:
+    """Position of a double on the number line, one per representable value."""
+    i = struct.unpack("<q", struct.pack("<d", x))[0]
+    return i if i >= 0 else -(i & 0x7FFFFFFFFFFFFFFF)
+
+
+def _column_fingerprints(data: bytes) -> dict:
+    """Per CSV column: the count, min, max and exact sum of its values."""
+    header, *lines = data.decode().splitlines()
+    columns = zip(*(map(float, line.split(",")) for line in lines))
+    return {name: [len(col), min(col), max(col), math.fsum(col)]
+            for name, col in zip(header.split(","), columns)}
+
+
+def _digests(files: dict) -> dict:
+    return {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
+
+
+def _leaves(doc, key=(), at=()):
+    """``((field, position), value)`` per scalar of a JSON document: the field
+    is its chain of object keys, the position its chain of list indices."""
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            yield from _leaves(v, key + (k,), at)
+    elif isinstance(doc, list):
+        for i, v in enumerate(doc):
+            yield from _leaves(v, key, at + (i,))
+    else:
+        yield (key, at), doc
+
+
+def _how_far(name: str, data: bytes | None) -> list[str]:
+    """How far each field (JSON) or column (CSV) of result file ``name``
+    moved from its committed reference file or column fingerprint: floats
+    by their largest ulp and absolute distance, anything else by its first
+    differing value."""
+    if data is None:
+        return [f"{name}: not written"]
+    if name.endswith(".csv"):
+        want = json.loads((DATA / "result_columns.json").read_text())["columns"].get(name)
+        got = _column_fingerprints(data)
+    else:
+        reference = DATA / "results" / name
+        want = json.loads(reference.read_text()) if reference.is_file() else None
+        got = json.loads(data)
+    if want is None:
+        return [f"{name}: no committed reference"]
+    want, got = dict(_leaves(want)), dict(_leaves(got))
+    ulps, other = {}, {}
+    for leaf in sorted(want.keys() | got.keys()):
+        a, b = want.get(leaf), got.get(leaf)
+        field = ".".join(leaf[0]) or "(value)"
+        if isinstance(a, float) and isinstance(b, float):
+            if a != b and not (math.isnan(a) and math.isnan(b)):
+                ulp, gap = abs(_ordinal(a) - _ordinal(b)), abs(a - b)
+                old = ulps.get(field, (0, 0.0))
+                ulps[field] = (max(old[0], ulp), max(old[1], gap))
+        elif a != b:
+            other.setdefault(field, f"{a!r} -> {b!r}")
+    lines = [f"{name} {field}: {ulp} ulp (abs {gap:.3g})" for field, (ulp, gap) in ulps.items()]
+    lines += [f"{name} {field}: {change}" for field, change in other.items()]
+    return lines or [f"{name}: the bytes moved, no value did"]
+
+
 class TestShippedConfigs:
     """Every config under configs/ runs clean through its subcommand."""
 
@@ -746,8 +815,8 @@ class TestShippedConfigs:
 
     @pytest.fixture(scope="class")
     def passes(self, tmp_path_factory):
-        """The result-file digests of two passes over the shipped configs in
-        one process, the second in reverse order."""
+        """The result files of two passes over the shipped configs in one
+        process, the second in reverse order."""
         tmp_path = tmp_path_factory.mktemp("shipped")
         passes = []
         for index, order in enumerate((list(self.CONFIGS), list(self.CONFIGS)[::-1])):
@@ -756,7 +825,7 @@ class TestShippedConfigs:
                 rc = main([self.CONFIGS[name], "--config", str(CONFIGS / name),
                            "--out", str(out / name[:-5]), "--quiet"])
                 assert rc == EXIT_OK, name
-            passes.append({f.relative_to(out).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest()
+            passes.append({f.relative_to(out).as_posix(): f.read_bytes()
                            for f in sorted(out.rglob("*.*"))})
         return passes
 
@@ -764,18 +833,32 @@ class TestShippedConfigs:
         # the cached grids, grid matrices and parser must not carry state from
         # one run into the next
         assert len(passes[0]) == 40
-        assert passes[0] == passes[1]
+        assert _digests(passes[0]) == _digests(passes[1])
 
     def test_result_files_match_the_committed_digests(self, passes):
         # the result files are the seeded outputs every change must keep; a
         # deliberate re-baseline edits the table
-        table = json.loads((pathlib.Path(__file__).parent / "data" / "result_digests.json")
-                           .read_text())
-        want, got = table["digests"], passes[0]
+        table = json.loads((DATA / "result_digests.json").read_text())
+        want, got = table["digests"], _digests(passes[0])
         moved = sorted(name for name in want.keys() | got.keys()
                        if want.get(name) != got.get(name))
+        how_far = [line for name in moved for line in _how_far(name, passes[0].get(name))]
         assert not moved, (
             f"{len(moved)} result file(s) differ from tests/data/result_digests.json: "
             f"{', '.join(moved)}; the table was made with {table['made_with']}, this run uses "
             f"python {sys.version.split()[0]}, numpy {np.__version__}, "
-            f"scipy {importlib.metadata.version('scipy')}")
+            f"scipy {importlib.metadata.version('scipy')}; moved:\n" + "\n".join(how_far))
+
+    def test_committed_references_match_the_digests(self, passes):
+        # the digest test measures a move from these: the digested JSON files,
+        # and the fingerprint of every CSV that still has its digest
+        digests = json.loads((DATA / "result_digests.json").read_text())["digests"]
+        references = {f.relative_to(DATA / "results").as_posix(): f.read_bytes()
+                      for f in sorted((DATA / "results").rglob("*.json"))}
+        assert len(references) == 10
+        assert _digests(references).items() <= digests.items()
+        columns = json.loads((DATA / "result_columns.json").read_text())["columns"]
+        assert sorted(columns) == sorted(n for n in digests if n.endswith(".csv"))
+        for name, data in passes[0].items():
+            if name in columns and hashlib.sha256(data).hexdigest() == digests[name]:
+                assert _column_fingerprints(data) == columns[name], name

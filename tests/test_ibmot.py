@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.optimize import minimize_scalar
 from scipy.special import ndtri
 
 from arcadeproc import (
@@ -16,7 +15,6 @@ from arcadeproc import (
     gaussian_marginal,
     ibmot_objective_mc,
     ibmot_objective_quantile,
-    lp_oracle,
     solve_ibmot,
     uniform_marginal,
     w2sq_discrete_vs_gaussian,
@@ -115,6 +113,14 @@ class TestW2Squared:
     def test_row_validation(self):
         with pytest.raises(ConfigError):
             w2sq_discrete_vs_gaussian([0.7, 0.7], [0.0, 1.0], 1.0)
+
+    @pytest.mark.parametrize("tau", [-1.0, float("nan"), float("inf")])
+    def test_bad_tau_is_config_error(self, tau):
+        with pytest.raises(ConfigError, match="tau"):
+            w2sq_discrete_vs_gaussian([0.5, 0.5], [0.0, 1.0], tau)
+
+    def test_zero_tau_is_the_second_moment(self):
+        assert w2sq_discrete_vs_gaussian([0.5, 0.5], [0.0, 1.0], 0.0) == 0.5
 
 
 class TestGradient:
@@ -255,53 +261,6 @@ def _discretize_affine_loop(kernel, m_atoms):
     return np.asarray(y_all)[order][keep], gamma[:, keep]
 
 
-class TestLpOracle:
-    def test_point_polytope(self):
-        mu = DiscreteMarginal(np.asarray([0.0]), np.asarray([1.0]))
-        nu = DiscreteMarginal(np.asarray([-1.0, 1.0]), np.asarray([0.5, 0.5]))
-        problem = IbmotProblem(mu, nu, 1.0)
-        pi = lp_oracle(np.zeros((1, 2)), problem)
-        assert np.allclose(pi, [[0.5, 0.5]], atol=1e-12)
-
-    def test_zero_costs_feasible(self):
-        mu = uniform_marginal(-1.0, 1.0, 5)
-        nu = uniform_marginal(-2.0, 2.0, 7)
-        problem = IbmotProblem(mu, nu, 1.0)
-        pi = lp_oracle(np.zeros(problem.shape), problem)
-        a, b = problem.constraint_matrix()
-        assert np.max(np.abs(a @ pi.ravel() - b)) <= 1e-9
-        assert np.min(pi) >= -1e-12
-
-    def test_comonotone_leaning_cost_matches_vertex_enumeration(self):
-        mu = DiscreteMarginal(np.asarray([-1.0, 1.0]), np.asarray([0.5, 0.5]))
-        nu = DiscreteMarginal(np.asarray([-2.0, 0.0, 2.0]),
-                              np.asarray([0.25, 0.5, 0.25]))
-        problem = IbmotProblem(mu, nu, 1.0)
-        costs = -np.outer(mu.values, nu.values)
-        pi = lp_oracle(costs, problem)
-        # enumerate the polytope's single free direction to find its vertices
-        a, b = problem.constraint_matrix()
-        x0 = lp_oracle(np.zeros(problem.shape), problem).ravel()
-        _, s, vt = np.linalg.svd(a)
-        null = vt[np.sum(s > 1e-10 * s[0]):][0]
-        with np.errstate(divide="ignore"):
-            th = -x0 / np.where(np.abs(null) > 1e-14, null, np.nan)
-        lo = np.nanmax(np.where(null > 1e-14, th, -np.inf))
-        hi = np.nanmin(np.where(null < -1e-14, th, np.inf))
-        cands = [np.clip(x0 + t * null, 0, None) for t in (lo, hi)]
-        best = min(float(costs.ravel() @ v) for v in cands)
-        assert float(costs.ravel() @ pi.ravel()) == pytest.approx(best, abs=1e-9)
-
-    def test_infeasible_polytope(self):
-        # means differ (0.5 vs -0.5): the martingale polytope is empty and
-        # the LP's phase 1 must detect it even with order validation skipped
-        mu = DiscreteMarginal(np.asarray([0.5]), np.asarray([1.0]))
-        nu = DiscreteMarginal(np.asarray([-1.0, 1.0]), np.asarray([0.75, 0.25]))
-        problem = IbmotProblem(mu, nu, 1.0, validate=False)
-        with pytest.raises(InfeasibleError):
-            lp_oracle(np.zeros((1, 2)), problem)
-
-
 class TestSolver:
     def test_point_polytope_solution(self):
         mu = DiscreteMarginal(np.asarray([0.0]), np.asarray([1.0]))
@@ -395,29 +354,6 @@ class TestSolver:
         assert a.converged and b.converged
         tv = 0.5 * np.max(np.sum(np.abs(a.gamma - b.gamma), axis=1))
         assert tv <= 1e-3
-
-    def test_monotone_objective_plain_variant(self):
-        # textbook FW on a small instance: objective never increases
-        mu = uniform_marginal(-1.0, 1.0, 5)
-        nu = uniform_marginal(-2.0, 2.0, 5)
-        problem = IbmotProblem(mu, nu, 1.0)
-        values = []
-        pi = lp_oracle(np.zeros(problem.shape), problem)
-        val = _objective_from_joint(problem, pi)
-        for _ in range(40):
-            values.append(val)
-            grad = _gradient_from_joint(problem, pi)
-            v = lp_oracle(grad, problem)
-            d = v - pi
-            res = minimize_scalar(lambda t: _objective_from_joint(problem, pi + t * d),
-                                  bounds=(0.0, 1.0), method="bounded",
-                                  options={"xatol": 1e-12})
-            val = float(res.fun)
-            if val > values[-1]:
-                val = values[-1]
-                break
-            pi = pi + res.x * d
-        assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
 
 class TestDualCertificates:
@@ -613,7 +549,6 @@ class TestBruteForceOracle:
         def no_lp(*args, **kwargs):
             raise AssertionError("brute_force_small called the LP")
 
-        monkeypatch.setattr("arcadeproc.ibmot.lp_oracle", no_lp)
         monkeypatch.setattr("arcadeproc.ibmot.linprog_simplex", no_lp)
         for problem in _two_by_three_problems():
             sol = solve_ibmot(problem, IbmotOptions(gap_tol=1e-8, max_iter=500))

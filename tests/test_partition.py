@@ -70,6 +70,9 @@ class TestPartition:
             p.arc_of(-0.5)
         # the domain admits 1e-12 of rounding at either end, and no more
         p.check_domain([-5e-13, 3.0 + 5e-13])
+        q = Partition((1.0, 2.0, 3.0), 10)
+        assert q.arc_of(1.0 - 5e-13) == 0
+        assert q.arc_of(3.0 + 5e-13) == 1
         for t in (-2e-12, 3.0 + 2e-12):
             with pytest.raises(DomainError):
                 p.arc_of(t)

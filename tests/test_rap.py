@@ -277,6 +277,16 @@ class TestMimicry:
         with pytest.raises(ConfigError, match="hurst"):
             fbm_paths(np.linspace(0.0, 1.0, 11), 4, seed=0, hurst=hurst)
 
+    @pytest.mark.parametrize("grid, n_paths, match", [
+        ([-1.0, 0.0, 1.0], 2, "grid"),
+        ([0.0, float("inf")], 2, "grid"),
+        ([0.0, float("nan"), 1.0], 2, "grid"),
+        ([0.0, 0.5, 1.0], 0, "n_paths"),
+    ])
+    def test_fbm_bad_grid_or_path_count_is_config_error(self, grid, n_paths, match):
+        with pytest.raises(ConfigError, match=match):
+            fbm_paths(grid, n_paths, seed=1)
+
     def test_self_interpolation_through_all_nodes(self):
         p = Partition((0.0, 1.0), 1)  # every node is a date
         grid = p.grid
