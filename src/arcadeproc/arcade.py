@@ -27,7 +27,6 @@ from .drivers import (
     PathBundle,
     _arc_coefficients,
     _block_nodes,
-    _stack_blocks,
     config_hash,
 )
 from .errors import ConfigError, DegenerateError
@@ -100,43 +99,43 @@ def build_ap_paths(cfg: ArcadeConfig, driver_paths: PathBundle) -> PathBundle:
         driver_paths.grid, p.grid, rtol=0.0, atol=1e-12
     ):
         raise ConfigError("driver paths were simulated on a different grid")
-    d_rows = driver_paths.values.T                   # (K, P)
-    size = _block_nodes(d_rows.shape[1])
-    blocks = _assembled_blocks(cfg.coeffs.grid_values, d_rows[p.date_indices],
-                               (d_rows[k:k + size] for k in range(0, len(d_rows), size)))
+    rows = np.array(driver_paths.values.T, order="C")     # (K, P), assembled in place
+    size = _block_nodes(rows.shape[1])
+    for _ in _assembled_blocks(cfg.coeffs.grid_values, rows[p.date_indices],
+                               (rows[k:k + size] for k in range(0, len(rows), size))):
+        pass
     meta = {"kind": "ap", "config": cfg.config_dict()}
     meta["config_hash"] = config_hash(meta)
-    return PathBundle(grid=p.grid, values=_stack_blocks(blocks, d_rows.shape).T,
-                      seed=driver_paths.seed, meta=meta)
+    return PathBundle(grid=p.grid, values=rows.T, seed=driver_paths.seed, meta=meta)
 
 
 def _assembled_blocks(fmat: np.ndarray, d_dates: np.ndarray, d_blocks,
-                      gmat: np.ndarray | None = None, x: np.ndarray | None = None):
+                      gmat: np.ndarray | None = None, x: np.ndarray | None = None,
+                      tmp: np.ndarray | None = None):
     """Per block of consecutive driver rows ``D_k`` (at most
     :func:`~arcadeproc.drivers._block_nodes` of them), the arcade rows
     ``D_k - sum_i f_i(t_k) D_{T_i}`` (``d_dates``: the driver at the dates,
     (n+1, paths)) plus, given ``gmat`` and the targets ``x`` (paths, n+1),
     the signal ``sum_i g_i(t_k) X_i``, term by term in index order, skipping
-    the terms whose coefficient is 0 at every node of the block.
+    the terms whose coefficient is 0 at every node of the block.  ``tmp`` is
+    a (block nodes, paths) scratch buffer, allocated when omitted.
 
-    One ufunc per term and block.  A term applied where its coefficient is 0
-    adds a zero, which leaves every value as it is up to the sign of a zero,
-    so the rows are the same for any split into blocks; a block is valid until the block after next
-    is requested.
+    Each block is assembled in place and yielded, so it stays valid as long
+    as ``d_blocks`` keeps it; ``d_dates`` must not share memory with the
+    blocks.  One ufunc per term and block.  A term applied where its
+    coefficient is 0 adds a zero, which leaves every value as it is up to
+    the sign of a zero, so the rows are the same for any split into blocks.
     """
     n_paths = d_dates.shape[1]
     terms = [(d_dates, fmat, np.subtract)]
     if gmat is not None:
         terms.append((np.ascontiguousarray(x.T), gmat, np.add))
-    size = _block_nodes(n_paths)
-    buffers = np.empty((2, size, n_paths))
-    tmp = np.empty((size, n_paths))
+    if tmp is None:
+        tmp = np.empty((_block_nodes(n_paths), n_paths))
     start = 0
-    for count, d_block in enumerate(d_blocks):
-        nodes = slice(start, start + len(d_block))
+    for block in d_blocks:
+        nodes = slice(start, start + len(block))
         start = nodes.stop
-        block = buffers[count % 2, :len(d_block)]
-        np.copyto(block, d_block)
         for sources, coefs, op in terms:
             for i in np.flatnonzero(np.any(coefs[:, nodes] != 0.0, axis=1)).tolist():
                 op(block, np.multiply(coefs[i, nodes, None], sources[i], out=tmp[:len(block)]),

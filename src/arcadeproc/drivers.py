@@ -366,11 +366,18 @@ def _node_blocks(p: Partition, n_paths: int) -> Iterator[slice]:
 
 
 def _driver_blocks(d: GaussMarkovDriver, p: Partition, n_paths: int, seed: int,
-                   block: int = 0) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+                   block: int = 0, ring: int = 2,
+                   tmp: np.ndarray | None = None) -> tuple[np.ndarray, Iterator[np.ndarray]]:
     """Date-first exact sampling of the driver: its values at the dates,
     shape (n+1, paths), and an iterator over the blocks of
     :func:`_node_blocks`, (nodes, paths) arrays of consecutive grid-node
-    rows.  A block is valid until the block after next is requested.
+    rows.  Block ``k`` is written into slot ``k % ring`` of a ring of
+    ``ring`` block buffers, so it is valid until block ``k + ring`` is
+    requested.  The sampler reads back no row it has yielded (it keeps a
+    copy of its last interior row), so a consumer may overwrite a block in
+    place, as :func:`arcadeproc.arcade._assembled_blocks` does.  ``tmp`` is
+    a (:func:`_block_nodes`, paths) scratch buffer, allocated when omitted;
+    the sampler uses it only while it forms a block.
 
     Stream ``"D"`` of ``block`` is consumed as ``n+1`` date rows, then one
     row per interior node in grid order, each ``n_paths`` wide.  Each row
@@ -386,7 +393,8 @@ def _driver_blocks(d: GaussMarkovDriver, p: Partition, n_paths: int, seed: int,
     steps, size = p.steps_per_arc, _block_nodes(n_paths)
     rng = stream_rng(seed, "D", block)
     at_dates = rng.standard_normal((p.n_arcs + 1, n_paths))
-    tmp = np.empty((size, n_paths))
+    if tmp is None:
+        tmp = np.empty((size, n_paths))
     for j, row in enumerate(at_dates):
         np.multiply(row, sd[j * steps], out=row)
         np.add(row, const[j * steps], out=row)
@@ -394,14 +402,17 @@ def _driver_blocks(d: GaussMarkovDriver, p: Partition, n_paths: int, seed: int,
             np.add(row, np.multiply(at_dates[j - 1], near[j * steps], out=tmp[0]), out=row)
 
     def blocks():
-        buffers = np.empty((2, size, n_paths))
+        slots = np.empty((ring, size, n_paths))
+        last = np.empty(n_paths)
         for count, nodes in enumerate(_node_blocks(p, n_paths)):
             arc, offset = divmod(nodes.start, steps)
+            chunk = slots[count % ring, :nodes.stop - nodes.start]
             if offset == 0:
-                yield at_dates[arc:arc + 1]
+                np.copyto(chunk, at_dates[arc:arc + 1])
+                yield chunk
                 prev = at_dates[arc]
                 continue
-            chunk = rng.standard_normal(out=buffers[count % 2, :nodes.stop - nodes.start])
+            rng.standard_normal(out=chunk)
             np.multiply(chunk, sd[nodes, None], out=chunk)
             np.add(chunk, np.multiply(far[nodes, None], at_dates[arc + 1],
                                       out=tmp[:len(chunk)]), out=chunk)
@@ -410,6 +421,8 @@ def _driver_blocks(d: GaussMarkovDriver, p: Partition, n_paths: int, seed: int,
             for row, c in zip(chunk, near[nodes].tolist()):
                 np.add(row, np.multiply(prev, c, out=tmp[0]), out=row)
                 prev = row
+            np.copyto(last, prev)
+            prev = last
             yield chunk
 
     return at_dates, blocks()

@@ -42,17 +42,22 @@ its results are bit-identical to the node-by-node formulas.  A yielded
 block is valid only until the next block is requested.
 :func:`fam_paths` copies the blocks into whole paths; the isometry check and
 the Monte Carlo objective in :mod:`arcadeproc.ibmot` share one loop over path
-blocks (:func:`_paired_path_sums`) that feeds the march from the sampler and
+blocks (:func:`_paired_path_sums`) that runs the sampler in one worker thread
+(:func:`_sampled_ahead`), a bounded number of blocks ahead of the march, and
 reduces the yielded rows node by node into per-path running sums, so an
-operation holds blocks of at most ``_block_nodes(paths)`` node rows, the
-targets, the driver at the dates and per-node tables, never a
+operation holds a ring of ``_RING`` blocks of at most ``_block_nodes(paths)``
+node rows, the targets, the driver at the dates and per-node tables, never a
 ``(nodes, paths)`` array.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
+import queue
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -816,9 +821,11 @@ def _paired_path_sums(cfg: RapConfig, n_paths: int, seed: int, block_size: int,
     Path block ``b`` of at most ``block_size`` paths is simulated with
     ``block=b``; ``reduce(x, nodes)`` maps its targets and its :func:`_march`
     (with ``march_options``) to the block's two (paths,) sums.  The march
-    reads the ``I`` rows straight from their generator, so a block holds
-    (paths,) rows, the targets and the driver at the dates, never a
-    ``(nodes, paths)`` array.
+    reads the ``I`` rows of :func:`arcadeproc.rap._rap_blocks` through
+    :func:`_sampled_ahead`: the sampler fills the slots of a
+    ``_RING``-slot ring in a worker thread while the march filters the
+    blocks before them, so a path block holds that ring, the targets and
+    the driver at the dates, never a ``(nodes, paths)`` array.
     """
     for name, value in (("n_paths", n_paths), ("block_size", block_size)):
         if not isinstance(value, numbers.Integral):
@@ -828,12 +835,74 @@ def _paired_path_sums(cfg: RapConfig, n_paths: int, seed: int, block_size: int,
     if block_size < 1:
         raise ConfigError(f"block_size must be at least 1, got {block_size}")
     def block_sums(block, start):
-        x, blocks = _rap_blocks(cfg, min(block_size, n_paths - start), seed, block)
-        return reduce(x, _march(cfg, blocks, x, **march_options))
+        x, blocks = _rap_blocks(cfg, min(block_size, n_paths - start), seed, block, _RING)
+        with _sampled_ahead(blocks) as i_blocks:
+            return reduce(x, _march(cfg, i_blocks, x, **march_options))
 
     blocks = enumerate(range(0, n_paths, block_size))
     firsts, seconds = zip(*(block_sums(block, start) for block, start in blocks))
     return np.concatenate(firsts), np.concatenate(seconds)
+
+
+# Slots of the block ring between the sampler's worker thread and the march:
+# the march holds two blocks, so the worker runs up to two blocks ahead.
+_RING = 4
+_END = object()
+
+
+@contextmanager
+def _sampled_ahead(blocks: Iterator[np.ndarray]):
+    """Run the block generator ``blocks`` in one worker thread, at most
+    ``_RING - 2`` blocks ahead of the caller, and yield an iterator over its
+    blocks.
+
+    Block ``k`` of ``blocks`` must live in slot ``k % _RING`` of a ring, as
+    the date-first sampler's do (:func:`arcadeproc.drivers._driver_blocks`).
+    The caller holds at most two blocks, the one it reads and the one
+    before: requesting block ``k`` hands the slot of block ``k - 2`` back to
+    the worker, which draws block ``k - 2 + _RING`` into it.  An exception
+    raised in the worker is re-raised, as the same object, where the caller
+    requests the block.  On exit the worker finishes its current block and
+    is joined, also when the caller stops early or raises.
+    """
+    credits = threading.Semaphore(_RING)
+    handoff = queue.SimpleQueue()
+    stop = threading.Event()
+
+    def work():
+        try:
+            while True:
+                credits.acquire()
+                if stop.is_set():
+                    return
+                block = next(blocks, _END)
+                handoff.put(block)
+                if block is _END:
+                    return
+        except BaseException as exc:         # handed to the caller, which re-raises it
+            handoff.put(exc)
+
+    def read():
+        # started on the first request, once the march has built its tables
+        worker.start()
+        for count in itertools.count():
+            if count >= 2:
+                credits.release()
+            block = handoff.get()
+            if block is _END:
+                return
+            if isinstance(block, BaseException):
+                raise block
+            yield block
+
+    worker = threading.Thread(target=work, name="arcadeproc-sampler", daemon=True)
+    try:
+        yield read()
+    finally:
+        stop.set()
+        credits.release()
+        if worker.ident is not None:
+            worker.join()
 
 
 def _paired_mean_se(a: np.ndarray, b: np.ndarray) -> tuple[float, ...]:

@@ -103,16 +103,24 @@ def _w2sq_rows(prob_rows: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
 
 
 def w2sq_discrete_vs_gaussian(gamma_row, values, tau: float) -> float:
-    """W2^2 between one discrete conditional law and N(0, tau), ``tau`` finite and >= 0."""
+    """W2^2 between one discrete conditional law and N(0, tau), ``tau`` finite
+    and >= 0; the atoms ``values`` are finite and strictly increasing, one
+    per weight of ``gamma_row``."""
     if not 0.0 <= tau < math.inf:
         raise ConfigError(f"tau must be a finite variance >= 0, got {tau!r}")
     row = np.asarray(gamma_row, dtype=float)
+    y = np.asarray(values, dtype=float)
+    if y.ndim != 1 or y.shape != row.shape:
+        raise ConfigError(f"values must be 1-d with one atom per weight, got shape "
+                          f"{y.shape} for weights of shape {row.shape}")
+    if not (np.all(np.isfinite(y)) and np.all(np.diff(y) > 0.0)):
+        raise ConfigError(f"values must be finite and strictly increasing, got {values!r}")
     if np.any(row < -1e-12):
         raise ConfigError("conditional law has negative weights")
     total = row.sum()
     if abs(total - 1.0) > 1e-9:
         raise ConfigError("conditional law must sum to 1")
-    return float(_w2sq_rows(row[None, :] / total, np.asarray(values, float), tau)[0])
+    return float(_w2sq_rows(row[None, :] / total, y, tau)[0])
 
 
 def _w2sq_gradient_rows(prob_rows: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:

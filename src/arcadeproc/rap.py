@@ -34,6 +34,7 @@ from .drivers import (
     _VAR_FLOOR,
     GaussMarkovDriver,
     PathBundle,
+    _block_nodes,
     _cholesky_draw,
     _driver_blocks,
     _stack_blocks,
@@ -160,14 +161,19 @@ def build_rap_paths(cfg: RapConfig, n_paths: int, seed: int,
     return PathBundle(grid=grid, values=values, seed=seed, meta=meta), x
 
 
-def _rap_blocks(cfg: RapConfig, n_paths: int, seed: int, block: int = 0):
+def _rap_blocks(cfg: RapConfig, n_paths: int, seed: int, block: int = 0, ring: int = 2):
     """The targets ``X`` (paths, n+1) and an iterator over blocks of
-    consecutive ``I`` rows, assembled from the date-first driver blocks."""
-    # the driver checks the path count before the targets are drawn
-    d_dates, d_blocks = _driver_blocks(cfg.arcade.driver, cfg.partition, n_paths, seed, block)
+    consecutive ``I`` rows: the date-first driver blocks, assembled in their
+    slots of a ``ring``-slot ring (see :func:`_driver_blocks`).  The sampler
+    and the assembler share one scratch block."""
+    if n_paths < 1:
+        raise ConfigError("n_paths must be positive")
+    tmp = np.empty((_block_nodes(n_paths), n_paths))
+    d_dates, d_blocks = _driver_blocks(cfg.arcade.driver, cfg.partition, n_paths, seed,
+                                       block, ring, tmp)
     x = cfg.coupling.sample(n_paths, seed, block)
     return x, _assembled_blocks(cfg.arcade.coeffs.grid_values, d_dates, d_blocks,
-                                cfg.signal.grid_values, x)
+                                cfg.signal.grid_values, x, tmp)
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +323,19 @@ def mimic_process(target: PathBundle, p: Partition,
 def fbm_paths(grid: Sequence[float], n_paths: int, seed: int,
               hurst: float = 0.75) -> PathBundle:
     """Fractional Brownian paths by dense Cholesky (mimicry demo plumbing);
-    ``hurst`` must lie in (0, 1] and the grid times in [0, inf)."""
+    ``hurst`` must lie in (0, 1] and the grid be 1-d and strictly increasing,
+    its times in [0, inf)."""
     if not 0.0 < hurst <= 1.0:
         raise ConfigError(f"hurst must lie in (0, 1], got {hurst!r}")
     if n_paths < 1:
         raise ConfigError("n_paths must be positive")
     g = np.asarray(grid, dtype=float)
+    if g.ndim != 1:
+        raise ConfigError(f"fBm grid must be 1-d, got shape {g.shape}")
     if not np.all(np.isfinite(g) & (g >= 0.0)):
         raise ConfigError(f"fBm grid times must be finite and >= 0, got {grid!r}")
+    if not np.all(np.diff(g) > 0.0):
+        raise ConfigError(f"fBm grid must be strictly increasing, got {grid!r}")
     two_h = 2.0 * hurst
     cov = 0.5 * (
         g[:, None] ** two_h + g[None, :] ** two_h

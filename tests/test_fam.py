@@ -1,6 +1,10 @@
 """Filters, closed forms, innovations, isometry, and the n-arc reduction."""
 
+import json
 import pathlib
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from arcadeproc import (
     ConfigError,
     DegenerateError,
     DomainError,
+    NumericError,
     Partition,
     RapConfig,
     brownian_driver,
@@ -39,10 +44,13 @@ from arcadeproc.coupling import (
     uniform_mot_kernel,
 )
 from arcadeproc.drivers import _VAR_FLOOR, _block_nodes, _node_blocks, simulate_driver
+from arcadeproc import fam as fam_module
+from arcadeproc.cli import EXIT_CONFIG, EXIT_NUMERIC, main
 from arcadeproc.fam import (
     _LOG_UNDERFLOW,
     FamTrace,
     _march,
+    _paired_path_sums,
     _posterior_from_atoms,
     _posterior_gaussian,
 )
@@ -818,6 +826,166 @@ class TestStreamedReducers:
         short = self._reducer_peak(reducer, 4000, 500)
         long = self._reducer_peak(reducer, 4000, 2000)
         assert long <= 1.2 * short, f"peak ratio {long / short:.3f} from 501 to 2001 nodes"
+
+
+class TestSamplerThread:
+    """The Monte Carlo reducers draw their ``I`` rows in one worker thread
+    (``fam._sampled_ahead``).  It ends before the reducer returns or raises,
+    runs one path block at a time, runs only the generator bodies, and an
+    error raised in it reaches the caller as the same object."""
+
+    SEED = 33
+    FAM_DOC = {
+        "partition": {"dates": [0.0, 1.0], "steps_per_arc": 200},
+        "driver": {"preset": "brownian"},
+        "coefficients": {"family": "piecewise_linear"},
+        "coupling": {"preset": "binary_pm1"},
+        "standard": True,
+        "n_paths": 8,
+        "seed": 17,
+        "isometry": {"n_paths": 50},
+        "max_path_files": 1,
+    }
+
+    @staticmethod
+    def _cfg():
+        # 200 steps: a path block of at most 256 paths has 6 sampler blocks,
+        # more than the ring holds, so the worker waits for the march
+        return _bridge_rap(Partition((0.0, 1.0), 200), binary_pm1_kernel())
+
+    @staticmethod
+    def _failing_sampler(monkeypatch, err, after=1):
+        """Make block ``after`` of every sampler raise ``err``; returns the
+        names of the threads it was raised in."""
+        real, raised_in = fam_module._rap_blocks, []
+
+        def failing(*args):
+            x, blocks = real(*args)
+
+            def rows():
+                for count, block in enumerate(blocks):
+                    if count == after:
+                        raised_in.append(threading.current_thread().name)
+                        raise err
+                    yield block
+
+            return x, rows()
+
+        monkeypatch.setattr(fam_module, "_rap_blocks", failing)
+        return raised_in
+
+    def test_reducers_leave_no_thread(self):
+        from arcadeproc.ibmot import ibmot_objective_mc
+
+        before = threading.active_count()
+        ito_isometry_check(self._cfg(), 50, self.SEED, block_size=20)
+        assert threading.active_count() == before
+        ibmot_objective_mc(uniform_mot_kernel(), 1.0, 50, self.SEED, steps=200, block_size=20)
+        assert threading.active_count() == before
+
+    def test_reduce_raising_mid_march_joins_the_worker(self):
+        before = threading.active_count()
+        err = NumericError("reduce failed")
+
+        def reduce(x, blocks):
+            for count, _ in enumerate(blocks):
+                if count == 2:
+                    raise err
+
+        with pytest.raises(NumericError) as info:
+            _paired_path_sums(self._cfg(), 50, self.SEED, 20, reduce, with_innovations=False)
+        assert info.value is err
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("error", [ConfigError, NumericError])
+    def test_sampler_error_reaches_the_caller(self, monkeypatch, error):
+        err = error("sampler failed")
+        raised_in = self._failing_sampler(monkeypatch, err)
+        before = threading.active_count()
+        with pytest.raises(error) as info:
+            ito_isometry_check(self._cfg(), 50, self.SEED, block_size=20)
+        assert info.value is err
+        assert raised_in == ["arcadeproc-sampler"]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("error, code", [(ConfigError, EXIT_CONFIG),
+                                             (NumericError, EXIT_NUMERIC)])
+    def test_sampler_error_keeps_the_cli_exit_code(self, monkeypatch, tmp_path, capsys,
+                                                   error, code):
+        raised_in = self._failing_sampler(monkeypatch, error("sampler failed"))
+        cfg = tmp_path / "fam.json"
+        cfg.write_text(json.dumps(self.FAM_DOC))
+        before = threading.active_count()
+        rc = main(["fam", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])
+        assert rc == code
+        assert raised_in == ["arcadeproc-sampler"]
+        assert "sampler failed" in capsys.readouterr().err
+        assert threading.active_count() == before
+
+    def test_one_worker_at_a_time_over_many_path_blocks(self):
+        before = threading.active_count()
+        alive = []
+
+        def reduce(x, blocks):
+            for _ in blocks:
+                alive.append(threading.active_count())
+            return x[:, 0], x[:, -1]
+
+        _paired_path_sums(self._cfg(), 30, self.SEED, 1, reduce, with_innovations=False)
+        assert len(alive) == 30 * 6             # a date, 199 interior nodes by 64, a date
+        # the worker may end before the march reads its last block
+        assert max(alive) == before + 1
+        assert threading.active_count() == before
+
+    def test_concurrent_readers_see_the_serial_rows(self):
+        # each reader holds its previous block while it checks the next, as
+        # the march does; a slot handed back to the worker too early shows
+        # as a row that differs from the serial sampler's
+        from arcadeproc.rap import _rap_blocks
+
+        cfg, n_paths = self._cfg(), 256                  # 16-node blocks: 15 per path
+        _, serial = _rap_blocks(cfg, n_paths, self.SEED)
+        want = [rows.copy() for rows in serial]
+        mismatches, finished = [], []
+
+        def read():
+            _, blocks = _rap_blocks(cfg, n_paths, self.SEED, 0, fam_module._RING)
+            with fam_module._sampled_ahead(blocks) as rows:
+                prev = None
+                for k, block in enumerate(rows):
+                    time.sleep(1e-3)                     # let the worker run ahead
+                    if not np.array_equal(block, want[k]) or (
+                            prev is not None and not np.array_equal(prev, want[k - 1])):
+                        mismatches.append(k)
+                    prev = block
+            finished.append(k + 1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            readers = [threading.Thread(target=read) for _ in range(4)]
+            for reader in readers:
+                reader.start()
+            for reader in readers:
+                reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert finished == [len(want)] * 4
+        assert mismatches == []
+
+    def test_eager_part_runs_in_the_calling_thread(self, monkeypatch):
+        # the date rows and the target draw stay in the caller, where a
+        # tracer that patches CouplingKernel.sample keeps its span stack
+        real, threads = CouplingKernel.sample, []
+
+        def sample(kernel, *args):
+            threads.append(threading.current_thread())
+            return real(kernel, *args)
+
+        monkeypatch.setattr(CouplingKernel, "sample", sample)
+        ito_isometry_check(self._cfg(), 50, self.SEED, block_size=20)
+        assert threads == [threading.current_thread()] * 3
 
 
 def _posterior_from_atoms_plain(y, logw, resid, g_next, var_a):

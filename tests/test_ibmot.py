@@ -122,6 +122,17 @@ class TestW2Squared:
     def test_zero_tau_is_the_second_moment(self):
         assert w2sq_discrete_vs_gaussian([0.5, 0.5], [0.0, 1.0], 0.0) == 0.5
 
+    @pytest.mark.parametrize("values, match", [
+        ([[0.0, 1.0]], "1-d"),                          # not 1-d
+        ([0.0, 1.0, 2.0], "one atom per weight"),       # not the row's length
+        ([0.0, float("nan")], "finite"),                # not finite
+        ([1.0, 0.0], "increasing"),                     # decreasing: 2.298, sorted 0.702
+        ([0.5, 0.5], "increasing"),                     # a repeated atom
+    ])
+    def test_bad_values_are_config_errors(self, values, match):
+        with pytest.raises(ConfigError, match=match):
+            w2sq_discrete_vs_gaussian([0.5, 0.5], values, 1.0)
+
 
 class TestGradient:
     def test_directional_derivatives(self):

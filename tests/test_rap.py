@@ -282,6 +282,9 @@ class TestMimicry:
         ([0.0, float("inf")], 2, "grid"),
         ([0.0, float("nan"), 1.0], 2, "grid"),
         ([0.0, 0.5, 1.0], 0, "n_paths"),
+        ([0.0, 0.5, 0.5, 1.0], 2, "increasing"),        # a repeated time
+        ([0.0, 1.0, 0.5], 2, "increasing"),
+        ([[0.0, 0.5], [0.5, 1.0]], 2, "1-d"),
     ])
     def test_fbm_bad_grid_or_path_count_is_config_error(self, grid, n_paths, match):
         with pytest.raises(ConfigError, match=match):
