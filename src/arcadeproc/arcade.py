@@ -68,7 +68,8 @@ class ArcadeConfig:
         report = validate_coefficient_set(self.coeffs, tol=1e-9)
         if not report.passed:
             raise ConfigError(
-                "noise coefficients violate the interpolating-node identities: "
+                "noise coefficients are not finite on the grid or violate the "
+                "interpolating-node identities: "
                 f"unit {report.max_unit_error:.2e}, zero {report.max_zero_error:.2e}"
             )
 

@@ -313,6 +313,8 @@ def _sampling_law(d: GaussMarkovDriver, p: Partition):
     g, steps = p.grid, p.steps_per_arc
     h1, h2 = np.asarray(d.h1(g), dtype=float), np.asarray(d.h2(g), dtype=float)
     mean, var = np.asarray(d.mean(g), dtype=float), h1 * h2
+    if not (np.isfinite(h1).all() and np.isfinite(h2).all() and np.isfinite(mean).all()):
+        raise ConfigError("driver H1, H2 and mean must be finite on the grid")
     # H2 may vanish at an isolated degenerate start (e.g. t*B_t at 0)
     if np.any(h2[1:] <= 0.0):
         raise ConfigError("driver H2 must be positive on the grid")

@@ -273,10 +273,15 @@ def _suffix_length(cfg: RapConfig, arc: int) -> int:
 
 
 def _grid_algebra(cfg: RapConfig):
-    """The driver's arc algebra at the nodes ``grid[:-1]`` the marches visit."""
+    """The driver's arc algebra at the nodes ``grid[:-1]`` the marches visit;
+    rejects non-finite derivative terms, which the march would read as a
+    zero volatility."""
     p = cfg.partition
     arcs = np.repeat(np.arange(p.n_arcs), p.steps_per_arc)
-    return _arc_algebra(cfg.arcade.driver, p.dates, arcs, p.grid[:-1])
+    alg = _arc_algebra(cfg.arcade.driver, p.dates, arcs, p.grid[:-1])
+    if not all(np.isfinite(v).all() for v in (alg.d_right, alg.d_left, alg.qv, alg.d_mean)):
+        raise ConfigError("driver derivatives are not finite on the grid")
+    return alg
 
 
 def _at_nodes(table: np.ndarray, nodes: slice):

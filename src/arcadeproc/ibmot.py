@@ -4,9 +4,10 @@ The decision variable is a joint matrix ``pi`` on the atom grid of two
 convexly ordered marginals, constrained to fixed marginals and row-wise
 barycenters (the martingale transport polytope).  The objective is the
 mu-average of the squared quantile distance between each conditional row and
-the centered normal with the horizon variance; by completing the square this
-is equivalent to maximizing the expected product of the terminal target with
-the innovations endpoint.
+the centered normal with the horizon variance.  This is the W2 relaxation:
+the filter does not pair the terminal target with the innovations endpoint
+W2-optimally, so the completed square ``K_I`` is an upper bound on the path
+objective ``E[X_1 W_T]`` of the same kernel (``ibmot_objective_mc``).
 
 The solver is damped Newton ascent on the concave dual over column prices
 ``psi`` (one per atom of the second marginal; weak duality as in Beiglboeck,
@@ -52,8 +53,9 @@ from .errors import ConfigError, InfeasibleError, NumericError
 from .fam import _paired_mean_se, _paired_path_sums
 from .partition import Partition, piecewise_linear_coefficients
 from .rap import RapConfig
-# unused by the solver: perfbench/tracing.py wraps this name until the
-# benchmark drops its simplex metrics
+# unused by the solver: perfbench/tracing.py wraps this name (a thin HiGHS
+# call that imports scipy.optimize lazily) until the benchmark drops its
+# simplex metrics
 from .simplex import linprog_simplex
 
 __all__ = [
@@ -203,7 +205,7 @@ class IbmotOptions:
 
 @dataclass(frozen=True)
 class QuantileObjective:
-    value: float             # E[(X_1 - W_T)^2] in quantile form
+    value: float             # W2 relaxation: lower bound on E[(X_1 - W_T)^2]
     k_i: float               # completed square with the kernel's own E[X_1^2]
     k_i_target: float | None = None  # completed square with the exact target moment
 

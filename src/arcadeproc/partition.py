@@ -112,9 +112,10 @@ class Partition:
 
     def check_domain(self, t) -> None:
         t = np.asarray(t, dtype=float)
-        if np.any(t < self.dates[0] - 1e-12) or np.any(t > self.dates[-1] + 1e-12):
+        # written as "inside" so that a NaN, which fails every comparison, is refused
+        if not np.all((t >= self.dates[0] - 1e-12) & (t <= self.dates[-1] + 1e-12)):
             raise DomainError(
-                f"time outside [{self.dates[0]}, {self.dates[-1]}]"
+                f"time outside [{self.dates[0]}, {self.dates[-1]}] or not finite"
             )
 
     def config_dict(self) -> dict:
@@ -344,10 +345,10 @@ def validate_coefficient_set(
 ) -> ValidationReport:
     """Check the interpolating-node identities and numerical continuity.
 
-    Passing requires the node residuals ``|f_i(T_j) - delta_ij|`` to stay
-    below ``tol``; when ``continuity_c`` is given, the largest jump between
-    adjacent grid nodes must additionally stay below ``continuity_c * dt``
-    for the local step ``dt``.
+    Passing requires finite values at every grid node and the node residuals
+    ``|f_i(T_j) - delta_ij|`` to stay below ``tol``; when ``continuity_c`` is
+    given, the largest jump between adjacent grid nodes must additionally
+    stay below ``continuity_c * dt`` for the local step ``dt``.
     """
     p = cset.partition
     gm = cset.grid_values
@@ -361,7 +362,7 @@ def validate_coefficient_set(
         rate = float(np.max(diffs / np.diff(p.grid)))
     else:
         jumps, rate = 0.0, 0.0
-    ok = unit_err <= tol and zero_err <= tol
+    ok = unit_err <= tol and zero_err <= tol and bool(np.isfinite(gm).all())
     if continuity_c is not None:
         ok = ok and rate <= continuity_c
     return ValidationReport(unit_err, zero_err, jumps, rate, ok)

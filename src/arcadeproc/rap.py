@@ -90,7 +90,8 @@ class RapConfig:
             raise ConfigError("signal and noise coefficients use different partitions")
         report = validate_coefficient_set(self.signal, tol=1e-9)
         if not report.passed:
-            raise ConfigError("signal coefficients violate the node identities")
+            raise ConfigError("signal coefficients are not finite on the grid or "
+                              "violate the node identities")
         if self.coupling.n_targets != p.n_arcs + 1:
             raise ConfigError(
                 f"coupling provides {self.coupling.n_targets} targets for "

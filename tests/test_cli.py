@@ -649,7 +649,7 @@ class TestConfigKeys:
 class TestColdStart:
     """``scipy.special`` loads on the first Gaussian quantile or cdf call, not
     with the CLI: arcade, filtered-martingale and convex-order runs never
-    import it."""
+    import it.  ``scipy.optimize`` loads only with the LP."""
 
     SCRIPT = """
 import sys
@@ -674,13 +674,37 @@ assert quantiles.tobytes() == ndtri(q).tobytes()
 assert cdfs.tobytes() == ndtr(x).tobytes()
 """
 
-    def test_arcade_and_check_runs_leave_scipy_unloaded(self, tmp_path):
+    LP_SCRIPT = """
+import sys
+import arcadeproc.cli
+from arcadeproc import IbmotProblem, gaussian_marginal, solve_ibmot
+from arcadeproc.coupling import uniform_mot_kernel
+from arcadeproc.ibmot import ibmot_objective_mc, linprog_simplex
+sol = solve_ibmot(IbmotProblem(gaussian_marginal(0.0, 1.0, 15),
+                               gaussian_marginal(0.0, 2.0, 15), 1.0))
+assert sol.converged
+ibmot_objective_mc(uniform_mot_kernel(), 1.0, 200, seed=3, steps=50)
+assert "scipy.optimize" not in sys.modules
+linprog_simplex([1.0], [[1.0]], [1.0])
+assert "scipy.optimize" in sys.modules
+"""
+
+    @staticmethod
+    def _run(script, *args):
         src = str(pathlib.Path(arcadeproc.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        result = subprocess.run([sys.executable, "-c", self.SCRIPT, str(CONFIGS), str(tmp_path)],
+        result = subprocess.run([sys.executable, "-c", script, *map(str, args)],
                                 env=env, capture_output=True, text=True, timeout=300)
         assert result.returncode == 0, result.stderr
+
+    def test_arcade_and_check_runs_leave_scipy_unloaded(self, tmp_path):
+        self._run(self.SCRIPT, CONFIGS, tmp_path)
+
+    def test_solver_runs_leave_the_lp_unloaded(self):
+        # scipy.optimize costs tens of MiB of resident memory; only the
+        # LP (and the brute-force oracle) may import it
+        self._run(self.LP_SCRIPT)
 
 
 class TestRerunsByteIdentical:

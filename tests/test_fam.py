@@ -1,5 +1,6 @@
 """Filters, closed forms, innovations, isometry, and the n-arc reduction."""
 
+import dataclasses
 import json
 import pathlib
 import sys
@@ -11,6 +12,7 @@ import pytest
 
 from arcadeproc import (
     ArcadeConfig,
+    CoefficientSet,
     ConfigError,
     DegenerateError,
     DomainError,
@@ -29,6 +31,7 @@ from arcadeproc import (
     piecewise_linear_coefficients,
     scaled_bm_driver,
     standard_coefficients,
+    validate_coefficient_set,
 )
 from arcadeproc.coupling import (
     CouplingKernel,
@@ -570,6 +573,39 @@ class TestIsometry:
         assert rep.as_dict()["z_score"] is None
 
 
+class TestNonFiniteTables:
+    """A NaN at one interior grid node is refused where the value is first
+    tabulated, before any streamed reducer reads it."""
+
+    @staticmethod
+    def _nan_at(f, node):
+        return lambda t: np.where(np.asarray(t, dtype=float) == node, np.nan, f(t))
+
+    def test_coefficient_callable(self):
+        p = Partition((0.0, 1.0), 20)
+        node = p.grid[7]
+        cs = CoefficientSet(p, "custom", functions=(
+            self._nan_at(lambda t: 1.0 - np.asarray(t), node), lambda t: np.asarray(t)))
+        assert not validate_coefficient_set(cs).passed
+        with pytest.raises(ConfigError, match="not finite"):
+            ArcadeConfig(brownian_driver(), cs)
+        hats = piecewise_linear_coefficients(p)
+        with pytest.raises(ConfigError, match="not finite"):
+            RapConfig(ArcadeConfig(brownian_driver(), hats), cs.with_role("signal"),
+                      binary_pm1_kernel())
+
+    @pytest.mark.parametrize("field", ["h1", "dh1"])
+    def test_driver_function(self, field):
+        # H1 reaches the sampler's law, dH1 the march's derivative terms
+        p = Partition((0.0, 1.0), 20)
+        d = brownian_driver()
+        d = dataclasses.replace(d, **{field: self._nan_at(getattr(d, field), p.grid[7])})
+        hats = piecewise_linear_coefficients(p)
+        cfg = RapConfig(ArcadeConfig(d, hats), hats.with_role("signal"), binary_pm1_kernel())
+        with pytest.raises(ConfigError, match="finite on the grid"):
+            ito_isometry_check(cfg, 100, seed=21)
+
+
 class TestTiledMarch:
     """The filter, the innovations and the driver march over node rows of
     time-major path arrays (the class is named after the tiled march these
@@ -786,6 +822,10 @@ class TestStreamedReducers:
     def _reducer_peak(reducer, n_paths, steps, block_size=20000):
         """tracemalloc peak of one reducer call; numpy reports its buffers."""
         import tracemalloc
+
+        # numpy 2 imports numpy.random on first attribute access; imported
+        # inside the trace, the module's own allocations would count
+        import numpy.random  # noqa: F401
 
         from arcadeproc.ibmot import ibmot_objective_mc
 

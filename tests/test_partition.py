@@ -4,13 +4,21 @@ import numpy as np
 import pytest
 
 from arcadeproc import (
+    ArcadeConfig,
     CoefficientSet,
     ConfigError,
     DomainError,
     Partition,
+    RapConfig,
+    brownian_driver,
     carryover_noise_coefficients,
+    conditional_mean_rap,
     damp_lagrange,
+    driver_quadratic_variation,
     elliptic_coefficients,
+    fam_filter_bruteforce,
+    fam_filter_discrete,
+    fam_volatility,
     lagrange_coefficients,
     ou_driver,
     piecewise_linear_coefficients,
@@ -18,6 +26,7 @@ from arcadeproc import (
     table_coefficients,
     validate_coefficient_set,
 )
+from arcadeproc.coupling import binary_pm1_kernel
 
 ALL_FAMILIES = ["piecewise_linear", "lagrange", "lagrange_damped", "elliptic"]
 
@@ -76,6 +85,29 @@ class TestPartition:
         for t in (-2e-12, 3.0 + 2e-12):
             with pytest.raises(DomainError):
                 p.arc_of(t)
+
+
+def _one_arc_bridge():
+    p = Partition((0.0, 1.0), 50)
+    hats = piecewise_linear_coefficients(p)
+    return RapConfig(ArcadeConfig(brownian_driver(), hats), hats.with_role("signal"),
+                     binary_pm1_kernel(), standard=True)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("call", [
+    lambda cfg, t: fam_filter_discrete(cfg, t, 0.1, [1.0]),
+    lambda cfg, t: fam_volatility(cfg, t, 0.1, [1.0]),
+    lambda cfg, t: fam_filter_bruteforce(cfg, t, 0.1, [1.0]),
+    lambda cfg, t: cfg.arcade.coeffs.eval(0, t),
+    lambda cfg, t: driver_quadratic_variation(cfg.arcade.driver, cfg.partition, t),
+    lambda cfg, t: cfg.partition.arc_of(t),
+    lambda cfg, t: conditional_mean_rap(cfg, 0.4, t, 1.0, 0.8, 1.2),
+], ids=["fam_filter_discrete", "fam_volatility", "fam_filter_bruteforce",
+        "coefficient_eval", "driver_quadratic_variation", "arc_of", "conditional_mean_rap"])
+def test_non_finite_time_is_domain_error(call, t):
+    with pytest.raises(DomainError):
+        call(_one_arc_bridge(), t)
 
 
 class TestNodeIdentities:
