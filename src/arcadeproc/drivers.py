@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple
 
@@ -350,8 +352,18 @@ def _sampling_law(d: GaussMarkovDriver, p: Partition):
 _BLOCK_VALUES = 1 << 14
 
 
+# Slots of the date-first sampler's ring of block buffers: the march holds
+# two blocks, and _sampled_ahead lets the worker draw the other two.
+_RING = 4
+
+
 def _block_nodes(n_paths: int) -> int:
-    """Nodes per block of ``n_paths``-wide rows."""
+    """Nodes per block of ``n_paths``-wide rows.  The samplers size every
+    path-wide buffer here, so a bad path count fails before any is allocated."""
+    if not isinstance(n_paths, numbers.Integral):
+        raise ConfigError(f"n_paths must be an integer, got {n_paths!r}")
+    if n_paths < 1:
+        raise ConfigError("n_paths must be positive")
     return max(1, min(64, _BLOCK_VALUES // n_paths))
 
 
@@ -368,14 +380,15 @@ def _node_blocks(p: Partition, n_paths: int) -> Iterator[slice]:
 
 
 def _driver_blocks(d: GaussMarkovDriver, p: Partition, n_paths: int, seed: int,
-                   block: int = 0, ring: int = 2,
+                   block: int = 0,
                    tmp: np.ndarray | None = None) -> tuple[np.ndarray, Iterator[np.ndarray]]:
     """Date-first exact sampling of the driver: its values at the dates,
     shape (n+1, paths), and an iterator over the blocks of
     :func:`_node_blocks`, (nodes, paths) arrays of consecutive grid-node
-    rows.  Block ``k`` is written into slot ``k % ring`` of a ring of
-    ``ring`` block buffers, so it is valid until block ``k + ring`` is
-    requested.  The sampler reads back no row it has yielded (it keeps a
+    rows.  Block ``k`` is written into slot ``k % _RING`` of a ring of
+    ``_RING`` block buffers, so it is valid until block ``k + _RING`` is
+    requested, and :func:`_sampled_ahead` may run the iterator in a worker
+    thread.  The sampler reads back no row it has yielded (it keeps a
     copy of its last interior row), so a consumer may overwrite a block in
     place, as :func:`arcadeproc.arcade._assembled_blocks` does.  ``tmp`` is
     a (:func:`_block_nodes`, paths) scratch buffer, allocated when omitted;
@@ -388,11 +401,9 @@ def _driver_blocks(d: GaussMarkovDriver, p: Partition, n_paths: int, seed: int,
     are formed for a whole block, and a zero-mean driver skips the constant
     there.
     """
-    if n_paths < 1:
-        raise ConfigError("n_paths must be positive")
+    steps, size = p.steps_per_arc, _block_nodes(n_paths)
     sd, near, far, const = _sampling_law(d, p)
     with_const = bool(np.any(const))
-    steps, size = p.steps_per_arc, _block_nodes(n_paths)
     rng = stream_rng(seed, "D", block)
     at_dates = rng.standard_normal((p.n_arcs + 1, n_paths))
     if tmp is None:
@@ -404,11 +415,11 @@ def _driver_blocks(d: GaussMarkovDriver, p: Partition, n_paths: int, seed: int,
             np.add(row, np.multiply(at_dates[j - 1], near[j * steps], out=tmp[0]), out=row)
 
     def blocks():
-        slots = np.empty((ring, size, n_paths))
+        slots = np.empty((_RING, size, n_paths))
         last = np.empty(n_paths)
         for count, nodes in enumerate(_node_blocks(p, n_paths)):
             arc, offset = divmod(nodes.start, steps)
-            chunk = slots[count % ring, :nodes.stop - nodes.start]
+            chunk = slots[count % _RING, :nodes.stop - nodes.start]
             if offset == 0:
                 np.copyto(chunk, at_dates[arc:arc + 1])
                 yield chunk
@@ -428,6 +439,41 @@ def _driver_blocks(d: GaussMarkovDriver, p: Partition, n_paths: int, seed: int,
             yield chunk
 
     return at_dates, blocks()
+
+
+@contextmanager
+def _sampled_ahead(blocks: Iterator[np.ndarray]):
+    """Run the block generator ``blocks`` in one worker thread, at most
+    ``_RING - 2`` blocks ahead of the caller, and yield an iterator over its
+    blocks.
+
+    Block ``k`` of ``blocks`` must live in slot ``k % _RING`` of a ring, as
+    the date-first sampler's do (:func:`_driver_blocks`).  The caller holds
+    at most two blocks, the one it reads and the one before: requesting
+    block ``k`` queues block ``k - 2 + _RING``, which the worker draws into
+    the slot of block ``k - 2``.  An exception raised in the worker is
+    re-raised, as the same object, where the caller requests the block.  On
+    exit the queued blocks are cancelled and the worker finishes its current
+    block and is joined, also when the caller stops early or raises.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(1, "arcadeproc-sampler")
+
+    def read():
+        # the first request starts the worker, once the march has built its tables
+        ahead = [pool.submit(next, blocks, None) for _ in range(_RING - 2)]
+        while True:
+            ahead.append(pool.submit(next, blocks, None))
+            block = ahead.pop(0).result()
+            if block is None:
+                return
+            yield block
+
+    try:
+        yield read()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _stack_blocks(blocks, shape: tuple[int, int]) -> np.ndarray:

@@ -43,28 +43,24 @@ block is valid only until the next block is requested.
 :func:`fam_paths` copies the blocks into whole paths; the isometry check and
 the Monte Carlo objective in :mod:`arcadeproc.ibmot` share one loop over path
 blocks (:func:`_paired_path_sums`) that runs the sampler in one worker thread
-(:func:`_sampled_ahead`), a bounded number of blocks ahead of the march, and
-reduces the yielded rows node by node into per-path running sums, so an
-operation holds a ring of ``_RING`` blocks of at most ``_block_nodes(paths)``
-node rows, the targets, the driver at the dates and per-node tables, never a
-``(nodes, paths)`` array.
+(:func:`arcadeproc.drivers._sampled_ahead`), at most two blocks ahead of
+the march, and reduces the yielded rows node by node into per-path running
+sums, so an operation holds the sampler's ring of ``_RING`` blocks of at
+most ``_block_nodes(paths)`` node rows, the targets, the driver at the dates
+and per-node tables, never a ``(nodes, paths)`` array.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
-import queue
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .arcade import ap_mean, ap_variance
-from .drivers import _VAR_FLOOR, _arc_algebra, _block_nodes, _node_blocks
+from .drivers import _VAR_FLOOR, _arc_algebra, _block_nodes, _node_blocks, _sampled_ahead
 from .errors import ConfigError, DegenerateError, DomainError, NumericError
 from .rap import RapConfig, _rap_blocks, build_rap_paths
 
@@ -378,21 +374,12 @@ def fam_paths(cfg: RapConfig, n_paths: int, seed: int, block: int = 0,
         raise ConfigError("innovations require a standard randomized arcade")
 
     rap, x = build_rap_paths(cfg, n_paths, seed, block)
-    i_rows = rap.values.T
-    m_rows = np.empty(i_rows.shape)
-    vol_rows = np.empty(i_rows.shape)
-    w_rows = np.empty(i_rows.shape) if with_innovations else None
-    underflow = 0
-    i_blocks = (i_rows[nodes] for nodes in _node_blocks(cfg.partition, n_paths))
-    for out in _march(cfg, i_blocks, x, with_innovations):
-        m_rows[out.nodes] = out.m
-        vol_rows[out.nodes] = out.vol
-        if w_rows is not None:
-            w_rows[out.nodes] = out.w
-        underflow += out.underflow
+    kept = ("m", "vol", "w") if with_innovations else ("m", "vol")
+    (m_rows, vol_rows, *w_rows), underflow = _stored_march(
+        cfg, rap.values.T, x, kept, with_innovations=with_innovations)
     return FamTrace(grid=cfg.partition.grid, i_paths=rap.values, m_paths=m_rows.T,
-                    vol_paths=vol_rows.T, x=x,
-                    w_paths=None if w_rows is None else w_rows.T, underflow_count=underflow)
+                    vol_paths=vol_rows.T, x=x, w_paths=w_rows[0].T if w_rows else None,
+                    underflow_count=underflow)
 
 
 class _NodeBlock(NamedTuple):
@@ -411,6 +398,23 @@ class _NodeBlock(NamedTuple):
     vol: np.ndarray | None
     w: np.ndarray | None
     underflow: int
+
+
+def _stored_march(cfg: RapConfig, i_rows: np.ndarray, x: np.ndarray,
+                  kept: tuple[str, ...], **march_options) -> tuple[list[np.ndarray], int]:
+    """:func:`_march` (with ``march_options``) over the stored time-major
+    ``I`` rows ``i_rows`` (nodes, paths), sliced by :func:`_node_blocks`:
+    the rows of the :class:`_NodeBlock` fields named in ``kept``, each
+    copied into a whole (nodes, paths) buffer, and the count of
+    posterior-underflow fallbacks."""
+    whole = [np.empty(i_rows.shape) for _ in kept]
+    underflow = 0
+    i_blocks = (i_rows[nodes] for nodes in _node_blocks(cfg.partition, i_rows.shape[1]))
+    for out in _march(cfg, i_blocks, x, **march_options):
+        for name, rows in zip(kept, whole):
+            rows[out.nodes] = getattr(out, name)
+        underflow += out.underflow
+    return whole, underflow
 
 
 def _march(cfg: RapConfig, i_blocks, x: np.ndarray, with_innovations: bool,
@@ -739,11 +743,8 @@ def innovations_from_arrays(cfg: RapConfig, i_vals: np.ndarray, x: np.ndarray) -
     """
     if not cfg.standard:
         raise ConfigError("innovations are defined for standard configurations")
-    i_rows = i_vals.T
-    w_rows = np.empty(i_rows.shape)
-    i_blocks = (i_rows[nodes] for nodes in _node_blocks(cfg.partition, i_rows.shape[1]))
-    for out in _march(cfg, i_blocks, x, with_innovations=True, with_volatility=False):
-        w_rows[out.nodes] = out.w
+    (w_rows,), _ = _stored_march(cfg, i_vals.T, x, ("w",), with_innovations=True,
+                                 with_volatility=False)
     return w_rows.T
 
 
@@ -827,10 +828,11 @@ def _paired_path_sums(cfg: RapConfig, n_paths: int, seed: int, block_size: int,
     ``block=b``; ``reduce(x, nodes)`` maps its targets and its :func:`_march`
     (with ``march_options``) to the block's two (paths,) sums.  The march
     reads the ``I`` rows of :func:`arcadeproc.rap._rap_blocks` through
-    :func:`_sampled_ahead`: the sampler fills the slots of a
-    ``_RING``-slot ring in a worker thread while the march filters the
-    blocks before them, so a path block holds that ring, the targets and
-    the driver at the dates, never a ``(nodes, paths)`` array.
+    :func:`arcadeproc.drivers._sampled_ahead`: the sampler fills the slots
+    of its ``_RING``-slot ring in a worker thread, at most two blocks ahead,
+    while the march filters the blocks before them, so a path block holds
+    that ring, the targets and the driver at the dates, never a
+    ``(nodes, paths)`` array.
     """
     for name, value in (("n_paths", n_paths), ("block_size", block_size)):
         if not isinstance(value, numbers.Integral):
@@ -840,74 +842,13 @@ def _paired_path_sums(cfg: RapConfig, n_paths: int, seed: int, block_size: int,
     if block_size < 1:
         raise ConfigError(f"block_size must be at least 1, got {block_size}")
     def block_sums(block, start):
-        x, blocks = _rap_blocks(cfg, min(block_size, n_paths - start), seed, block, _RING)
+        x, blocks = _rap_blocks(cfg, min(block_size, n_paths - start), seed, block)
         with _sampled_ahead(blocks) as i_blocks:
             return reduce(x, _march(cfg, i_blocks, x, **march_options))
 
     blocks = enumerate(range(0, n_paths, block_size))
     firsts, seconds = zip(*(block_sums(block, start) for block, start in blocks))
     return np.concatenate(firsts), np.concatenate(seconds)
-
-
-# Slots of the block ring between the sampler's worker thread and the march:
-# the march holds two blocks, so the worker runs up to two blocks ahead.
-_RING = 4
-_END = object()
-
-
-@contextmanager
-def _sampled_ahead(blocks: Iterator[np.ndarray]):
-    """Run the block generator ``blocks`` in one worker thread, at most
-    ``_RING - 2`` blocks ahead of the caller, and yield an iterator over its
-    blocks.
-
-    Block ``k`` of ``blocks`` must live in slot ``k % _RING`` of a ring, as
-    the date-first sampler's do (:func:`arcadeproc.drivers._driver_blocks`).
-    The caller holds at most two blocks, the one it reads and the one
-    before: requesting block ``k`` hands the slot of block ``k - 2`` back to
-    the worker, which draws block ``k - 2 + _RING`` into it.  An exception
-    raised in the worker is re-raised, as the same object, where the caller
-    requests the block.  On exit the worker finishes its current block and
-    is joined, also when the caller stops early or raises.
-    """
-    credits = threading.Semaphore(_RING)
-    handoff = queue.SimpleQueue()
-    stop = threading.Event()
-
-    def work():
-        try:
-            while True:
-                credits.acquire()
-                if stop.is_set():
-                    return
-                block = next(blocks, _END)
-                handoff.put(block)
-                if block is _END:
-                    return
-        except BaseException as exc:         # handed to the caller, which re-raises it
-            handoff.put(exc)
-
-    def read():
-        # started on the first request, once the march has built its tables
-        worker.start()
-        for count in itertools.count():
-            if count >= 2:
-                credits.release()
-            block = handoff.get()
-            if block is _END:
-                return
-            if isinstance(block, BaseException):
-                raise block
-            yield block
-
-    worker = threading.Thread(target=work, name="arcadeproc-sampler", daemon=True)
-    try:
-        yield read()
-    finally:
-        stop.set()
-        credits.release()
-        if worker.ident is not None:
-            worker.join()
 
 
 def _paired_mean_se(a: np.ndarray, b: np.ndarray) -> tuple[float, ...]:

@@ -162,16 +162,16 @@ def build_rap_paths(cfg: RapConfig, n_paths: int, seed: int,
     return PathBundle(grid=grid, values=values, seed=seed, meta=meta), x
 
 
-def _rap_blocks(cfg: RapConfig, n_paths: int, seed: int, block: int = 0, ring: int = 2):
+def _rap_blocks(cfg: RapConfig, n_paths: int, seed: int, block: int = 0):
     """The targets ``X`` (paths, n+1) and an iterator over blocks of
     consecutive ``I`` rows: the date-first driver blocks, assembled in their
-    slots of a ``ring``-slot ring (see :func:`_driver_blocks`).  The sampler
-    and the assembler share one scratch block."""
-    if n_paths < 1:
-        raise ConfigError("n_paths must be positive")
+    slots of the ``_RING``-slot ring (see :func:`_driver_blocks`).  The
+    sampler and the assembler share one scratch block.  The targets are
+    drawn here, in the calling thread; only the iterator may run in the
+    worker of :func:`arcadeproc.drivers._sampled_ahead`."""
     tmp = np.empty((_block_nodes(n_paths), n_paths))
     d_dates, d_blocks = _driver_blocks(cfg.arcade.driver, cfg.partition, n_paths, seed,
-                                       block, ring, tmp)
+                                       block, tmp)
     x = cfg.coupling.sample(n_paths, seed, block)
     return x, _assembled_blocks(cfg.arcade.coeffs.grid_values, d_dates, d_blocks,
                                 cfg.signal.grid_values, x, tmp)

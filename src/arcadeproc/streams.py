@@ -29,7 +29,11 @@ seed, path count and block size reproduce every value exactly.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
+
+from .errors import ConfigError
 
 _LABEL_CODES = {
     "D": 0x44,
@@ -46,7 +50,13 @@ def label_code(label: str) -> int:
 
 
 def stream_rng(seed: int, label: str, block: int = 0) -> np.random.Generator:
-    """Derive the generator for stream ``label`` and path block ``block``."""
+    """Derive the generator for stream ``label`` and path block ``block``:
+    ``seed`` is an integer, taken modulo 2^64, and ``block`` a non-negative
+    integer; anything else is a ``ConfigError``."""
+    if not isinstance(seed, numbers.Integral):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    if not isinstance(block, numbers.Integral) or block < 0:
+        raise ConfigError(f"block must be a non-negative integer, got {block!r}")
     ss = np.random.SeedSequence(
         entropy=int(seed) & _MASK64, spawn_key=(label_code(label), int(block))
     )

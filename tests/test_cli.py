@@ -649,7 +649,8 @@ class TestConfigKeys:
 class TestColdStart:
     """``scipy.special`` loads on the first Gaussian quantile or cdf call, not
     with the CLI: arcade, filtered-martingale and convex-order runs never
-    import it.  ``scipy.optimize`` loads only with the LP."""
+    import it.  ``concurrent.futures`` loads with the first Monte Carlo
+    reducer and ``scipy.optimize`` only with the LP."""
 
     SCRIPT = """
 import sys
@@ -665,6 +666,7 @@ for command, name, extra in (("simulate", "stitched_ap", []),
     assert rc == 0, (name, rc)
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded
+assert "concurrent.futures" not in sys.modules
 law = GaussianMarginal(0.0, 1.0)
 q = np.linspace(0.0, 1.0, 1001)
 x = np.linspace(-40.0, 40.0, 1601)
@@ -672,6 +674,10 @@ quantiles, cdfs = law.quantile(q), law.cdf(x)
 from scipy.special import ndtr, ndtri
 assert quantiles.tobytes() == ndtri(q).tobytes()
 assert cdfs.tobytes() == ndtr(x).tobytes()
+from arcadeproc.coupling import uniform_mot_kernel
+from arcadeproc.ibmot import ibmot_objective_mc
+ibmot_objective_mc(uniform_mot_kernel(), 1.0, 20, seed=3, steps=10)
+assert "concurrent.futures" in sys.modules
 """
 
     LP_SCRIPT = """

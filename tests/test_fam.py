@@ -46,7 +46,9 @@ from arcadeproc.coupling import (
     gaussian_n01_kernel,
     uniform_mot_kernel,
 )
-from arcadeproc.drivers import _VAR_FLOOR, _block_nodes, _node_blocks, simulate_driver
+from arcadeproc.drivers import (
+    _VAR_FLOOR, _block_nodes, _node_blocks, _sampled_ahead, simulate_driver,
+)
 from arcadeproc import fam as fam_module
 from arcadeproc.cli import EXIT_CONFIG, EXIT_NUMERIC, main
 from arcadeproc.fam import (
@@ -412,6 +414,37 @@ class TestFamPaths:
                 want = fam_filter_bruteforce(cfg, t, float(trace.i_paths[pidx, k]),
                                              trace.x[pidx, : arc + 1].tolist())
                 assert trace.m_paths[pidx, k] == pytest.approx(want, abs=1e-12)
+
+
+class TestPathArguments:
+    """Path counts, seeds and blocks are checked before any path buffer is
+    allocated and refused with ``ConfigError``."""
+
+    PRODUCERS = {
+        "driver": lambda cfg, *args, **kw: simulate_driver(
+            brownian_driver(), Partition((0.0, 1.0), 10), *args, **kw),
+        "rap": build_rap_paths,
+        "fam": fam_paths,
+    }
+
+    @pytest.mark.parametrize("producer", list(PRODUCERS))
+    def test_non_integer_path_count_is_config_error(self, tanh_cfg, producer):
+        with pytest.raises(ConfigError, match="n_paths must be an integer"):
+            self.PRODUCERS[producer](tanh_cfg, 2.5, 0)
+
+    def test_non_integer_seed_is_config_error(self, tanh_cfg):
+        # int(2.5) would silently read seed 2's stream
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            fam_paths(tanh_cfg, 4, 2.5)
+
+    def test_negative_block_is_config_error(self, tanh_cfg):
+        with pytest.raises(ConfigError, match="block must be a non-negative integer"):
+            fam_paths(tanh_cfg, 4, 0, block=-1)
+
+    def test_negative_seed_is_masked_to_64_bits(self, tanh_cfg):
+        got, want = fam_paths(tanh_cfg, 4, -1), fam_paths(tanh_cfg, 4, 2**64 - 1)
+        assert np.array_equal(got.i_paths, want.i_paths)
+        assert np.array_equal(got.x, want.x)
 
 
 class TestCsvFiles:
@@ -823,9 +856,11 @@ class TestStreamedReducers:
         """tracemalloc peak of one reducer call; numpy reports its buffers."""
         import tracemalloc
 
-        # numpy 2 imports numpy.random on first attribute access; imported
-        # inside the trace, the module's own allocations would count
+        # numpy 2 imports numpy.random on first attribute access, and the
+        # reducers import the thread pool on first call; imported inside the
+        # trace, the modules' own allocations would count
         import numpy.random  # noqa: F401
+        from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 
         from arcadeproc.ibmot import ibmot_objective_mc
 
@@ -870,7 +905,7 @@ class TestStreamedReducers:
 
 class TestSamplerThread:
     """The Monte Carlo reducers draw their ``I`` rows in one worker thread
-    (``fam._sampled_ahead``).  It ends before the reducer returns or raises,
+    (``drivers._sampled_ahead``).  It ends before the reducer returns or raises,
     runs one path block at a time, runs only the generator bodies, and an
     error raised in it reaches the caller as the same object."""
 
@@ -945,7 +980,7 @@ class TestSamplerThread:
         with pytest.raises(error) as info:
             ito_isometry_check(self._cfg(), 50, self.SEED, block_size=20)
         assert info.value is err
-        assert raised_in == ["arcadeproc-sampler"]
+        assert raised_in == ["arcadeproc-sampler_0"]
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("error, code", [(ConfigError, EXIT_CONFIG),
@@ -958,7 +993,7 @@ class TestSamplerThread:
         before = threading.active_count()
         rc = main(["fam", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])
         assert rc == code
-        assert raised_in == ["arcadeproc-sampler"]
+        assert raised_in == ["arcadeproc-sampler_0"]
         assert "sampler failed" in capsys.readouterr().err
         assert threading.active_count() == before
 
@@ -989,8 +1024,8 @@ class TestSamplerThread:
         mismatches, finished = [], []
 
         def read():
-            _, blocks = _rap_blocks(cfg, n_paths, self.SEED, 0, fam_module._RING)
-            with fam_module._sampled_ahead(blocks) as rows:
+            _, blocks = _rap_blocks(cfg, n_paths, self.SEED)
+            with _sampled_ahead(blocks) as rows:
                 prev = None
                 for k, block in enumerate(rows):
                     time.sleep(1e-3)                     # let the worker run ahead
@@ -1013,6 +1048,44 @@ class TestSamplerThread:
         assert not any(reader.is_alive() for reader in readers)
         assert finished == [len(want)] * 4
         assert mismatches == []
+
+    @staticmethod
+    def _recorded_draws(requested, drawn_at):
+        """The sampler's blocks, recording in ``drawn_at`` the reader's
+        request count ``requested[0]`` as each draw starts."""
+        from arcadeproc.rap import _rap_blocks
+
+        # 1024 paths: 15 blocks of at most 16 nodes
+        _, blocks = _rap_blocks(TestSamplerThread._cfg(), 1024, TestSamplerThread.SEED)
+        drawn_at.append(requested[0])
+        for block in blocks:
+            yield block
+            drawn_at.append(requested[0])
+
+    def test_worker_draws_at_most_two_blocks_ahead(self):
+        # block j is drawn into the slot of block j - 4, which the reader
+        # holds until it requests block j - 2; a slow reader lets the worker
+        # run as far ahead as the ring allows
+        requested, drawn_at = [0], []
+        with _sampled_ahead(self._recorded_draws(requested, drawn_at)) as rows:
+            while True:
+                requested[0] += 1
+                if next(rows, None) is None:
+                    break
+                time.sleep(1e-3)
+        assert requested[0] == 16 and len(drawn_at) == 16
+        assert all(count >= j - 1 for j, count in enumerate(drawn_at)), drawn_at
+
+    def test_reader_stopping_early_leaves_no_draw_running(self):
+        before = threading.active_count()
+        requested, drawn_at = [0], []
+        with _sampled_ahead(self._recorded_draws(requested, drawn_at)) as rows:
+            for _ in range(3):
+                requested[0] += 1
+                next(rows)
+            time.sleep(0.05)                         # let the worker run ahead
+        assert len(drawn_at) <= 3 + 2
+        assert threading.active_count() == before
 
     def test_eager_part_runs_in_the_calling_thread(self, monkeypatch):
         # the date rows and the target draw stay in the caller, where a
